@@ -14,6 +14,7 @@ inputs (dissipation.*) are plain rates in 1/s and are never rescaled.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,6 +138,20 @@ _KIND_TYPES = {
 }
 
 
+def _finite_float(key: str, raw: object) -> float:
+    """A JSON number as a float; NaN, +-Infinity and overflowing integers
+    (json.loads accepts all three) are rejected."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    return value
+
+
 def _coerce(field: FieldSpec, raw: object) -> object:
     """Normalize a parsed value to the field's kind, or raise ConfigError."""
     kind = field.kind
@@ -153,9 +168,7 @@ def _coerce(field: FieldSpec, raw: object) -> object:
             raise ConfigError(f"{field.key} must be an integer, got {raw!r}")
         return int(raw)
     if kind in ("float", "optional_float"):
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigError(f"{field.key} must be a number, got {raw!r}")
-        return float(raw)
+        return _finite_float(field.key, raw)
     if kind in ("str", "optional_str"):
         if not isinstance(raw, str):
             raise ConfigError(f"{field.key} must be a string, got {raw!r}")
@@ -165,9 +178,9 @@ def _coerce(field: FieldSpec, raw: object) -> object:
             raise ConfigError(f"{field.key} must be a list of integers, got {raw!r}")
         return [int(v) for v in raw]
     if kind == "float_list":
-        if not isinstance(raw, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw):
+        if not isinstance(raw, list):
             raise ConfigError(f"{field.key} must be a list of numbers, got {raw!r}")
-        return [float(v) for v in raw]
+        return [_finite_float(field.key, v) for v in raw]
     raise ConfigError(f"internal: unknown kind {kind}")
 
 
@@ -233,8 +246,6 @@ class RunConfig:
 
     def angular(self, key: str) -> float:
         """Return a *_hz key as an angular rate, honoring frame.angular."""
-        import math
-
         value = self.values[key]
         if value is None:
             raise ConfigError(f"{key} has no value")

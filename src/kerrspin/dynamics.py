@@ -11,8 +11,20 @@ then advance each uniform grid interval with a 4th-order Taylor
 propagator per substep, composed by repeated squaring. For a linear
 generator this reproduces the classical 4th-order Runge-Kutta update
 exactly while costing a handful of matrix products per run. The substep
-obeys step * (max |eig(H)| + max rate) <= 0.1; the default substep is a
-tenth of that ceiling.
+obeys step * (max |eig(H)| + max rate) <= 0.1, with the scale taken from
+the full model; the default substep is a tenth of that ceiling.
+
+The generator is built on a coordinate subspace only: the basis states
+reachable from the support of the initial states through the nonzero
+pattern of H, of every collapse operator with a nonzero rate, and of
+each such C'C. Each of these operators A maps the span S of the reached
+states into itself (AP = PAP for the projector P onto S, so also
+PA' = PA'P), hence every term of the master equation maps a density
+matrix supported on S x S to another one and the states never leave
+that block. Evolving the projected operators is exact, not a
+truncation. C'C must be in the search: the anticommutator term can leave
+a set that is closed under C alone. Excitation-conserving models shrink
+most; results are zero-padded back to the full space.
 
 Gate metrics reconstruct the two-qubit channel from 16 physical inputs
 (4 computational states, 6 real and 6 imaginary two-state
@@ -53,6 +65,14 @@ class StepSizeError(ValueError):
     """Requested integrator step violates the stability ceiling."""
 
 
+def _check_hermitian(h: np.ndarray) -> np.ndarray:
+    h = np.asarray(h, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(h))))
+    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * scale:
+        raise ValueError("hamiltonian is not hermitian")
+    return h
+
+
 @dataclass
 class LindbladModel:
     """Hamiltonian plus collapse channels on one Hilbert space."""
@@ -66,10 +86,7 @@ class LindbladModel:
         d = self.spec.dim
         if h.shape != (d, d):
             raise ValueError(f"hamiltonian shape {h.shape} does not match spec dim {d}")
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * scale:
-            raise ValueError("hamiltonian is not hermitian")
-        self.hamiltonian = h
+        self.hamiltonian = _check_hermitian(h)
         ops = []
         for op, rate in self.collapse:
             op = np.asarray(op, dtype=complex)
@@ -126,14 +143,6 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
     return times
 
 
-def _check_hermitian(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * scale:
-        raise ValueError("hamiltonian is not hermitian")
-    return h
-
-
 def evolve_unitary(
     h: np.ndarray,
     psi0: np.ndarray,
@@ -184,13 +193,12 @@ def evolve_unitary(
     )
 
 
-def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Vectorized generator (row-major convention)."""
-    h = model.hamiltonian
+def liouvillian(h: np.ndarray, collapse: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """Vectorized generator (row-major convention) of H and its collapse channels."""
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op, rate in model.collapse:
+    for op, rate in collapse:
         if rate == 0.0:
             continue
         opdop = op.conj().T @ op
@@ -199,6 +207,25 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
             - 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
         )
     return gen
+
+
+def _reachable(seed: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
+    """Sorted basis indices reachable from the boolean mask `seed`.
+
+    Breadth-first search over the nonzero pattern of `ops`: index j
+    reaches i when some op[i, j] != 0. The result spans the smallest
+    coordinate subspace that contains the seed and that every op maps
+    into itself.
+    """
+    adjacent = np.zeros((seed.size, seed.size), dtype=bool)
+    for op in ops:
+        adjacent |= op != 0
+    reached = seed.copy()
+    frontier = seed
+    while frontier.any():
+        frontier = adjacent[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return np.flatnonzero(reached)
 
 
 def spectral_scale(model: LindbladModel) -> float:
@@ -278,20 +305,33 @@ def evolve_lindblad_batch(
 
     The generator and interval propagators are built once and shared, so
     batching the 16 tomography inputs costs little more than one run.
+    They are built on the coordinate subspace the inputs can reach (see
+    the module docstring); the substep still comes from the full model.
     """
     times = _validate_times(times)
     d = model.spec.dim
     rhos0 = [_validate_rho0(r, d) for r in rho0_list]
     h_req, scale = _resolve_step(model, step, step_scale)
-    gen = liouvillian(model)
+
+    rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
+    seed = np.zeros(d, dtype=bool)
+    for rho in rhos0:
+        seed |= np.any(rho != 0, axis=1)
+    idx = _reachable(
+        seed, [model.hamiltonian] + [op for op, _ in rates] + [op.conj().T @ op for op, _ in rates]
+    )
+    block = np.ix_(idx, idx)
+    n = idx.size
+    gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
+    rhos0 = [rho[block] for rho in rhos0]
 
     n_in = len(rhos0)
     n_t = times.size
-    states = np.empty((n_in, n_t, d, d), dtype=complex)
+    states = np.empty((n_in, n_t, n, n), dtype=complex)
     for i, rho in enumerate(rhos0):
         states[i, 0] = rho
 
-    vecs = np.stack([rho.reshape(-1) for rho in rhos0], axis=1)  # (d*d, n_in)
+    vecs = np.stack([rho.reshape(-1) for rho in rhos0], axis=1)  # (n*n, n_in)
     diffs = np.diff(times)
     uniform = bool(np.all(np.abs(diffs - diffs[0]) <= 1e-9 * diffs[0]))
     max_substeps = 1
@@ -300,7 +340,7 @@ def evolve_lindblad_batch(
         max_substeps = k
         for j in range(1, n_t):
             vecs = prop @ vecs
-            states[:, j] = vecs.T.reshape(n_in, d, d)
+            states[:, j] = vecs.T.reshape(n_in, n, n)
     else:
         cache: dict[float, tuple[np.ndarray, int]] = {}
         for j, dt in enumerate(diffs, start=1):
@@ -310,11 +350,17 @@ def evolve_lindblad_batch(
             prop, k = cache[key]
             max_substeps = max(max_substeps, k)
             vecs = prop @ vecs
-            states[:, j] = vecs.T.reshape(n_in, d, d)
+            states[:, j] = vecs.T.reshape(n_in, n, n)
 
     obs = dict(observables or {})
     for name, op in default_population_observables(model.spec).items():
         obs.setdefault(name, op)
+    obs = {name: np.asarray(op)[block] for name, op in obs.items()}
+
+    def lift(rho: np.ndarray) -> np.ndarray:
+        full = np.zeros(rho.shape[:-2] + (d, d), dtype=complex)
+        full[..., idx[:, None], idx] = rho
+        return full
 
     out = []
     for i in range(n_in):
@@ -323,6 +369,9 @@ def evolve_lindblad_batch(
         trace_dev = float(np.max(np.abs(traces - 1.0)))
         herm_dev = float(np.max(np.abs(rho_t - rho_t.conj().transpose(0, 2, 1))))
         min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho_t + rho_t.conj().transpose(0, 2, 1)))))
+        if n < d:
+            # The lifted state's zero block contributes eigenvalue 0.
+            min_eig = min(min_eig, 0.0)
         if trace_dev > TRACE_TOL:
             raise DiagnosticsError(f"trace deviation {trace_dev:.3e} exceeds {TRACE_TOL}")
         if herm_dev > 1e-10:
@@ -339,6 +388,9 @@ def evolve_lindblad_batch(
             "spectral_scale": scale,
             "substep": float(diffs[0]) / max_substeps if uniform else h_req,
             "max_substeps_per_interval": max_substeps,
+            "hilbert_dim": d,
+            "reduced_dim": n,
+            "liouville_dim": n * n,
             "trace_deviation": trace_dev,
             "hermiticity_deviation": herm_dev,
             "min_eigenvalue": min_eig,
@@ -347,9 +399,9 @@ def evolve_lindblad_batch(
             Trajectory(
                 times=times,
                 observables=series,
-                final_state=rho_t[-1],
+                final_state=lift(rho_t[-1]),
                 diagnostics=diagnostics,
-                states=rho_t if keep_states else None,
+                states=lift(rho_t) if keep_states else None,
             )
         )
     return out

@@ -11,8 +11,7 @@ Hamiltonian ``(omega/2) * sigma_z`` puts the ground state at ``-omega/2``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,32 +195,3 @@ def partial_trace(rho: np.ndarray, keep: int | tuple[int, ...], spec: HilbertSpe
         d_keep *= dims[k]
     return out.reshape(d_keep, d_keep)
 
-
-@dataclass
-class OperatorRecord:
-    """JSON-serializable snapshot of a named operator (for diagnostics)."""
-
-    name: str
-    dims: tuple[int, ...]
-    matrix_real: list = field(repr=False, default_factory=list)
-    matrix_imag: list = field(repr=False, default_factory=list)
-
-    @staticmethod
-    def from_matrix(name: str, op: np.ndarray, spec: HilbertSpec) -> "OperatorRecord":
-        op = np.asarray(op, dtype=complex)
-        return OperatorRecord(
-            name=name,
-            dims=spec.dims,
-            matrix_real=op.real.tolist(),
-            matrix_imag=op.imag.tolist(),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "dims": list(self.dims),
-                "matrix_real": self.matrix_real,
-                "matrix_imag": self.matrix_imag,
-            }
-        )

@@ -197,6 +197,24 @@ def _add_gates(
     )
 
 
+_INTEGRATOR_KEYS = (
+    "spectral_scale",
+    "substep",
+    "max_substeps_per_interval",
+    "hilbert_dim",
+    "reduced_dim",
+    "liouville_dim",
+)
+
+
+def _integrator_info(trajs: list[dyn.Trajectory]) -> dict:
+    """What the Lindblad integrator decided for one batch (shared by all
+    its inputs), plus the batch's lowest state eigenvalue."""
+    info = {key: trajs[0].diagnostics[key] for key in _INTEGRATOR_KEYS}
+    info["min_eigenvalue"] = min(tr.diagnostics["min_eigenvalue"] for tr in trajs)
+    return info
+
+
 def _refine_peak(times: np.ndarray, series: np.ndarray) -> tuple[float, float]:
     """Interior parabolic refinement of the global maximum of a sampled
     series; falls back to the grid point at the edges."""
@@ -584,11 +602,12 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         trace_dev = max(
             traj3.diagnostics["trace_deviation"], traj2.diagnostics["trace_deviation"]
         )
-        return cols, trace_dev
+        integrator = {"full": _integrator_info([traj3]), "effective": _integrator_info([traj2])}
+        return cols, trace_dev, integrator
 
-    cols, trace_main = core(cutoff, False)
-    halved, trace_half = core(cutoff, True)
-    bumped, trace_bump = core(cutoff + 5, False)
+    cols, trace_main, integrator = core(cutoff, False)
+    halved, trace_half, _ = core(cutoff, True)
+    bumped, trace_bump, _ = core(cutoff + 5, False)
 
     report = ScenarioReport(scenario="state-transfer", params=dict(cfg.values))
     report.outputs["transfer"] = write_trajectory_csv(out_dir / "transfer.csv", times, cols)
@@ -638,6 +657,7 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "dissipation_peak_drop_full": peak_u - peak_full,
             "dissipationless_mode_max": float(traj_u.observables["pop_mode"].max()),
             "mode_occupancy_bound": mode_bound,
+            "integrator": integrator,
             "advisories": [a for a in (advisory,) if a],
         }
     )
@@ -699,7 +719,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         states = np.stack([tr.states for tr in trajs])
         raw, stripped, phases = _fidelity_series(lambda j: states[:, j], n_t, target)
         trace_dev = max(tr.diagnostics["trace_deviation"] for tr in trajs)
-        return raw, stripped, phases, trace_dev, states
+        return raw, stripped, phases, trace_dev, states, _integrator_info(trajs)
 
     def full_channel(cut: int, kappa_rate: float, halved: bool):
         spec3 = HilbertSpec.mode_and_spins(cut, 2)
@@ -727,7 +747,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
         raw, stripped, phases = _fidelity_series(outs, n_t, target)
         trace_dev = max(tr.diagnostics["trace_deviation"] for tr in trajs)
-        return raw, stripped, phases, trace_dev, states, spec3
+        return raw, stripped, phases, trace_dev, states, spec3, _integrator_info(trajs)
 
     def unitary_stripped_at(h: np.ndarray, reduce_spec: HilbertSpec | None, t: float) -> float:
         evals, vecs = np.linalg.eigh(h)
@@ -748,9 +768,11 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         f_pro, _ = dyn.strip_local_phases(choi, target)
         return (4.0 * f_pro + 1.0) / 5.0
 
-    raw_eff, stripped_eff, phases_eff, trace_eff, states_eff = eff_channel(gamma, False)
-    raw_full, stripped_full, _, trace_full, states_full, spec_full = full_channel(
-        cutoff, kappa, False
+    raw_eff, stripped_eff, phases_eff, trace_eff, states_eff, integrator_eff = eff_channel(
+        gamma, False
+    )
+    raw_full, stripped_full, _, trace_full, states_full, spec_full, integrator_full = (
+        full_channel(cutoff, kappa, False)
     )
     cols = {
         "favg_raw_eff": raw_eff,
@@ -761,15 +783,15 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     # Gate runs: halved substep for both channels, mode cutoff bump for
     # the full channel (the written channel has no cutoff; reused).
-    raw_eff_h, stripped_eff_h, _, trace_eff_h, _ = eff_channel(gamma, True)
-    raw_full_h, stripped_full_h, _, trace_full_h, _, _ = full_channel(cutoff, kappa, True)
+    raw_eff_h, stripped_eff_h, _, trace_eff_h, _, _ = eff_channel(gamma, True)
+    raw_full_h, stripped_full_h, _, trace_full_h, _, _, _ = full_channel(cutoff, kappa, True)
     halved = {
         "favg_raw_eff": raw_eff_h,
         "favg_stripped_eff": stripped_eff_h,
         "favg_raw_full": raw_full_h,
         "favg_stripped_full": stripped_full_h,
     }
-    raw_full_b, stripped_full_b, _, trace_full_b, _, _ = full_channel(cutoff + 5, kappa, False)
+    raw_full_b, stripped_full_b, _, trace_full_b, _, _, _ = full_channel(cutoff + 5, kappa, False)
     bumped = {
         "favg_raw_eff": raw_eff,
         "favg_stripped_eff": stripped_eff,
@@ -808,8 +830,8 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     # Sensitivity information (not pass/fail): spin decay x10 on the
     # written channel, mode decay x2 and the dissipationless reference on
     # the full channel.
-    _, stripped_eff_g10, _, _, _ = eff_channel(10.0 * gamma, False)
-    _, stripped_full_k2, _, _, _, _ = full_channel(cutoff, 2.0 * kappa, False)
+    _, stripped_eff_g10, _, _, _, _ = eff_channel(10.0 * gamma, False)
+    _, stripped_full_k2, _, _, _, _, _ = full_channel(cutoff, 2.0 * kappa, False)
     spec3 = HilbertSpec.mode_and_spins(cutoff, 2)
     frame = ham.SqueezedFrame(fs.squeezing, fs.delta_s, fs.coupling)
     h3 = ham.tavis_cummings_hamiltonian(spec3, frame, fs.delta_q)
@@ -852,6 +874,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
                 float(np.max(stripped_full)) - float(np.max(stripped_full_k2))
             ),
             "dissipationless_full": full_dissipationless,
+            "integrator": {"full": integrator_full, "effective": integrator_eff},
             "advisories": [a for a in (advisory,) if a],
         }
     )

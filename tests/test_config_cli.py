@@ -88,6 +88,11 @@ class TestDefaultsAndPrecedence:
             ("dispersive.ratios", [-1.0]),
             ("device.calibration", "bogus"),
             ("convention.sign", "bogus"),
+            # json.loads accepts NaN, Infinity and integers beyond float range.
+            ("run.step", math.nan),
+            ("dissipation.gamma_q", math.inf),
+            ("frame.coupling_hz", 10**400),
+            ("dispersive.ratios", [1.0, -math.inf]),
         ):
             with pytest.raises(ConfigError):
                 resolve("rabi", set_pairs=[(key, bad)])
@@ -250,6 +255,17 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "rabi", "--set", "dissipation.kappa_m=-5"]) == 2
         assert "dissipation.kappa_m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, setting",
+        [("rabi", "frame.coupling_hz=NaN"), ("state-transfer", "dissipation.kappa_m=Infinity")],
+    )
+    def test_non_finite_set_value_exit_two(self, scenario, setting, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", scenario, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert setting.split("=")[0] in err
+        assert "Traceback" not in err
 
     def test_failing_checks_exit_one(self, tmp_path, monkeypatch, capsys):
         # A detuned spin breaks the exchange contrast; the run completes,

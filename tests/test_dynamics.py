@@ -18,10 +18,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kerrspin.config import resolve
 from kerrspin.dynamics import (
+    DEFAULT_STEP_SCALE,
+    STEP_BUDGET,
     DiagnosticsError,
     LindbladModel,
     StepSizeError,
+    _interval_propagator,
     average_gate_fidelity,
     choi_from_outputs,
     evolve_lindblad,
@@ -29,9 +33,11 @@ from kerrspin.dynamics import (
     evolve_unitary,
     iswap_ideal_map,
     iswap_unitary,
+    liouvillian,
     populations,
     process_basis_kets,
     process_fidelity,
+    spectral_scale,
     state_fidelity,
     strip_local_phases,
 )
@@ -44,7 +50,8 @@ from kerrspin.fock import (
     embed,
     qubit_ops,
 )
-from kerrspin.hamiltonians import SqueezedFrame, tavis_cummings_hamiltonian
+from kerrspin.hamiltonians import SqueezedFrame, effective_coupling, tavis_cummings_hamiltonian
+from kerrspin.scenarios import _resolve_frame, _transfer_models
 
 
 def mode_only_spec(cutoff: int) -> HilbertSpec:
@@ -230,6 +237,111 @@ class TestLindblad:
         assert traj.states is not None
         assert traj.states.shape == (6, 2, 2)
         assert np.allclose(traj.states[-1], traj.final_state)
+
+
+def full_space_reference(model: LindbladModel, rho0s: list[np.ndarray], times: np.ndarray):
+    """Evolve on the whole truncated space with the solver's own step rule.
+
+    Returns states (inputs, times, d, d), spectral scale, substep and
+    substeps per interval, for a uniform time grid.
+    """
+    scale = spectral_scale(model)
+    dt = float(times[1] - times[0])
+    gen = liouvillian(model.hamiltonian, model.collapse)
+    prop, k = _interval_propagator(gen, dt, DEFAULT_STEP_SCALE * STEP_BUDGET / scale)
+    vecs = np.stack([r.reshape(-1) for r in rho0s], axis=1)
+    series = [vecs]
+    for _ in range(times.size - 1):
+        vecs = prop @ vecs
+        series.append(vecs)
+    d = model.spec.dim
+    states = np.stack(series).transpose(2, 0, 1).reshape(len(rho0s), times.size, d, d)
+    return states, scale, dt / k, k
+
+
+def transfer_case(cutoff: int):
+    """The state-transfer / iswap-fidelity three-body model at default config."""
+    cfg = resolve("state-transfer")
+    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
+    spec, model, _, _ = _transfer_models(
+        fs, cutoff, cfg["dissipation.kappa_m"], cfg["dissipation.gamma_q"]
+    )
+    t_star = np.pi / (2.0 * abs(effective_coupling(fs.coupling, fs.delta_minus)))
+    return spec, model, np.linspace(0.0, 1.4 * t_star, 281)
+
+
+class TestReachableSubspace:
+    """The solver evolves only the basis states the inputs can reach; it
+    must reproduce the full-space evolution at the same step."""
+
+    def assert_matches_full_space(self, model, rho0s, times, reduced_dim):
+        trajs = evolve_lindblad_batch(model, rho0s, times, keep_states=True)
+        ref, scale, substep, k = full_space_reference(model, rho0s, times)
+        for traj, want in zip(trajs, ref):
+            assert traj.states.shape == want.shape
+            assert np.max(np.abs(traj.states - want)) <= 1e-9
+            assert np.array_equal(traj.final_state, traj.states[-1])
+            diag = traj.diagnostics
+            assert diag["spectral_scale"] == scale
+            assert diag["substep"] == substep
+            assert diag["max_substeps_per_interval"] == k
+            assert diag["hilbert_dim"] == model.spec.dim
+            assert diag["reduced_dim"] == reduced_dim
+            assert diag["liouville_dim"] == reduced_dim**2
+
+    @pytest.mark.parametrize("cutoff", [6, 11])
+    def test_state_transfer_model(self, cutoff):
+        spec, model, times = transfer_case(cutoff)
+        # |0, e, g> reaches |1, g, g>, |0, g, e> and, by decay, |0, g, g>.
+        self.assert_matches_full_space(model, [dm(basis_ket((0, 1, 0), spec))], times, 4)
+
+    def test_iswap_full_channel(self):
+        spec, model, times = transfer_case(6)
+        vac = dm(basis_ket((0,), mode_only_spec(6)))
+        rho0s = [np.kron(vac, dm(k)) for k in process_basis_kets()]
+        # Four spin states with the mode empty, plus one and two quanta moved
+        # into the mode.
+        self.assert_matches_full_space(model, rho0s, times, 8)
+
+    def test_closure_includes_anticommutator_term(self):
+        # C|0> = |0> keeps {|0>} closed under C alone, but C'C|0> has a
+        # |1> component that -1/2 {C'C, rho} feeds into rho.
+        spec = mode_only_spec(3)
+        c = np.zeros((3, 3), dtype=complex)
+        c[0, 0] = c[0, 1] = 1.0
+        model = LindbladModel(np.diag([0.0, 0.4, 1.0]).astype(complex), [(c, 0.5)], spec)
+        times = np.linspace(0.0, 2.0, 21)
+        self.assert_matches_full_space(model, [dm(basis_ket((0,), spec))], times, 2)
+
+    def test_zero_rate_collapse_does_not_enlarge_subspace(self):
+        kappa = 0.7
+        spec = mode_only_spec(5)
+        a = annihilation(5)
+        model = LindbladModel(
+            hamiltonian=np.zeros((5, 5), dtype=complex),
+            collapse=[(a, kappa), (a.conj().T, 0.0)],
+            spec=spec,
+        )
+        times = np.linspace(0.0, 2.0 / kappa, 41)
+        traj = evolve_lindblad(model, dm(basis_ket((1,), spec)), times)
+        assert traj.diagnostics["reduced_dim"] == 2
+        assert np.max(np.abs(populations(traj, "mode") - np.exp(-kappa * times))) < 1e-9
+
+    def test_single_reachable_state(self):
+        spec = HilbertSpec.spins_only(1)
+        model = LindbladModel(
+            hamiltonian=0.3 * qubit_ops()["sz"],
+            collapse=[(qubit_ops()["sm"], 0.5)],
+            spec=spec,
+        )
+        rho0 = dm(basis_ket((0,), spec))
+        traj = evolve_lindblad(model, rho0, np.linspace(0.0, 2.0, 11))
+        assert traj.diagnostics["reduced_dim"] == 1
+        assert traj.diagnostics["liouville_dim"] == 1
+        assert traj.diagnostics["min_eigenvalue"] == 0.0
+        assert traj.final_state.shape == (2, 2)
+        assert np.max(np.abs(traj.final_state - rho0)) < 1e-12
+        assert np.max(np.abs(populations(traj, "spin"))) < 1e-12
 
 
 def reconstruct_choi(apply_channel) -> np.ndarray:
