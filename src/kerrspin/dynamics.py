@@ -30,7 +30,12 @@ Gate metrics reconstruct the two-qubit channel from 16 physical inputs
 (4 computational states, 6 real and 6 imaginary two-state
 superpositions), assemble the Choi matrix, and score it against the
 ideal excitation-swap gate, optionally maximizing over the two local
-z-phases (closed-form trigonometric polynomial, deterministic search).
+z-phases. All of them accept leading batch axes, so a whole time series
+of channels is scored in one call. The phase-stripped fidelity is a
+trigonometric polynomial in the two phases whose five independent
+Fourier coefficients are linear in the Choi matrix; they come from one
+contraction with a fixed kernel, and the maximum from a coarse scan plus
+a batched Newton polish (deterministic).
 """
 
 from __future__ import annotations
@@ -472,37 +477,45 @@ def process_basis_kets() -> list[np.ndarray]:
 
 
 def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
-    """Choi matrix from the 16 channel outputs (in process_basis_kets order).
+    """Choi matrices from the 16 channel outputs (in process_basis_kets order).
 
-    Uses linearity: for j != k,
+    `outputs` has shape (..., 16, 4, 4) and the result (..., 16, 16): one
+    Choi matrix per leading index. Uses linearity: for j != k,
       E(|j><k|) = E_x + i E_y - (1+i)/2 (E(|j><j|) + E(|k><k|))
     with E_x/E_y the outputs for the real/imaginary superpositions. The
     Choi normalization is tr J = 1 for a trace-preserving channel, with
-    the channel output on the first tensor factor.
+    the channel output on the first tensor factor. Every slice must pass
+    the trace-preservation check.
     """
     outputs = np.asarray(outputs, dtype=complex)
-    if outputs.shape != (16, _GATE_DIM, _GATE_DIM):
+    if outputs.shape[-3:] != (16, _GATE_DIM, _GATE_DIM):
         raise ValueError("expected 16 outputs of shape (4, 4)")
-    comp = outputs[:4]
-    choi = np.zeros((_GATE_DIM**2, _GATE_DIM**2), dtype=complex)
-    basis = np.eye(_GATE_DIM, dtype=complex)
-    for j in range(_GATE_DIM):
-        choi += np.kron(comp[j], np.outer(basis[:, j], basis[:, j]))
-    for p, (j, k) in enumerate(_PAIR_ORDER):
-        ex = outputs[4 + p]
-        ey = outputs[10 + p]
-        e_jk = ex + 1j * ey - (1.0 + 1j) / 2.0 * (comp[j] + comp[k])
-        choi += np.kron(e_jk, np.outer(basis[:, j], basis[:, k]))
-        choi += np.kron(e_jk.conj().T, np.outer(basis[:, k], basis[:, j]))
-    choi /= _GATE_DIM
+    batch = outputs.shape[:-3]
+    comp = outputs[..., :4, :, :]
+    j, k = np.array(_PAIR_ORDER).T
+    e_jk = outputs[..., 4:10, :, :] + 1j * outputs[..., 10:16, :, :] - (1.0 + 1j) / 2.0 * (
+        comp[..., j, :, :] + comp[..., k, :, :]
+    )
+    # blocks[..., j, k, a, b] = E(|j><k|)[a, b], scattered in one go.
+    diag = np.arange(_GATE_DIM)
+    blocks = np.empty(batch + (_GATE_DIM,) * 4, dtype=complex)
+    blocks[..., np.concatenate([diag, j, k]), np.concatenate([diag, k, j]), :, :] = np.concatenate(
+        [comp, e_jk, e_jk.conj().swapaxes(-1, -2)], axis=-3
+    )
+    # J[a*4 + j, b*4 + k] = E(|j><k|)[a, b] / 4
+    nb = len(batch)
+    choi = blocks.transpose(tuple(range(nb)) + (nb + 2, nb, nb + 3, nb + 1)).reshape(
+        batch + (_GATE_DIM**2, _GATE_DIM**2)
+    ) / _GATE_DIM
 
-    reshaped = choi.reshape(_GATE_DIM, _GATE_DIM, _GATE_DIM, _GATE_DIM)
-    reduced = np.einsum("aiaj->ij", reshaped)
-    defect = float(np.max(np.abs(_GATE_DIM * reduced - np.eye(_GATE_DIM))))
-    if defect > TP_DEFECT_TOL:
+    reduced = np.einsum("...aiaj->...ij", choi.reshape(batch + (_GATE_DIM,) * 4))
+    defect = np.max(np.abs(_GATE_DIM * reduced - np.eye(_GATE_DIM)), axis=(-2, -1))
+    worst = int(np.argmax(defect))  # a NaN defect is the worst
+    if not defect.flat[worst] <= TP_DEFECT_TOL:
+        where = f" at index {tuple(map(int, np.unravel_index(worst, batch)))}" if batch else ""
         raise DiagnosticsError(
-            f"reconstructed channel trace-preservation defect {defect:.3e} "
-            f"exceeds {TP_DEFECT_TOL}"
+            f"reconstructed channel trace-preservation defect {defect.flat[worst]:.3e}"
+            f"{where} exceeds {TP_DEFECT_TOL}"
         )
     return choi
 
@@ -515,111 +528,113 @@ def _ideal_choi_vector(u: np.ndarray) -> np.ndarray:
     return np.kron(u, np.eye(_GATE_DIM, dtype=complex)) @ phi
 
 
-def process_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float:
-    """Overlap of the channel's Choi state with the target unitary's."""
+def process_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float | np.ndarray:
+    """Overlap of the channel's Choi state with the target unitary's.
+
+    Batched over the leading axes of `choi` (..., 16, 16); a float for a
+    single Choi matrix.
+    """
     vec = _ideal_choi_vector(np.asarray(target_unitary, dtype=complex))
-    return float(np.real(vec.conj() @ choi @ vec))
+    overlap = np.real(vec.conj() @ np.asarray(choi, dtype=complex) @ vec)
+    return float(overlap) if overlap.ndim == 0 else overlap
 
 
-def average_gate_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float:
-    """F_avg = (d F_pro + 1)/(d + 1) with d = 4."""
+def average_gate_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float | np.ndarray:
+    """F_avg = (d F_pro + 1)/(d + 1) with d = 4, batched like process_fidelity."""
     f_pro = process_fidelity(choi, target_unitary)
     return (_GATE_DIM * f_pro + 1.0) / (_GATE_DIM + 1.0)
 
 
-def _phase_strip_unitary(phi1: float, phi2: float) -> np.ndarray:
-    rz1 = np.array([np.exp(-0.5j * phi1), np.exp(0.5j * phi1)])
-    rz2 = np.array([np.exp(-0.5j * phi2), np.exp(0.5j * phi2)])
-    return np.diag(np.kron(rz1, rz2))
+# Local z-phases applied after the channel: S = diag(s) (x) I with
+# s_a = exp(i[(n1 - 1/2) phi1 + (n2 - 1/2) phi2]) for qubit levels
+# (n1, n2) of a = 2 n1 + n2. F(phi) = Re <w|J|w> with w = S'|U>> is then
+# c_0 + 2 Re sum_m c_m exp(i h_m . phi) over the harmonics h_m below,
+# where c_h sums the blocks (a, b) with n(a) - n(b) = h.
+_LEVELS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+_HARMONICS = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
+_SCAN = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+_SCAN_GRID = np.stack(np.meshgrid(_SCAN, _SCAN, indexing="ij"), axis=-1).reshape(-1, 2)
+# Elementwise, not `@`: a first BLAS call at import would start its threads.
+_SCAN_PHASES = np.exp(1j * (_SCAN_GRID[:, None, :] * _HARMONICS).sum(axis=-1))  # (2304, 4)
+
+
+def _fourier_kernel(vec: np.ndarray) -> np.ndarray:
+    """(5, 16, 16) kernel K with c_m = sum K[m] * J for harmonics (0,0), h_1..h_4."""
+    harmonics = np.vstack([[0, 0], _HARMONICS])
+    diff = _LEVELS[:, None, :] - _LEVELS[None, :, :]
+    mask = np.all(diff[None] == harmonics[:, None, None, :], axis=-1)  # (5, a, b)
+    v = vec.reshape(_GATE_DIM, _GATE_DIM)
+    kernel = np.einsum("mab,aj,bk->majbk", mask, v.conj(), v)
+    return kernel.reshape(len(harmonics), _GATE_DIM**2, _GATE_DIM**2)
+
+
+def _trig_poly(coeff: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, gradient and Hessian of F at phi (..., 2) from coefficients (..., 5)."""
+    terms = coeff[..., 1:] * np.exp(1j * phi @ _HARMONICS.T)
+    value = coeff[..., 0].real + 2.0 * terms.real.sum(axis=-1)
+    grad = -2.0 * terms.imag @ _HARMONICS
+    hess = -2.0 * np.einsum("...m,mi,mj->...ij", terms.real, _HARMONICS, _HARMONICS)
+    return value, grad, hess
 
 
 def strip_local_phases(
     choi: np.ndarray, target_unitary: np.ndarray
-) -> tuple[float, tuple[float, float]]:
+) -> tuple[float, tuple[float, float]] | tuple[np.ndarray, np.ndarray]:
     """Max process fidelity over local z-phases applied after the channel.
 
     F(phi1, phi2) is a trigonometric polynomial with harmonics in
-    {-1, 0, 1} per axis, so its nine Fourier coefficients are extracted
-    exactly from a 3x3 sample grid; the maximum is located by a coarse
-    scan plus Newton refinement. Fully deterministic.
+    {-1, 0, 1} per axis; its five independent Fourier coefficients are
+    linear in the Choi matrix J, read off with one fixed kernel. The
+    maximum is located by a 48 x 48 coarse scan plus Newton refinement,
+    then F is evaluated directly there. Batched over the leading axes of
+    `choi` (..., 16, 16), returning the maxima (...) and phases (..., 2);
+    a single Choi matrix gives (float, (phi1, phi2)). Deterministic.
     """
-    u = np.asarray(target_unitary, dtype=complex)
-    vec = _ideal_choi_vector(u)
-    eye = np.eye(_GATE_DIM, dtype=complex)
+    choi = np.asarray(choi, dtype=complex)
+    batch = choi.shape[:-2]
+    flat = choi.reshape(-1, _GATE_DIM**2, _GATE_DIM**2)
+    vec = _ideal_choi_vector(np.asarray(target_unitary, dtype=complex))
+    # F = Re <w|J|w> only sees the hermitian part of J.
+    herm = 0.5 * (flat + flat.conj().swapaxes(-1, -2))
+    coeff = np.einsum("mAB,nAB->nm", _fourier_kernel(vec), herm)
 
-    def f_at(phi1: float, phi2: float) -> float:
-        s = np.kron(_phase_strip_unitary(phi1, phi2), eye)
-        w = s.conj().T @ vec
-        return float(np.real(w.conj() @ choi @ w))
+    scan = coeff[:, :1].real + 2.0 * (coeff[:, 1:] @ _SCAN_PHASES.T).real
+    pick = np.argmax(scan, axis=1)
+    best_val = scan[np.arange(len(pick)), pick]
+    best = _SCAN_GRID[pick]
 
-    nodes = [0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0]
-    samples = np.array([[f_at(p1, p2) for p2 in nodes] for p1 in nodes])
-    coeff = {}
-    for a in (-1, 0, 1):
-        for b in (-1, 0, 1):
-            acc = 0.0 + 0j
-            for p, phi_p in enumerate(nodes):
-                for q, phi_q in enumerate(nodes):
-                    acc += samples[p, q] * np.exp(-1j * (a * phi_p + b * phi_q))
-            coeff[(a, b)] = acc / 9.0
-
-    def poly(phi1: float, phi2: float) -> float:
-        val = coeff[(0, 0)].real
-        val += 2.0 * np.real(coeff[(1, 0)] * np.exp(1j * phi1))
-        val += 2.0 * np.real(coeff[(0, 1)] * np.exp(1j * phi2))
-        val += 2.0 * np.real(coeff[(1, 1)] * np.exp(1j * (phi1 + phi2)))
-        val += 2.0 * np.real(coeff[(1, -1)] * np.exp(1j * (phi1 - phi2)))
-        return val
-
-    def grad_hess(phi1: float, phi2: float):
-        e1 = coeff[(1, 0)] * np.exp(1j * phi1)
-        e2 = coeff[(0, 1)] * np.exp(1j * phi2)
-        ep = coeff[(1, 1)] * np.exp(1j * (phi1 + phi2))
-        em = coeff[(1, -1)] * np.exp(1j * (phi1 - phi2))
-        g1 = 2.0 * np.real(1j * (e1 + ep + em))
-        g2 = 2.0 * np.real(1j * (e2 + ep - em))
-        h11 = -2.0 * np.real(e1 + ep + em)
-        h22 = -2.0 * np.real(e2 + ep + em)
-        h12 = -2.0 * np.real(ep - em)
-        return np.array([g1, g2]), np.array([[h11, h12], [h12, h22]])
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
-    p1g, p2g = np.meshgrid(grid, grid, indexing="ij")
-    vals = (
-        coeff[(0, 0)].real
-        + 2.0 * np.real(coeff[(1, 0)] * np.exp(1j * p1g))
-        + 2.0 * np.real(coeff[(0, 1)] * np.exp(1j * p2g))
-        + 2.0 * np.real(coeff[(1, 1)] * np.exp(1j * (p1g + p2g)))
-        + 2.0 * np.real(coeff[(1, -1)] * np.exp(1j * (p1g - p2g)))
-    )
-    flat = int(np.argmax(vals))
-    best_val = float(vals.flat[flat])
-    best = (float(p1g.flat[flat]), float(p2g.flat[flat]))
-
-    phi = np.array(best)
+    # Newton polish; each element stops on a singular Hessian, a
+    # non-finite step, a decrease of F, or a step below 1e-13.
+    phi = best.copy()
+    active = np.ones(len(phi), dtype=bool)
     for _ in range(40):
-        grad, hess = grad_hess(phi[0], phi[1])
-        try:
-            delta = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        if not np.all(np.isfinite(delta)):
-            break
-        phi_new = phi + delta
-        if poly(phi_new[0], phi_new[1]) < poly(phi[0], phi[1]) - 1e-15:
-            break
-        phi = phi_new
-        if np.max(np.abs(delta)) < 1e-13:
-            break
+        c = coeff[idx]
+        value, g, h = _trig_poly(c, phi[idx])
+        # delta = -H^-1 g for the symmetric 2 x 2 Hessian, by Cramer's rule.
+        h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+        det = h11 * h22 - h12 * h12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.stack([h12 * g[:, 1] - h22 * g[:, 0], h12 * g[:, 0] - h11 * g[:, 1]], -1)
+            delta /= det[:, None]
+        step = (det != 0.0) & np.all(np.isfinite(delta), axis=-1)
+        phi_new = phi[idx] + np.where(step[:, None], delta, 0.0)
+        step &= ~(_trig_poly(c, phi_new)[0] < value - 1e-15)
+        phi[idx[step]] = phi_new[step]
+        active[idx] = step & (np.max(np.abs(delta), axis=-1) >= 1e-13)
 
-    refined = poly(float(phi[0]), float(phi[1]))
-    if refined >= best_val:
-        best_val = refined
-        best = (float(phi[0]), float(phi[1]))
+    refined = _trig_poly(coeff, phi)[0]
+    best = np.where((refined >= best_val)[:, None], phi, best)
     # Direct evaluation at the located maximum (the polynomial is exact,
     # but report the physically evaluated value).
-    final = f_at(best[0], best[1])
-    return final, best
+    s = np.exp(1j * best @ (_LEVELS - 0.5).T)
+    w = (s.conj()[:, :, None] * vec.reshape(_GATE_DIM, _GATE_DIM)).reshape(-1, 1, _GATE_DIM**2)
+    final = np.real(w.conj() @ flat @ w.swapaxes(-1, -2))[:, 0, 0]
+    if not batch:
+        return float(final[0]), (float(best[0, 0]), float(best[0, 1]))
+    return final.reshape(batch), best.reshape(batch + (2,))
 
 
 def state_fidelity(state: np.ndarray, target: np.ndarray) -> float:

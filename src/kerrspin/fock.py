@@ -173,7 +173,10 @@ def expectation(op: np.ndarray, state: np.ndarray) -> float | complex:
 
 def partial_trace(rho: np.ndarray, keep: int | tuple[int, ...], spec: HilbertSpec) -> np.ndarray:
     """Trace out all subsystems except ``keep`` (slot index or tuple of
-    slot indices, which are kept in the order given)."""
+    slot indices, which are kept in the order given).
+
+    Leading axes of ``rho`` (..., d, d) are batch axes.
+    """
     dims = spec.dims
     n = len(dims)
     kept = (keep,) if isinstance(keep, int) else tuple(keep)
@@ -182,16 +185,18 @@ def partial_trace(rho: np.ndarray, keep: int | tuple[int, ...], spec: HilbertSpe
     for k in kept:
         if not 0 <= k < n:
             raise IndexError(f"keep={k} out of range")
-    rho = np.asarray(rho, dtype=complex).reshape(dims + dims)
+    rho = np.asarray(rho, dtype=complex)
+    batch = rho.shape[:-2]
+    rho = rho.reshape(batch + dims + dims)
     # Contract each traced slot's bra index with its ket index.
     src = list(range(2 * n))
     for i in range(n):
         if i not in kept:
             src[n + i] = src[i]
     out_idx = list(kept) + [n + k for k in kept]
-    out = np.einsum(rho, src, out_idx)
+    out = np.einsum(rho, [..., *src], [..., *out_idx])
     d_keep = 1
     for k in kept:
         d_keep *= dims[k]
-    return out.reshape(d_keep, d_keep)
+    return out.reshape(batch + (d_keep, d_keep))
 

@@ -669,17 +669,12 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def _fidelity_series(outputs_at_t: Callable[[int], np.ndarray], n_t: int, target: np.ndarray):
-    raw = np.empty(n_t)
-    stripped = np.empty(n_t)
-    phases = []
-    for j in range(n_t):
-        choi = dyn.choi_from_outputs(outputs_at_t(j))
-        raw[j] = dyn.average_gate_fidelity(choi, target)
-        f_pro, best = dyn.strip_local_phases(choi, target)
-        stripped[j] = (4.0 * f_pro + 1.0) / 5.0
-        phases.append(best)
-    return raw, stripped, phases
+def _fidelity_series(outputs: np.ndarray, target: np.ndarray):
+    """Raw and phase-stripped average gate fidelity of a (T, 16, 4, 4) output series."""
+    choi = dyn.choi_from_outputs(outputs)
+    raw = dyn.average_gate_fidelity(choi, target)
+    f_pro, phases = dyn.strip_local_phases(choi, target)
+    return raw, (4.0 * f_pro + 1.0) / 5.0, phases
 
 
 def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
@@ -698,81 +693,56 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     g_eff = ham.effective_coupling(fs.coupling, fs.delta_minus)
     t_star = math.pi / (2.0 * abs(g_eff))
     times = np.linspace(0.0, 1.4 * t_star, 281)
-    n_t = len(times)
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
     target = dyn.iswap_unitary()
     kets = dyn.process_basis_kets()
 
-    def eff_channel(gamma_rate: float, halved: bool):
-        spec2 = HilbertSpec.spins_only(2)
-        h2 = ham.effective_spin_spin_hamiltonian(fs.delta_q, fs.delta_minus, fs.coupling)
-        ops = qubit_ops()
-        collapse = [
-            (embed(ops["sm"], 0, spec2), gamma_rate),
-            (embed(ops["sm"], 1, spec2), gamma_rate),
-        ]
-        model = dyn.LindbladModel(h2, collapse, spec2)
+    def eff_channel(kappa_rate: float, gamma_rate: float, halved: bool):
+        _, _, _, model = _transfer_models(fs, cutoff, kappa_rate, gamma_rate)
         trajs = dyn.evolve_lindblad_batch(
             model, [dm(k) for k in kets], times, keep_states=True, **_step_args(cfg, halved)
         )
-        states = np.stack([tr.states for tr in trajs])
-        raw, stripped, phases = _fidelity_series(lambda j: states[:, j], n_t, target)
+        outputs = np.stack([tr.states for tr in trajs], axis=1)  # (T, 16, 4, 4)
+        raw, stripped, phases = _fidelity_series(outputs, target)
         trace_dev = max(tr.diagnostics["trace_deviation"] for tr in trajs)
-        return raw, stripped, phases, trace_dev, states, _integrator_info(trajs)
+        return raw, stripped, phases, trace_dev, outputs, _integrator_info(trajs)
 
     def full_channel(cut: int, kappa_rate: float, halved: bool):
-        spec3 = HilbertSpec.mode_and_spins(cut, 2)
-        frame = ham.SqueezedFrame(fs.squeezing, fs.delta_s, fs.coupling)
-        h3 = ham.tavis_cummings_hamiltonian(spec3, frame, fs.delta_q)
-        ops = qubit_ops()
-        collapse = [
-            (embed(annihilation(cut), 0, spec3), kappa_rate),
-            (embed(ops["sm"], 1, spec3), gamma),
-            (embed(ops["sm"], 2, spec3), gamma),
-        ]
-        model = dyn.LindbladModel(h3, collapse, spec3)
+        spec3, model, _, _ = _transfer_models(fs, cut, kappa_rate, gamma)
         vac = np.zeros((cut, cut), dtype=complex)
         vac[0, 0] = 1.0
         rho0s = [np.kron(vac, dm(k)) for k in kets]
         trajs = dyn.evolve_lindblad_batch(
             model, rho0s, times, keep_states=True, **_step_args(cfg, halved)
         )
-        states = np.stack([tr.states for tr in trajs])
-
-        def outs(j: int) -> np.ndarray:
-            return np.stack(
-                [partial_trace(states[i, j], (1, 2), spec3) for i in range(len(kets))]
-            )
-
-        raw, stripped, phases = _fidelity_series(outs, n_t, target)
+        outputs = np.stack([partial_trace(tr.states, (1, 2), spec3) for tr in trajs], axis=1)
+        raw, stripped, phases = _fidelity_series(outputs, target)
         trace_dev = max(tr.diagnostics["trace_deviation"] for tr in trajs)
-        return raw, stripped, phases, trace_dev, states, spec3, _integrator_info(trajs)
+        return raw, stripped, phases, trace_dev, outputs, _integrator_info(trajs)
 
     def unitary_stripped_at(h: np.ndarray, reduce_spec: HilbertSpec | None, t: float) -> float:
         evals, vecs = np.linalg.eigh(h)
         u_t = (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
         if reduce_spec is None:
-            outs = np.stack([u_t @ dm(k) @ u_t.conj().T for k in kets])
+            rho0s = np.stack([dm(k) for k in kets])
         else:
             cut = reduce_spec.dims[0]
             vac = np.zeros((cut, cut), dtype=complex)
             vac[0, 0] = 1.0
-            outs = np.stack(
-                [
-                    partial_trace(u_t @ np.kron(vac, dm(k)) @ u_t.conj().T, (1, 2), reduce_spec)
-                    for k in kets
-                ]
-            )
+            rho0s = np.stack([np.kron(vac, dm(k)) for k in kets])
+        outs = u_t @ rho0s @ u_t.conj().T
+        if reduce_spec is not None:
+            outs = partial_trace(outs, (1, 2), reduce_spec)
         choi = dyn.choi_from_outputs(outs)
         f_pro, _ = dyn.strip_local_phases(choi, target)
         return (4.0 * f_pro + 1.0) / 5.0
 
-    raw_eff, stripped_eff, phases_eff, trace_eff, states_eff, integrator_eff = eff_channel(
-        gamma, False
+    raw_eff, stripped_eff, phases_eff, trace_eff, outputs_eff, integrator_eff = eff_channel(
+        kappa, gamma, False
     )
-    raw_full, stripped_full, _, trace_full, states_full, spec_full, integrator_full = (
-        full_channel(cutoff, kappa, False)
+    raw_full, stripped_full, _, trace_full, outputs_full, integrator_full = full_channel(
+        cutoff, kappa, False
     )
     cols = {
         "favg_raw_eff": raw_eff,
@@ -783,15 +753,15 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     # Gate runs: halved substep for both channels, mode cutoff bump for
     # the full channel (the written channel has no cutoff; reused).
-    raw_eff_h, stripped_eff_h, _, trace_eff_h, _, _ = eff_channel(gamma, True)
-    raw_full_h, stripped_full_h, _, trace_full_h, _, _, _ = full_channel(cutoff, kappa, True)
+    raw_eff_h, stripped_eff_h, _, trace_eff_h, _, _ = eff_channel(kappa, gamma, True)
+    raw_full_h, stripped_full_h, _, trace_full_h, _, _ = full_channel(cutoff, kappa, True)
     halved = {
         "favg_raw_eff": raw_eff_h,
         "favg_stripped_eff": stripped_eff_h,
         "favg_raw_full": raw_full_h,
         "favg_stripped_full": stripped_full_h,
     }
-    raw_full_b, stripped_full_b, _, trace_full_b, _, _, _ = full_channel(cutoff + 5, kappa, False)
+    raw_full_b, stripped_full_b, _, trace_full_b, _, _ = full_channel(cutoff + 5, kappa, False)
     bumped = {
         "favg_raw_eff": raw_eff,
         "favg_stripped_eff": stripped_eff,
@@ -802,9 +772,8 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     report = ScenarioReport(scenario="iswap-fidelity", params=dict(cfg.values))
     report.outputs["fidelity"] = write_trajectory_csv(out_dir / "fidelity.csv", times, cols)
 
-    spec2 = HilbertSpec.spins_only(2)
-    h2 = ham.effective_spin_spin_hamiltonian(fs.delta_q, fs.delta_minus, fs.coupling)
-    dissipationless = unitary_stripped_at(h2, None, t_star)
+    spec3, model3, _, model2 = _transfer_models(fs, cutoff, kappa, gamma)
+    dissipationless = unitary_stripped_at(model2.hamiltonian, None, t_star)
     report.add(check_ge("dissipationless-fidelity", dissipationless, 0.999, "DERIVED"))
 
     peak_idx = int(np.argmax(stripped_eff))
@@ -814,36 +783,30 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         check_within("stripped-peak-time", float(times[peak_idx]), t_star, 0.10, "DERIVED")
     )
 
-    # The written channel's generator contains no mode operators, so the
-    # mode decay rate cannot enter it: the doubling delta is identically 0.
+    # The written channel's generator contains no mode operators, so
+    # doubling the mode decay rate should leave it unchanged.
+    _, stripped_eff_k2, _, _, _, _ = eff_channel(2.0 * kappa, gamma, False)
     report.add(
-        CheckResult(
-            name="kappa-doubling-effective",
-            expected="< 0.01",
-            observed=0.0,
-            tolerance="upper bound 0.01",
-            passed=True,
-            provenance="DERIVED",
+        check_le(
+            "kappa-doubling-effective",
+            float(np.max(np.abs(stripped_eff_k2 - stripped_eff))),
+            0.01,
+            "DERIVED",
         )
     )
 
     # Sensitivity information (not pass/fail): spin decay x10 on the
     # written channel, mode decay x2 and the dissipationless reference on
     # the full channel.
-    _, stripped_eff_g10, _, _, _, _ = eff_channel(10.0 * gamma, False)
-    _, stripped_full_k2, _, _, _, _, _ = full_channel(cutoff, 2.0 * kappa, False)
-    spec3 = HilbertSpec.mode_and_spins(cutoff, 2)
-    frame = ham.SqueezedFrame(fs.squeezing, fs.delta_s, fs.coupling)
-    h3 = ham.tavis_cummings_hamiltonian(spec3, frame, fs.delta_q)
-    full_dissipationless = unitary_stripped_at(h3, spec3, t_star)
+    _, stripped_eff_g10, _, _, _, _ = eff_channel(kappa, 10.0 * gamma, False)
+    _, stripped_full_k2, _, _, _, _ = full_channel(cutoff, 2.0 * kappa, False)
+    full_dissipationless = unitary_stripped_at(model3.hamiltonian, spec3, t_star)
 
     # Single-input transfer fidelity: input |e g> (index 2), ideal output
     # |g e> (index 1) up to the gate's local phase, evaluated at t_star.
     gate_idx = 200  # t_star lands exactly on this grid index
-    transfer_fid_eff = dyn.state_fidelity(states_eff[2, gate_idx], kets[1])
-    transfer_fid_full = dyn.state_fidelity(
-        partial_trace(states_full[2, gate_idx], (1, 2), spec_full), kets[1]
-    )
+    transfer_fid_eff = dyn.state_fidelity(outputs_eff[gate_idx, 2], kets[1])
+    transfer_fid_full = dyn.state_fidelity(outputs_full[gate_idx, 2], kets[1])
 
     _add_gates(
         report,
@@ -862,8 +825,8 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "gate_time_s": t_star,
             "peak_time_s": float(times[peak_idx]),
             "stripped_peak_effective": peak_eff,
-            "raw_at_gate_time_effective": float(raw_eff[200]),
-            "strip_phases_at_peak": list(phases_eff[peak_idx]),
+            "raw_at_gate_time_effective": float(raw_eff[gate_idx]),
+            "strip_phases_at_peak": phases_eff[peak_idx].tolist(),
             "effective_spin_phase_per_gate": omega_eff * t_star,
             "gamma_x10_peak_effective": float(np.max(stripped_eff_g10)),
             "gamma_x10_drop_effective": peak_eff - float(np.max(stripped_eff_g10)),

@@ -48,6 +48,7 @@ from kerrspin.fock import (
     basis_ket,
     dm,
     embed,
+    partial_trace,
     qubit_ops,
 )
 from kerrspin.hamiltonians import SqueezedFrame, effective_coupling, tavis_cummings_hamiltonian
@@ -419,6 +420,198 @@ class TestPhaseStripping:
         second = strip_local_phases(choi, iswap_unitary())
         assert first[0] == second[0]
         assert first[1] == second[1]
+
+
+# Per-time-point reference forms of choi_from_outputs and
+# strip_local_phases: a np.kron sum per Choi matrix, Fourier coefficients
+# from a 3x3 sample grid, and a scalar Newton loop with np.linalg.solve.
+# The batched forms must reproduce them.
+
+
+def reference_choi(outputs: np.ndarray) -> np.ndarray:
+    comp = outputs[:4]
+    choi = np.zeros((16, 16), dtype=complex)
+    basis = np.eye(4, dtype=complex)
+    for j in range(4):
+        choi += np.kron(comp[j], np.outer(basis[:, j], basis[:, j]))
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    for p, (j, k) in enumerate(pairs):
+        e_jk = outputs[4 + p] + 1j * outputs[10 + p] - (1.0 + 1j) / 2.0 * (comp[j] + comp[k])
+        choi += np.kron(e_jk, np.outer(basis[:, j], basis[:, k]))
+        choi += np.kron(e_jk.conj().T, np.outer(basis[:, k], basis[:, j]))
+    return choi / 4
+
+
+def reference_overlap(choi: np.ndarray, vec: np.ndarray, phi1: float, phi2: float) -> float:
+    """Re <w|J|w> for w = S'|U>>, S the local z-phases after the channel."""
+    s = np.kron(local_z(phi1, phi2), np.eye(4, dtype=complex))
+    w = s.conj().T @ vec
+    return float(np.real(w.conj() @ choi @ w))
+
+
+def reference_strip(choi: np.ndarray, u: np.ndarray) -> tuple[float, tuple[float, float]]:
+    vec = np.kron(u, np.eye(4, dtype=complex)) @ (np.eye(4).reshape(-1) / 2.0)
+    nodes = [0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0]
+    samples = np.array([[reference_overlap(choi, vec, p1, p2) for p2 in nodes] for p1 in nodes])
+    coeff = {}
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            acc = 0.0 + 0j
+            for p, phi_p in enumerate(nodes):
+                for q, phi_q in enumerate(nodes):
+                    acc += samples[p, q] * np.exp(-1j * (a * phi_p + b * phi_q))
+            coeff[(a, b)] = acc / 9.0
+
+    def poly(phi1, phi2):
+        val = coeff[(0, 0)].real
+        val += 2.0 * np.real(coeff[(1, 0)] * np.exp(1j * phi1))
+        val += 2.0 * np.real(coeff[(0, 1)] * np.exp(1j * phi2))
+        val += 2.0 * np.real(coeff[(1, 1)] * np.exp(1j * (phi1 + phi2)))
+        val += 2.0 * np.real(coeff[(1, -1)] * np.exp(1j * (phi1 - phi2)))
+        return val
+
+    def grad_hess(phi1, phi2):
+        e1 = coeff[(1, 0)] * np.exp(1j * phi1)
+        e2 = coeff[(0, 1)] * np.exp(1j * phi2)
+        ep = coeff[(1, 1)] * np.exp(1j * (phi1 + phi2))
+        em = coeff[(1, -1)] * np.exp(1j * (phi1 - phi2))
+        g1 = 2.0 * np.real(1j * (e1 + ep + em))
+        g2 = 2.0 * np.real(1j * (e2 + ep - em))
+        h11 = -2.0 * np.real(e1 + ep + em)
+        h22 = -2.0 * np.real(e2 + ep + em)
+        h12 = -2.0 * np.real(ep - em)
+        return np.array([g1, g2]), np.array([[h11, h12], [h12, h22]])
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+    p1g, p2g = np.meshgrid(grid, grid, indexing="ij")
+    vals = poly(p1g, p2g)
+    flat = int(np.argmax(vals))
+    best_val, best = float(vals.flat[flat]), (float(p1g.flat[flat]), float(p2g.flat[flat]))
+    phi = np.array(best)
+    for _ in range(40):
+        grad, hess = grad_hess(phi[0], phi[1])
+        try:
+            delta = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(delta)):
+            break
+        phi_new = phi + delta
+        if poly(phi_new[0], phi_new[1]) < poly(phi[0], phi[1]) - 1e-15:
+            break
+        phi = phi_new
+        if np.max(np.abs(delta)) < 1e-13:
+            break
+    if poly(phi[0], phi[1]) >= best_val:
+        best = (float(phi[0]), float(phi[1]))
+    return reference_overlap(choi, vec, *best), best
+
+
+def hessian_det(choi: np.ndarray, u: np.ndarray, phi: tuple[float, float]) -> float:
+    """Central-difference Hessian determinant of the stripped overlap at phi."""
+    vec = np.kron(u, np.eye(4, dtype=complex)) @ (np.eye(4).reshape(-1) / 2.0)
+    h = 1e-4
+
+    def f(d1, d2):
+        return reference_overlap(choi, vec, phi[0] + d1, phi[1] + d2)
+
+    f0 = f(0.0, 0.0)
+    h11 = (f(h, 0.0) - 2.0 * f0 + f(-h, 0.0)) / h**2
+    h22 = (f(0.0, h) - 2.0 * f0 + f(0.0, -h)) / h**2
+    h12 = (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4.0 * h**2)
+    return h11 * h22 - h12**2
+
+
+@pytest.fixture(scope="module")
+def channel_output_series() -> dict[str, np.ndarray]:
+    """(281, 16, 4, 4) output series of the iswap-fidelity written channel
+    and full channel (cutoff 6, mode traced out) at default config."""
+    cfg = resolve("iswap-fidelity")
+    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
+    spec3, model3, _, model2 = _transfer_models(
+        fs, 6, cfg["dissipation.kappa_m"], cfg["dissipation.gamma_q"]
+    )
+    t_star = np.pi / (2.0 * abs(effective_coupling(fs.coupling, fs.delta_minus)))
+    times = np.linspace(0.0, 1.4 * t_star, 281)
+    kets = process_basis_kets()
+    written = evolve_lindblad_batch(model2, [dm(k) for k in kets], times, keep_states=True)
+    vac = dm(basis_ket((0,), mode_only_spec(6)))
+    full = evolve_lindblad_batch(
+        model3, [np.kron(vac, dm(k)) for k in kets], times, keep_states=True
+    )
+    return {
+        "written": np.stack([tr.states for tr in written], axis=1),
+        "full": np.stack([partial_trace(tr.states, (1, 2), spec3) for tr in full], axis=1),
+    }
+
+
+class TestBatchedGateMetrics:
+    """The time-batched gate metrics against the per-time-point oracle."""
+
+    @pytest.mark.parametrize("channel", ["written", "full"])
+    def test_matches_per_time_point_oracle(self, channel_output_series, channel):
+        outputs = channel_output_series[channel]
+        u = iswap_unitary()
+        choi = choi_from_outputs(outputs)
+        raw = average_gate_fidelity(choi, u)
+        stripped, phases = strip_local_phases(choi, u)
+        assert choi.shape == (281, 16, 16)
+        assert raw.shape == stripped.shape == (281,)
+        assert phases.shape == (281, 2)
+        flat_maxima = []
+        for t, out in enumerate(outputs):
+            ref = reference_choi(out)
+            assert np.max(np.abs(choi[t] - ref)) <= 1e-13
+            vec = np.kron(u, np.eye(4, dtype=complex)) @ (np.eye(4).reshape(-1) / 2.0)
+            ref_raw = (4.0 * float(np.real(vec.conj() @ ref @ vec)) + 1.0) / 5.0
+            assert abs(raw[t] - ref_raw) <= 1e-12
+            ref_best, ref_phases = reference_strip(ref, u)
+            assert abs(stripped[t] - ref_best) <= 1e-12
+            # Where the maximum is a ridge (zero Hessian determinant) both
+            # searches land on it with the same F but may pick different
+            # points, so phases are compared only at isolated maxima.
+            if abs(hessian_det(ref, u, ref_phases)) < 1e-6:
+                flat_maxima.append(t)
+                continue
+            wrapped = np.angle(np.exp(1j * (phases[t] - np.array(ref_phases))))
+            assert np.max(np.abs(wrapped)) <= 1e-9
+        # Only t = 0 is flat: the identity channel scores 0.25 along the
+        # whole ridge phi1 + phi2 = const.
+        assert flat_maxima == [0]
+
+    def test_unbatched_inputs_keep_scalar_types(self, channel_output_series):
+        u = iswap_unitary()
+        choi = choi_from_outputs(channel_output_series["written"][200])
+        assert choi.shape == (16, 16)
+        assert type(process_fidelity(choi, u)) is float
+        assert type(average_gate_fidelity(choi, u)) is float
+        best, phases = strip_local_phases(choi, u)
+        assert type(best) is float
+        assert isinstance(phases, tuple) and all(type(p) is float for p in phases)
+
+    def test_flat_slice_stops_alone(self):
+        # The depolarizing channel scores F = 1/16 at every phase (zero
+        # Hessian); its slice must stop at the scan point without holding
+        # back the Newton polish of the z-rotated gate batched beside it.
+        w = local_z(0.7, -1.3)
+        rotated = reconstruct_choi(lambda rho: w @ iswap_ideal_map(rho) @ w.conj().T)
+        depolarized = reconstruct_choi(lambda rho: np.trace(rho) * np.eye(4) / 4.0)
+        u = iswap_unitary()
+        best, phases = strip_local_phases(np.stack([depolarized, rotated]), u)
+        assert best[0] == pytest.approx(1.0 / 16.0, abs=1e-15)
+        assert phases[0].tolist() == [0.0, 0.0]
+        assert best[1] == pytest.approx(1.0, rel=1e-12)
+        assert best[1] == strip_local_phases(rotated, u)[0]
+
+    def test_one_defective_slice_raises(self, channel_output_series):
+        outputs = channel_output_series["written"].copy()
+        outputs[137] *= 0.9
+        with pytest.raises(DiagnosticsError, match=r"at index \(137,\)"):
+            choi_from_outputs(outputs)
+
+    def test_batched_output_shape_validated(self):
+        with pytest.raises(ValueError):
+            choi_from_outputs(np.zeros((281, 15, 4, 4), dtype=complex))
 
 
 class TestStateFidelity:

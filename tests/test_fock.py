@@ -188,6 +188,22 @@ class TestPartialTrace:
         with pytest.raises(IndexError):
             partial_trace(rho, (0, 0), spec)
 
+    @pytest.mark.parametrize("keep", [(1, 2), (2, 1), 0, 2])
+    def test_batched_matches_per_slice(self, keep):
+        spec = HilbertSpec.mode_and_spins(3, n_spins=2)
+        rng = np.random.default_rng(7)
+        d = spec.dim
+        a = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+        rhos = a @ a.conj().transpose(0, 2, 1)
+        rhos /= np.einsum("tii->t", rhos)[:, None, None]
+        batched = partial_trace(rhos, keep, spec)
+        per_slice = np.stack([partial_trace(r, keep, spec) for r in rhos])
+        assert batched.shape == per_slice.shape
+        assert np.max(np.abs(batched - per_slice)) <= 1e-15
+        # Two batch axes reshape through unchanged.
+        stacked = partial_trace(rhos.reshape(5, 1, d, d), keep, spec)
+        assert np.max(np.abs(stacked[:, 0] - per_slice)) <= 1e-15
+
     @given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=1))
     @settings(max_examples=25, deadline=None)
     def test_trace_preserved(self, n, s):
