@@ -1,8 +1,10 @@
 """Time evolution and gate metrics.
 
 Unitary runs use one eigendecomposition of the (time-independent)
-Hamiltonian, so they carry no step error. Open-system runs vectorize the
-density matrix row-major and build the generator
+Hamiltonian, so they carry no step error; expectation values come from
+one matrix product per observable and a row-wise conjugate dot.
+Open-system runs vectorize the density matrix row-major and build the
+generator
 
     L = -i(H (x) I - I (x) H^T)
         + sum_k rate_k [ C (x) conj(C) - 1/2 (C'C (x) I + I (x) (C'C)^T) ]
@@ -14,17 +16,20 @@ exactly while costing a handful of matrix products per run. The substep
 obeys step * (max |eig(H)| + max rate) <= 0.1, with the scale taken from
 the full model; the default substep is a tenth of that ceiling.
 
-The generator is built on a coordinate subspace only: the basis states
-reachable from the support of the initial states through the nonzero
-pattern of H, of every collapse operator with a nonzero rate, and of
-each such C'C. Each of these operators A maps the span S of the reached
-states into itself (AP = PAP for the projector P onto S, so also
-PA' = PA'P), hence every term of the master equation maps a density
-matrix supported on S x S to another one and the states never leave
-that block. Evolving the projected operators is exact, not a
-truncation. C'C must be in the search: the anticommutator term can leave
-a set that is closed under C alone. Excitation-conserving models shrink
-most; results are zero-padded back to the full space.
+Both kinds of run work on a coordinate subspace only: the basis states
+reachable from the support of the initial state(s) through the nonzero
+pattern of H and, for open-system runs, of every collapse operator with
+a nonzero rate and of each such C'C. Each of these operators A maps the
+span S of the reached states into itself (AP = PAP for the projector P
+onto S, so also PA' = PA'P). A unitary run therefore stays in S, and
+diagonalising the block of H on S is exact; likewise every term of the
+master equation maps a density matrix supported on S x S to another
+one, so the states never leave that block. Evolving the projected
+operators is exact, not a truncation. C'C must be in the search: the
+anticommutator term can leave a set that is closed under C alone.
+Excitation-conserving models shrink most, and models that conserve only
+a parity halve; observables are projected onto the block, and states are
+zero-padded back to the full space.
 
 Gate metrics reconstruct the two-qubit channel from 16 physical inputs
 (4 computational states, 6 real and 6 imaginary two-state
@@ -148,6 +153,17 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
     return times
 
 
+def _project_observables(obs: dict[str, np.ndarray], d: int, block) -> dict[str, np.ndarray]:
+    """Each observable's block on the reached subspace, after a shape check."""
+    out = {}
+    for name, op in obs.items():
+        op = np.asarray(op)
+        if op.shape != (d, d):
+            raise ValueError(f"observable {name!r} shape {op.shape} does not match dim {d}")
+        out[name] = op[block]
+    return out
+
+
 def evolve_unitary(
     h: np.ndarray,
     psi0: np.ndarray,
@@ -156,20 +172,28 @@ def evolve_unitary(
     observables: dict[str, np.ndarray] | None = None,
     keep_states: bool = False,
 ) -> Trajectory:
-    """Closed-system evolution by eigendecomposition (no step error)."""
+    """Closed-system evolution by eigendecomposition (no step error).
+
+    Only the block of H on the coordinate subspace reachable from the
+    support of psi0 is diagonalised (see the module docstring); the
+    final state and kept states are zero-padded back to full size.
+    """
     h = _check_hermitian(h)
     times = _validate_times(times)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi0.shape[0] != h.shape[0]:
+    d = h.shape[0]
+    if psi0.shape[0] != d:
         raise ValueError("state dimension does not match hamiltonian")
     norm0 = np.linalg.norm(psi0)
     if abs(norm0 - 1.0) > NORM_TOL:
         raise ValueError(f"initial state norm {norm0} deviates from 1")
 
-    evals, vecs = np.linalg.eigh(h)
-    coeff = vecs.conj().T @ psi0
+    idx = _reachable(psi0 != 0, [h])
+    block = np.ix_(idx, idx)
+    evals, vecs = np.linalg.eigh(h[block])
+    coeff = vecs.conj().T @ psi0[idx]
     phases = np.exp(-1j * np.outer(evals, times))
-    states = (vecs @ (phases * coeff[:, None])).T  # (T, d)
+    states = (vecs @ (phases * coeff[:, None])).T  # (T, n)
 
     norms = np.linalg.norm(states, axis=1)
     norm_drift = float(np.max(np.abs(norms - 1.0)))
@@ -180,21 +204,31 @@ def evolve_unitary(
     if spec is not None:
         for name, op in default_population_observables(spec).items():
             obs.setdefault(name, op)
+    # <psi|O|psi> per time point: one GEMM, then a row-wise conjugate dot.
+    conj = states.conj()
     series = {
-        name: np.einsum("ti,ij,tj->t", states.conj(), op, states).real
-        for name, op in obs.items()
+        name: np.einsum("ti,ti->t", conj, states @ op.T).real
+        for name, op in _project_observables(obs, d, block).items()
     }
     diagnostics = {
         "method": "eigendecomposition",
         "norm_drift": norm_drift,
         "step_error": 0.0,
+        "hilbert_dim": d,
+        "reduced_dim": idx.size,
     }
+    final_state = np.zeros(d, dtype=complex)
+    final_state[idx] = states[-1]
+    kept = None
+    if keep_states:
+        kept = np.zeros((times.size, d), dtype=complex)
+        kept[:, idx] = states
     return Trajectory(
         times=times,
         observables=series,
-        final_state=states[-1],
+        final_state=final_state,
         diagnostics=diagnostics,
-        states=states if keep_states else None,
+        states=kept,
     )
 
 
@@ -360,7 +394,7 @@ def evolve_lindblad_batch(
     obs = dict(observables or {})
     for name, op in default_population_observables(model.spec).items():
         obs.setdefault(name, op)
-    obs = {name: np.asarray(op)[block] for name, op in obs.items()}
+    obs = _project_observables(obs, d, block)
 
     def lift(rho: np.ndarray) -> np.ndarray:
         full = np.zeros(rho.shape[:-2] + (d, d), dtype=complex)

@@ -119,10 +119,9 @@ def embed(op: np.ndarray, slot: int, spec: HilbertSpec) -> np.ndarray:
         raise ValueError(
             f"operator shape {op.shape} does not match subsystem dim {dims[slot]}"
         )
-    out = np.eye(1, dtype=complex)
-    for i, d in enumerate(dims):
-        out = np.kron(out, op if i == slot else np.eye(d, dtype=complex))
-    return out
+    left = np.eye(int(np.prod(dims[:slot])), dtype=complex)
+    right = np.eye(int(np.prod(dims[slot + 1 :])), dtype=complex)
+    return np.kron(np.kron(left, op), right)
 
 
 def ket(amplitudes: dict[tuple[int, ...], complex], spec: HilbertSpec) -> np.ndarray:

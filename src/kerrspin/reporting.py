@@ -145,38 +145,31 @@ def _plain(obj):
     return str(obj)
 
 
-def format_cell(value: float) -> str:
-    return "%.17g" % value
-
-
-def write_trajectory_csv(path: Path | str, times: np.ndarray, columns: dict[str, np.ndarray]) -> str:
-    """Write a time-series CSV: first column time (s), one per observable."""
+def _write_table(path: Path | str, axis_name: str, axis: np.ndarray, columns: dict[str, np.ndarray]) -> str:
+    """CSV with a leading axis column; every cell printed as "%.17g"."""
     path = Path(path)
-    n = len(times)
+    n = len(axis)
     for name, col in columns.items():
         if len(col) != n:
             raise ValueError(f"column {name!r} length {len(col)} != grid length {n}")
     names = list(columns)
-    lines = ["time_s," + ",".join(names)]
-    for i in range(n):
-        row = [format_cell(times[i])] + [format_cell(columns[k][i]) for k in names]
-        lines.append(",".join(row))
+    lines = [axis_name + "," + ",".join(names)]
+    row_format = ",".join(["%.17g"] * (1 + len(names)))
+    rows = np.column_stack([axis] + [columns[k] for k in names]).tolist()
+    lines.extend(row_format % tuple(row) for row in rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
     return str(path)
+
+
+def write_trajectory_csv(path: Path | str, times: np.ndarray, columns: dict[str, np.ndarray]) -> str:
+    """Write a time-series CSV: first column time (s), one per observable."""
+    return _write_table(path, "time_s", times, columns)
 
 
 def write_sweep_csv(path: Path | str, axis_name: str, axis: np.ndarray, columns: dict[str, np.ndarray]) -> str:
     """Write a parameter-sweep CSV with a named leading axis column."""
-    path = Path(path)
-    names = list(columns)
-    lines = [axis_name + "," + ",".join(names)]
-    for i in range(len(axis)):
-        row = [format_cell(axis[i])] + [format_cell(columns[k][i]) for k in names]
-        lines.append(",".join(row))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    return str(path)
+    return _write_table(path, axis_name, axis, columns)
 
 
 def write_params(path: Path | str, scenario: str, values: dict) -> str:

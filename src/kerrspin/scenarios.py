@@ -215,6 +215,11 @@ def _integrator_info(trajs: list[dyn.Trajectory]) -> dict:
     return info
 
 
+def _unitary_info(traj: dyn.Trajectory) -> dict:
+    """Full and reachable-subspace dimensions of one unitary run."""
+    return {key: traj.diagnostics[key] for key in ("hilbert_dim", "reduced_dim")}
+
+
 def _refine_peak(times: np.ndarray, series: np.ndarray) -> tuple[float, float]:
     """Interior parabolic refinement of the global maximum of a sampled
     series; falls back to the grid point at the edges."""
@@ -393,11 +398,11 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "pop_spin": traj.observables["pop_spin"],
             "manifold": traj.observables["manifold"],
         }
-        return tgrid, cols, traj.diagnostics["norm_drift"]
+        return tgrid, cols, traj.diagnostics["norm_drift"], _unitary_info(traj)
 
-    times, cols, norm_main = core(cutoff, 1)
-    _, refined, norm_ref = core(cutoff, 2)
-    _, bumped, norm_bump = core(cutoff + 5, 1)
+    times, cols, norm_main, integrator = core(cutoff, 1)
+    _, refined, norm_ref, _ = core(cutoff, 2)
+    _, bumped, norm_bump, _ = core(cutoff + 5, 1)
 
     report = ScenarioReport(scenario="rabi", params=dict(cfg.values))
     report.outputs["trajectory"] = write_trajectory_csv(out_dir / "trajectory.csv", times, cols)
@@ -434,6 +439,7 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "observed_peak_time_s": t_peak,
             "manifold_leakage_bound": leak_bound,
             "manifold_retention_oracle": 1.0 - leak_bound,
+            "integrator": integrator,
             "advisories": [a for a in (advisory,) if a],
         }
     )
@@ -468,6 +474,7 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     def core(bump: int, factor: int):
         cols = {}
+        dims = {}
         norm = 0.0
         for m in levels:
             spec = HilbertSpec.mode_and_spins(level_cutoff(m, bump), 1)
@@ -477,12 +484,13 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             tgrid = np.linspace(0.0, window, factor * base_points + 1)
             traj = dyn.evolve_unitary(h, psi0, tgrid, spec=spec)
             cols[f"pop_spin_m{m}"] = traj.observables["pop_spin"]
+            dims[str(m)] = _unitary_info(traj)
             norm = max(norm, traj.diagnostics["norm_drift"])
-        return tgrid, cols, norm
+        return tgrid, cols, norm, dims
 
-    times, cols, norm_main = core(0, 1)
-    _, refined, norm_ref = core(0, 2)
-    _, bumped, norm_bump = core(5, 1)
+    times, cols, norm_main, integrator = core(0, 1)
+    _, refined, norm_ref, _ = core(0, 2)
+    _, bumped, norm_bump, _ = core(5, 1)
 
     report = ScenarioReport(scenario="battery", params=dict(cfg.values))
     peaks: dict[int, tuple[float, float]] = {}
@@ -537,6 +545,7 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "analytic_peak_times_s": {
                 str(m): math.pi / (2.0 * math.sqrt(m) * coupling) for m in levels
             },
+            "integrator": integrator,
         }
     )
     return report
@@ -547,23 +556,27 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def _transfer_models(fs: FrameSpec, cut: int, kappa: float, gamma: float):
-    spec3 = HilbertSpec.mode_and_spins(cut, 2)
+def _full_model(fs: FrameSpec, cut: int, kappa: float, gamma: float) -> dyn.LindbladModel:
+    """Three-body Tavis-Cummings model: mode (cut levels) plus two spins."""
+    spec = HilbertSpec.mode_and_spins(cut, 2)
     frame = ham.SqueezedFrame(fs.squeezing, fs.delta_s, fs.coupling)
-    h3 = ham.tavis_cummings_hamiltonian(spec3, frame, fs.delta_q)
-    ops = qubit_ops()
-    collapse3 = [
-        (embed(annihilation(cut), 0, spec3), kappa),
-        (embed(ops["sm"], 1, spec3), gamma),
-        (embed(ops["sm"], 2, spec3), gamma),
+    h = ham.tavis_cummings_hamiltonian(spec, frame, fs.delta_q)
+    sm = qubit_ops()["sm"]
+    collapse = [
+        (embed(annihilation(cut), 0, spec), kappa),
+        (embed(sm, 1, spec), gamma),
+        (embed(sm, 2, spec), gamma),
     ]
-    model3 = dyn.LindbladModel(h3, collapse3, spec3)
+    return dyn.LindbladModel(h, collapse, spec)
 
-    spec2 = HilbertSpec.spins_only(2)
-    h2 = ham.effective_spin_spin_hamiltonian(fs.delta_q, fs.delta_minus, fs.coupling)
-    collapse2 = [(embed(ops["sm"], 0, spec2), gamma), (embed(ops["sm"], 1, spec2), gamma)]
-    model2 = dyn.LindbladModel(h2, collapse2, spec2)
-    return spec3, model3, spec2, model2
+
+def _written_model(fs: FrameSpec, gamma: float) -> dyn.LindbladModel:
+    """Mode-eliminated two-spin model (no mode, so no kappa)."""
+    spec = HilbertSpec.spins_only(2)
+    h = ham.effective_spin_spin_hamiltonian(fs.delta_q, fs.delta_minus, fs.coupling)
+    sm = qubit_ops()["sm"]
+    collapse = [(embed(sm, 0, spec), gamma), (embed(sm, 1, spec), gamma)]
+    return dyn.LindbladModel(h, collapse, spec)
 
 
 def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
@@ -583,12 +596,13 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     gamma = cfg["dissipation.gamma_q"]
 
     def core(cut: int, halved: bool):
-        spec3, model3, spec2, model2 = _transfer_models(fs, cut, kappa, gamma)
+        model3 = _full_model(fs, cut, kappa, gamma)
+        model2 = _written_model(fs, gamma)
         traj3 = dyn.evolve_lindblad(
-            model3, dm(basis_ket((0, 1, 0), spec3)), times, **_step_args(cfg, halved)
+            model3, dm(basis_ket((0, 1, 0), model3.spec)), times, **_step_args(cfg, halved)
         )
         traj2 = dyn.evolve_lindblad(
-            model2, dm(basis_ket((1, 0), spec2)), times, **_step_args(cfg, halved)
+            model2, dm(basis_ket((1, 0), model2.spec)), times, **_step_args(cfg, halved)
         )
         cols = {
             "pop_spin1_full": traj3.observables["pop_spin1"],
@@ -628,7 +642,9 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     # Dissipationless reference: both models closed-system; their transfer
     # peaks must agree (the written model's only error is dispersive).
-    spec3, model3, spec2, model2 = _transfer_models(fs, cutoff, kappa, gamma)
+    model3 = _full_model(fs, cutoff, kappa, gamma)
+    model2 = _written_model(fs, gamma)
+    spec3, spec2 = model3.spec, model2.spec
     traj_u = dyn.evolve_unitary(model3.hamiltonian, basis_ket((0, 1, 0), spec3), times, spec=spec3)
     traj_u2 = dyn.evolve_unitary(model2.hamiltonian, basis_ket((1, 0), spec2), times, spec=spec2)
     peak_u = float(traj_u.observables["pop_spin2"].max())
@@ -698,8 +714,8 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     target = dyn.iswap_unitary()
     kets = dyn.process_basis_kets()
 
-    def eff_channel(kappa_rate: float, gamma_rate: float, halved: bool):
-        _, _, _, model = _transfer_models(fs, cutoff, kappa_rate, gamma_rate)
+    def eff_channel(gamma_rate: float, halved: bool):
+        model = _written_model(fs, gamma_rate)
         trajs = dyn.evolve_lindblad_batch(
             model, [dm(k) for k in kets], times, keep_states=True, **_step_args(cfg, halved)
         )
@@ -709,14 +725,14 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         return raw, stripped, phases, trace_dev, outputs, _integrator_info(trajs)
 
     def full_channel(cut: int, kappa_rate: float, halved: bool):
-        spec3, model, _, _ = _transfer_models(fs, cut, kappa_rate, gamma)
+        model = _full_model(fs, cut, kappa_rate, gamma)
         vac = np.zeros((cut, cut), dtype=complex)
         vac[0, 0] = 1.0
         rho0s = [np.kron(vac, dm(k)) for k in kets]
         trajs = dyn.evolve_lindblad_batch(
             model, rho0s, times, keep_states=True, **_step_args(cfg, halved)
         )
-        outputs = np.stack([partial_trace(tr.states, (1, 2), spec3) for tr in trajs], axis=1)
+        outputs = np.stack([partial_trace(tr.states, (1, 2), model.spec) for tr in trajs], axis=1)
         raw, stripped, phases = _fidelity_series(outputs, target)
         trace_dev = max(tr.diagnostics["trace_deviation"] for tr in trajs)
         return raw, stripped, phases, trace_dev, outputs, _integrator_info(trajs)
@@ -739,7 +755,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         return (4.0 * f_pro + 1.0) / 5.0
 
     raw_eff, stripped_eff, phases_eff, trace_eff, outputs_eff, integrator_eff = eff_channel(
-        kappa, gamma, False
+        gamma, False
     )
     raw_full, stripped_full, _, trace_full, outputs_full, integrator_full = full_channel(
         cutoff, kappa, False
@@ -753,7 +769,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     # Gate runs: halved substep for both channels, mode cutoff bump for
     # the full channel (the written channel has no cutoff; reused).
-    raw_eff_h, stripped_eff_h, _, trace_eff_h, _, _ = eff_channel(kappa, gamma, True)
+    raw_eff_h, stripped_eff_h, _, trace_eff_h, _, _ = eff_channel(gamma, True)
     raw_full_h, stripped_full_h, _, trace_full_h, _, _ = full_channel(cutoff, kappa, True)
     halved = {
         "favg_raw_eff": raw_eff_h,
@@ -772,8 +788,8 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     report = ScenarioReport(scenario="iswap-fidelity", params=dict(cfg.values))
     report.outputs["fidelity"] = write_trajectory_csv(out_dir / "fidelity.csv", times, cols)
 
-    spec3, model3, _, model2 = _transfer_models(fs, cutoff, kappa, gamma)
-    dissipationless = unitary_stripped_at(model2.hamiltonian, None, t_star)
+    model3 = _full_model(fs, cutoff, kappa, gamma)
+    dissipationless = unitary_stripped_at(_written_model(fs, gamma).hamiltonian, None, t_star)
     report.add(check_ge("dissipationless-fidelity", dissipationless, 0.999, "DERIVED"))
 
     peak_idx = int(np.argmax(stripped_eff))
@@ -783,9 +799,10 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         check_within("stripped-peak-time", float(times[peak_idx]), t_star, 0.10, "DERIVED")
     )
 
-    # The written channel's generator contains no mode operators, so
-    # doubling the mode decay rate should leave it unchanged.
-    _, stripped_eff_k2, _, _, _, _ = eff_channel(2.0 * kappa, gamma, False)
+    # The written channel's generator contains no mode operators, so its
+    # builder takes no kappa: the run at doubled mode decay is the same
+    # model, and the channel must come out unchanged.
+    _, stripped_eff_k2, _, _, _, _ = eff_channel(gamma, False)
     report.add(
         check_le(
             "kappa-doubling-effective",
@@ -798,9 +815,9 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     # Sensitivity information (not pass/fail): spin decay x10 on the
     # written channel, mode decay x2 and the dissipationless reference on
     # the full channel.
-    _, stripped_eff_g10, _, _, _, _ = eff_channel(kappa, 10.0 * gamma, False)
+    _, stripped_eff_g10, _, _, _, _ = eff_channel(10.0 * gamma, False)
     _, stripped_full_k2, _, _, _, _ = full_channel(cutoff, 2.0 * kappa, False)
-    full_dissipationless = unitary_stripped_at(model3.hamiltonian, spec3, t_star)
+    full_dissipationless = unitary_stripped_at(model3.hamiltonian, model3.spec, t_star)
 
     # Single-input transfer fidelity: input |e g> (index 2), ideal output
     # |g e> (index 1) up to the gate's local phase, evaluated at t_star.
@@ -891,23 +908,26 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "deviation": dev,
         }
         norm = max(traj3.diagnostics["norm_drift"], traj2.diagnostics["norm_drift"])
-        return tgrid, series, norm
+        dims = {"full": _unitary_info(traj3), "effective": _unitary_info(traj2)}
+        return tgrid, series, norm, dims
 
     def core(cut: int, factor: int):
         cols = {}
         grids = {}
+        dims = {}
         norm = 0.0
         for ratio in ratios:
-            tgrid, series, n = pair_series(ratio, fs.coupling, cut, factor)
+            tgrid, series, n, run_dims = pair_series(ratio, fs.coupling, cut, factor)
+            dims["%g" % ratio] = run_dims
             grids[ratio] = tgrid
             for key, val in series.items():
                 cols[f"{key}_r{tag(ratio)}"] = val
             norm = max(norm, n)
-        return grids, cols, norm
+        return grids, cols, norm, dims
 
-    grids, cols, norm_main = core(cutoff, 1)
-    _, refined, norm_ref = core(cutoff, 2)
-    _, bumped, norm_bump = core(cutoff + 5, 1)
+    grids, cols, norm_main, integrator = core(cutoff, 1)
+    _, refined, norm_ref, _ = core(cutoff, 2)
+    _, bumped, norm_bump, _ = core(cutoff + 5, 1)
 
     report = ScenarioReport(scenario="dispersive-check", params=dict(cfg.values))
     devs = {}
@@ -934,7 +954,7 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     # Small-coupling limit: shrink G by 100 at a fixed physical gap
     # delta_minus = r_mid * G (so the ratio grows by 100); the written
     # model must become exact, deviation ~ (G/delta_minus)^2.
-    _, small_series, _ = pair_series(100.0 * r_mid, fs.coupling / 100.0, cutoff, 1)
+    _, small_series, _, _ = pair_series(100.0 * r_mid, fs.coupling / 100.0, cutoff, 1)
     small_dev = float(small_series["deviation"].max())
     report.add(check_le("small-coupling-limit", small_dev, 1e-4, "TRIVIAL"))
 
@@ -953,6 +973,7 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "deviations": {("%g" % r): devs[r] for r in ratios},
             "shrink_exponent": exponent,
             "small_coupling_deviation": small_dev,
+            "integrator": integrator,
         }
     )
     return report

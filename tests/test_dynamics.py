@@ -28,6 +28,7 @@ from kerrspin.dynamics import (
     _interval_propagator,
     average_gate_fidelity,
     choi_from_outputs,
+    default_population_observables,
     evolve_lindblad,
     evolve_lindblad_batch,
     evolve_unitary,
@@ -51,8 +52,13 @@ from kerrspin.fock import (
     partial_trace,
     qubit_ops,
 )
-from kerrspin.hamiltonians import SqueezedFrame, effective_coupling, tavis_cummings_hamiltonian
-from kerrspin.scenarios import _resolve_frame, _transfer_models
+from kerrspin.hamiltonians import (
+    SqueezedFrame,
+    effective_coupling,
+    rabi_hamiltonian,
+    tavis_cummings_hamiltonian,
+)
+from kerrspin.scenarios import _full_model, _resolve_frame, _written_model
 
 
 def mode_only_spec(cutoff: int) -> HilbertSpec:
@@ -113,6 +119,9 @@ class TestUnitary:
             populations(
                 evolve_unitary(good_h, good_psi, times, spec=spec), "nonexistent"
             )
+        for shape in [(3, 3), (1, 1)]:
+            with pytest.raises(ValueError, match="observable 'bad' shape"):
+                evolve_unitary(good_h, good_psi, times, observables={"bad": np.eye(*shape)})
 
 
 class TestLindblad:
@@ -226,6 +235,16 @@ class TestLindblad:
                 spec=spec,
             )
 
+    def test_observable_shape_validated(self):
+        spec = HilbertSpec.spins_only(1)
+        model = LindbladModel(0.3 * qubit_ops()["sx"], [(qubit_ops()["sm"], 0.5)], spec)
+        rho0 = dm(basis_ket((0,), spec))
+        for shape in [(3, 3), (1, 1)]:
+            with pytest.raises(ValueError, match="observable 'bad' shape"):
+                evolve_lindblad(
+                    model, rho0, np.linspace(0.0, 1.0, 5), observables={"bad": np.eye(*shape)}
+                )
+
     def test_keep_states_shape(self):
         spec = HilbertSpec.spins_only(1)
         model = LindbladModel(
@@ -264,11 +283,9 @@ def transfer_case(cutoff: int):
     """The state-transfer / iswap-fidelity three-body model at default config."""
     cfg = resolve("state-transfer")
     fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
-    spec, model, _, _ = _transfer_models(
-        fs, cutoff, cfg["dissipation.kappa_m"], cfg["dissipation.gamma_q"]
-    )
+    model = _full_model(fs, cutoff, cfg["dissipation.kappa_m"], cfg["dissipation.gamma_q"])
     t_star = np.pi / (2.0 * abs(effective_coupling(fs.coupling, fs.delta_minus)))
-    return spec, model, np.linspace(0.0, 1.4 * t_star, 281)
+    return model.spec, model, np.linspace(0.0, 1.4 * t_star, 281)
 
 
 class TestReachableSubspace:
@@ -522,15 +539,108 @@ def hessian_det(choi: np.ndarray, u: np.ndarray, phi: tuple[float, float]) -> fl
     return h11 * h22 - h12**2
 
 
+def unitary_reference(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(T, d) states from an eigendecomposition of the whole Hamiltonian."""
+    evals, vecs = np.linalg.eigh(h)
+    coeff = vecs.conj().T @ psi0
+    return (vecs @ (np.exp(-1j * np.outer(evals, times)) * coeff[:, None])).T
+
+
+def rabi_case(cutoff: int):
+    """The rabi scenario's model, initial state and time grid at default config."""
+    cfg = resolve("rabi")
+    fs = _resolve_frame(cfg, 4.0e6, 10.0, delta_s_factor=10.0)
+    spec = HilbertSpec.mode_and_spins(cutoff, 1)
+    h = rabi_hamiltonian(spec, SqueezedFrame(fs.squeezing, fs.delta_s, fs.coupling), fs.delta_q)
+    times = np.linspace(0.0, 3.0 * np.pi / (2.0 * fs.coupling), 1201)
+    return spec, h, basis_ket((1, 0), spec), times
+
+
+def battery_case(m: int):
+    """The battery scenario's model for Fock level m (default cutoff m + 10)."""
+    cfg = resolve("battery")
+    fs = _resolve_frame(cfg, 4.0e6, 10.0, delta_s_factor=10.0)
+    spec = HilbertSpec.mode_and_spins(m + 10, 1)
+    h = tavis_cummings_hamiltonian(
+        spec, SqueezedFrame(fs.squeezing, fs.delta_s, fs.coupling), fs.delta_q
+    )
+    times = np.linspace(0.0, np.pi / fs.coupling, 1601)
+    return spec, h, basis_ket((m, 0), spec), times
+
+
+class TestReachableUnitary:
+    """evolve_unitary diagonalises only the block of H the initial state
+    reaches; it must reproduce the whole-space evolution."""
+
+    def assert_matches_full_space(self, spec, h, psi0, times, reduced_dim):
+        traj = evolve_unitary(h, psi0, times, spec=spec, keep_states=True)
+        want = unitary_reference(h, psi0, times)
+        d = spec.dim
+        assert traj.states.shape == (times.size, d)
+        assert np.max(np.abs(traj.states - want)) <= 1e-9
+        assert np.array_equal(traj.final_state, traj.states[-1])
+        for name, op in default_population_observables(spec).items():
+            expected = np.einsum("ti,ij,tj->t", want.conj(), op, want).real
+            assert np.max(np.abs(traj.observables[name] - expected)) <= 1e-9
+        assert traj.diagnostics["hilbert_dim"] == d
+        assert traj.diagnostics["reduced_dim"] == reduced_dim
+        assert traj.diagnostics["norm_drift"] <= 1e-10
+
+    @pytest.mark.parametrize("cutoff", [15, 20])
+    def test_rabi_model(self, cutoff):
+        # The counter-rotating terms conserve excitation-number parity:
+        # half of the basis is reached.
+        self.assert_matches_full_space(*rabi_case(cutoff), cutoff)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_battery_model(self, m):
+        # |m, g> and |m - 1, e> only.
+        self.assert_matches_full_space(*battery_case(m), 2)
+
+    @pytest.mark.parametrize("cutoff", [6, 11])
+    def test_transfer_model(self, cutoff):
+        spec, model, times = transfer_case(cutoff)
+        # |0, e, g>, |1, g, g> and |0, g, e>.
+        psi0 = basis_ket((0, 1, 0), spec)
+        self.assert_matches_full_space(spec, model.hamiltonian, psi0, times, 3)
+
+    def test_full_support_state(self):
+        spec, h, _, times = rabi_case(6)
+        rng = np.random.default_rng(7)
+        psi0 = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        psi0 /= np.linalg.norm(psi0)
+        self.assert_matches_full_space(spec, h, psi0, times, spec.dim)
+
+    def test_observables_are_projected(self):
+        spec, h, psi0, times = rabi_case(15)
+        manifold = dm(basis_ket((1, 0), spec)) + dm(basis_ket((0, 1), spec))
+        # Couples a reached state to an unreached one: no contribution.
+        reached, unreached = np.flatnonzero(psi0)[0], np.flatnonzero(basis_ket((0, 0), spec))[0]
+        leak = np.zeros_like(manifold)
+        leak[reached, unreached] = leak[unreached, reached] = 1.0
+        # A hermitian operator with imaginary entries: the exchange current.
+        partner = np.flatnonzero(basis_ket((0, 1), spec))[0]
+        current = np.zeros_like(manifold)
+        current[reached, partner] = 1j
+        current[partner, reached] = -1j
+        observables = {"manifold": manifold, "leak": leak, "current": current}
+        traj = evolve_unitary(h, psi0, times, observables=observables)
+        want = unitary_reference(h, psi0, times)
+        assert np.max(np.abs(traj.observables["current"])) > 0.5
+        for name, op in observables.items():
+            expected = np.einsum("ti,ij,tj->t", want.conj(), op, want).real
+            assert np.max(np.abs(traj.observables[name] - expected)) <= 1e-9
+        assert traj.states is None
+
+
 @pytest.fixture(scope="module")
 def channel_output_series() -> dict[str, np.ndarray]:
     """(281, 16, 4, 4) output series of the iswap-fidelity written channel
     and full channel (cutoff 6, mode traced out) at default config."""
     cfg = resolve("iswap-fidelity")
     fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
-    spec3, model3, _, model2 = _transfer_models(
-        fs, 6, cfg["dissipation.kappa_m"], cfg["dissipation.gamma_q"]
-    )
+    model3 = _full_model(fs, 6, cfg["dissipation.kappa_m"], cfg["dissipation.gamma_q"])
+    model2 = _written_model(fs, cfg["dissipation.gamma_q"])
     t_star = np.pi / (2.0 * abs(effective_coupling(fs.coupling, fs.delta_minus)))
     times = np.linspace(0.0, 1.4 * t_star, 281)
     kets = process_basis_kets()
@@ -541,7 +651,7 @@ def channel_output_series() -> dict[str, np.ndarray]:
     )
     return {
         "written": np.stack([tr.states for tr in written], axis=1),
-        "full": np.stack([partial_trace(tr.states, (1, 2), spec3) for tr in full], axis=1),
+        "full": np.stack([partial_trace(tr.states, (1, 2), model3.spec) for tr in full], axis=1),
     }
 
 
