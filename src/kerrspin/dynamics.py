@@ -28,8 +28,11 @@ one, so the states never leave that block. Evolving the projected
 operators is exact, not a truncation. C'C must be in the search: the
 anticommutator term can leave a set that is closed under C alone.
 Excitation-conserving models shrink most, and models that conserve only
-a parity halve; observables are projected onto the block, and states are
-zero-padded back to the full space.
+a parity halve; observables are projected onto the block. An open-system
+batch takes its physicality diagnostics and every observable series in
+one pass over the (inputs, T, n, n) stack of block states, the series
+from a single matrix product; only the final states, and the state
+series when kept on request, are zero-padded back to the full space.
 
 Gate metrics reconstruct the two-qubit channel from 16 physical inputs
 (4 computational states, 6 real and 6 imaginary two-state
@@ -54,11 +57,7 @@ from kerrspin.fock import (
     NORM_TOL,
     POSITIVITY_FLOOR,
     HilbertSpec,
-    annihilation,
     dm,
-    embed,
-    number_operator,
-    qubit_ops,
 )
 
 TRACE_TOL = 1e-8
@@ -124,16 +123,17 @@ class Trajectory:
 
 
 def default_population_observables(spec: HilbertSpec) -> dict[str, np.ndarray]:
-    """Number operator per boson, excited-state projector per qubit."""
-    out: dict[str, np.ndarray] = {}
-    excited = qubit_ops()["sp"] @ qubit_ops()["sm"]
-    for slot, sub in enumerate(spec.subsystems):
-        if sub.dim == 2 and sub.label != "mode":
-            local = excited
-        else:
-            local = number_operator(sub.dim)
-        out[f"pop_{sub.label}"] = embed(local, slot, spec)
-    return out
+    """Number operator per boson, excited-state projector per qubit.
+
+    Both are diagonal in the product basis with the subsystem's occupation
+    label on the diagonal (0 or 1 for a qubit), so they are read off the
+    basis labels rather than embedded factor by factor.
+    """
+    labels = np.indices(spec.dims).reshape(len(spec.dims), -1)
+    return {
+        f"pop_{sub.label}": np.diag(occ.astype(complex))
+        for sub, occ in zip(spec.subsystems, labels)
+    }
 
 
 def populations(traj: Trajectory, label: str) -> np.ndarray:
@@ -396,32 +396,37 @@ def evolve_lindblad_batch(
         obs.setdefault(name, op)
     obs = _project_observables(obs, d, block)
 
+    # Physicality diagnostics for every input in one pass over the stack.
+    adjoint = states.conj().swapaxes(-1, -2)
+    trace_dev = np.max(np.abs(np.einsum("itjj->it", states) - 1.0), axis=1)
+    herm_dev = np.max(np.abs(states - adjoint), axis=(1, 2, 3))
+    min_eig = np.min(np.linalg.eigvalsh(0.5 * (states + adjoint)), axis=(1, 2))
+    if n < d:
+        # The lifted state's zero block contributes eigenvalue 0.
+        min_eig = np.minimum(min_eig, 0.0)
+    if np.max(trace_dev) > TRACE_TOL:
+        raise DiagnosticsError(f"trace deviation {np.max(trace_dev):.3e} exceeds {TRACE_TOL}")
+    if np.max(herm_dev) > 1e-10:
+        raise DiagnosticsError(f"hermiticity deviation {np.max(herm_dev):.3e} exceeds 1e-10")
+    if np.min(min_eig) < POSITIVITY_FLOOR:
+        raise DiagnosticsError(
+            f"state eigenvalue {np.min(min_eig):.3e} below floor {POSITIVITY_FLOOR}"
+        )
+
+    # tr(O rho) = sum_ij rho[i, j] O[j, i]: every observable's series from
+    # one GEMM of the row-major state stack against the stacked O^T.
+    names = list(obs)
+    columns = np.stack([obs[name].T.reshape(-1) for name in names], axis=1)  # (n*n, n_obs)
+    values = (states.reshape(n_in * n_t, n * n) @ columns).real.reshape(n_in, n_t, len(names))
+
     def lift(rho: np.ndarray) -> np.ndarray:
         full = np.zeros(rho.shape[:-2] + (d, d), dtype=complex)
         full[..., idx[:, None], idx] = rho
         return full
 
+    finals = lift(states[:, -1])
     out = []
     for i in range(n_in):
-        rho_t = states[i]
-        traces = np.einsum("tii->t", rho_t)
-        trace_dev = float(np.max(np.abs(traces - 1.0)))
-        herm_dev = float(np.max(np.abs(rho_t - rho_t.conj().transpose(0, 2, 1))))
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho_t + rho_t.conj().transpose(0, 2, 1)))))
-        if n < d:
-            # The lifted state's zero block contributes eigenvalue 0.
-            min_eig = min(min_eig, 0.0)
-        if trace_dev > TRACE_TOL:
-            raise DiagnosticsError(f"trace deviation {trace_dev:.3e} exceeds {TRACE_TOL}")
-        if herm_dev > 1e-10:
-            raise DiagnosticsError(f"hermiticity deviation {herm_dev:.3e} exceeds 1e-10")
-        if min_eig < POSITIVITY_FLOOR:
-            raise DiagnosticsError(
-                f"state eigenvalue {min_eig:.3e} below floor {POSITIVITY_FLOOR}"
-            )
-        series = {
-            name: np.einsum("ij,tji->t", op, rho_t).real for name, op in obs.items()
-        }
         diagnostics = {
             "method": "taylor4-superoperator",
             "spectral_scale": scale,
@@ -430,17 +435,17 @@ def evolve_lindblad_batch(
             "hilbert_dim": d,
             "reduced_dim": n,
             "liouville_dim": n * n,
-            "trace_deviation": trace_dev,
-            "hermiticity_deviation": herm_dev,
-            "min_eigenvalue": min_eig,
+            "trace_deviation": float(trace_dev[i]),
+            "hermiticity_deviation": float(herm_dev[i]),
+            "min_eigenvalue": float(min_eig[i]),
         }
         out.append(
             Trajectory(
                 times=times,
-                observables=series,
-                final_state=lift(rho_t[-1]),
+                observables={name: values[i, :, m] for m, name in enumerate(names)},
+                final_state=finals[i],
                 diagnostics=diagnostics,
-                states=lift(rho_t) if keep_states else None,
+                states=lift(states[i]) if keep_states else None,
             )
         )
     return out
@@ -589,7 +594,9 @@ _HARMONICS = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
 _SCAN = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
 _SCAN_GRID = np.stack(np.meshgrid(_SCAN, _SCAN, indexing="ij"), axis=-1).reshape(-1, 2)
 # Elementwise, not `@`: a first BLAS call at import would start its threads.
-_SCAN_PHASES = np.exp(1j * (_SCAN_GRID[:, None, :] * _HARMONICS).sum(axis=-1))  # (2304, 4)
+_SCAN_ANGLES = (_HARMONICS[:, None, :] * _SCAN_GRID).sum(axis=-1)  # (4, 2304)
+# Re(c e^{i theta}) = Re(c) cos(theta) - Im(c) sin(theta), rows matching [Re c, Im c].
+_SCAN_TRIG = np.concatenate([np.cos(_SCAN_ANGLES), -np.sin(_SCAN_ANGLES)])  # (8, 2304)
 
 
 def _fourier_kernel(vec: np.ndarray) -> np.ndarray:
@@ -632,7 +639,8 @@ def strip_local_phases(
     herm = 0.5 * (flat + flat.conj().swapaxes(-1, -2))
     coeff = np.einsum("mAB,nAB->nm", _fourier_kernel(vec), herm)
 
-    scan = coeff[:, :1].real + 2.0 * (coeff[:, 1:] @ _SCAN_PHASES.T).real
+    parts = np.concatenate([coeff[:, 1:].real, coeff[:, 1:].imag], axis=1)  # (N, 8)
+    scan = coeff[:, :1].real + 2.0 * (parts @ _SCAN_TRIG)
     pick = np.argmax(scan, axis=1)
     best_val = scan[np.arange(len(pick)), pick]
     best = _SCAN_GRID[pick]

@@ -685,6 +685,29 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
+def _channel_outputs(
+    model: dyn.LindbladModel, rho0s: list[np.ndarray], times: np.ndarray, **step
+) -> tuple[np.ndarray, list[dyn.Trajectory]]:
+    """(T, 16, 4, 4) two-spin outputs of a Lindblad batch, plus its trajectories.
+
+    The spins are the last two factors of the model. The solver records
+    <I_rest (x) P> for the 16 two-qubit Paulis P, which equals
+    tr(P Tr_rest rho); the Paulis are orthogonal with tr(P P') = 4 delta,
+    so each output is 1/4 sum_P <P> P, exactly, with no kept state series
+    and no partial trace.
+    """
+    q = qubit_ops()
+    single = (q["id"], q["sx"], q["sy"], q["sz"])
+    paulis = np.stack([np.kron(a, b) for a in single for b in single])
+    rest = np.eye(model.spec.dim // 4, dtype=complex)
+    observables = {f"pauli{m}": np.kron(rest, p) for m, p in enumerate(paulis)}
+    trajs = dyn.evolve_lindblad_batch(model, rho0s, times, observables=observables, **step)
+    # One GEMM: (T * inputs, 16) expectation values against the stacked P / 4.
+    values = np.array([[tr.observables[name] for tr in trajs] for name in observables]).T
+    outputs = values.reshape(-1, 16) @ (paulis.reshape(16, 16) / 4.0)
+    return outputs.reshape(times.size, len(trajs), 4, 4), trajs
+
+
 def _fidelity_series(outputs: np.ndarray, target: np.ndarray):
     """Raw and phase-stripped average gate fidelity of a (T, 16, 4, 4) output series."""
     choi = dyn.choi_from_outputs(outputs)
@@ -699,10 +722,16 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     Reported fidelity series: raw and phase-stripped average gate
     fidelity for the written two-spin channel and for the full
-    three-body channel (mode traced out). The kappa-doubling robustness
-    check binds to the written channel, where the mode has been
-    eliminated and the mode decay rate does not appear; the full model's
-    kappa sensitivity is reported as information.
+    three-body channel (mode traced out). Each channel output is
+    rebuilt from the 16 two-qubit Pauli expectation values the solver
+    records, as the gate would be measured; no state series is kept.
+
+    The kappa-doubling robustness check binds to the written channel,
+    where the mode has been eliminated and the mode decay rate does not
+    appear: its builder takes no kappa, so the rerun at doubled mode
+    decay is the same model and reads 0 by construction. The rerun is
+    kept as a structural check, tagged TRIVIAL. The full model's kappa
+    sensitivity is reported as information.
     """
     fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
     cutoff = _resolve_cutoff(cfg, 6)
@@ -714,28 +743,20 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     target = dyn.iswap_unitary()
     kets = dyn.process_basis_kets()
 
-    def eff_channel(gamma_rate: float, halved: bool):
-        model = _written_model(fs, gamma_rate)
-        trajs = dyn.evolve_lindblad_batch(
-            model, [dm(k) for k in kets], times, keep_states=True, **_step_args(cfg, halved)
-        )
-        outputs = np.stack([tr.states for tr in trajs], axis=1)  # (T, 16, 4, 4)
+    def channel(model: dyn.LindbladModel, rho0s: list[np.ndarray], halved: bool):
+        outputs, trajs = _channel_outputs(model, rho0s, times, **_step_args(cfg, halved))
         raw, stripped, phases = _fidelity_series(outputs, target)
         trace_dev = max(tr.diagnostics["trace_deviation"] for tr in trajs)
         return raw, stripped, phases, trace_dev, outputs, _integrator_info(trajs)
 
+    def eff_channel(gamma_rate: float, halved: bool):
+        return channel(_written_model(fs, gamma_rate), [dm(k) for k in kets], halved)
+
     def full_channel(cut: int, kappa_rate: float, halved: bool):
-        model = _full_model(fs, cut, kappa_rate, gamma)
         vac = np.zeros((cut, cut), dtype=complex)
         vac[0, 0] = 1.0
         rho0s = [np.kron(vac, dm(k)) for k in kets]
-        trajs = dyn.evolve_lindblad_batch(
-            model, rho0s, times, keep_states=True, **_step_args(cfg, halved)
-        )
-        outputs = np.stack([partial_trace(tr.states, (1, 2), model.spec) for tr in trajs], axis=1)
-        raw, stripped, phases = _fidelity_series(outputs, target)
-        trace_dev = max(tr.diagnostics["trace_deviation"] for tr in trajs)
-        return raw, stripped, phases, trace_dev, outputs, _integrator_info(trajs)
+        return channel(_full_model(fs, cut, kappa_rate, gamma), rho0s, halved)
 
     def unitary_stripped_at(h: np.ndarray, reduce_spec: HilbertSpec | None, t: float) -> float:
         evals, vecs = np.linalg.eigh(h)
@@ -801,14 +822,15 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     # The written channel's generator contains no mode operators, so its
     # builder takes no kappa: the run at doubled mode decay is the same
-    # model, and the channel must come out unchanged.
+    # model, and the channel must come out unchanged (TRIVIAL: it reads 0
+    # by construction).
     _, stripped_eff_k2, _, _, _, _ = eff_channel(gamma, False)
     report.add(
         check_le(
             "kappa-doubling-effective",
             float(np.max(np.abs(stripped_eff_k2 - stripped_eff))),
             0.01,
-            "DERIVED",
+            "TRIVIAL",
         )
     )
 

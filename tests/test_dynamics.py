@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kerrspin import dynamics
 from kerrspin.config import resolve
 from kerrspin.dynamics import (
     DEFAULT_STEP_SCALE,
@@ -49,6 +50,7 @@ from kerrspin.fock import (
     basis_ket,
     dm,
     embed,
+    number_operator,
     partial_trace,
     qubit_ops,
 )
@@ -58,7 +60,7 @@ from kerrspin.hamiltonians import (
     rabi_hamiltonian,
     tavis_cummings_hamiltonian,
 )
-from kerrspin.scenarios import _full_model, _resolve_frame, _written_model
+from kerrspin.scenarios import _channel_outputs, _full_model, _resolve_frame, _written_model
 
 
 def mode_only_spec(cutoff: int) -> HilbertSpec:
@@ -633,26 +635,159 @@ class TestReachableUnitary:
         assert traj.states is None
 
 
+def embedded_population_observables(spec: HilbertSpec) -> dict[str, np.ndarray]:
+    """Number operator per boson and excited projector per qubit, each
+    embedded factor by factor."""
+    excited = qubit_ops()["sp"] @ qubit_ops()["sm"]
+    out = {}
+    for slot, sub in enumerate(spec.subsystems):
+        local = excited if sub.dim == 2 and sub.label != "mode" else number_operator(sub.dim)
+        out[f"pop_{sub.label}"] = embed(local, slot, spec)
+    return out
+
+
+class TestPopulationObservables:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            rabi_case(15)[0],
+            rabi_case(20)[0],
+            battery_case(1)[0],
+            battery_case(5)[0],
+            transfer_case(6)[0],
+            transfer_case(11)[0],
+            HilbertSpec.spins_only(2),
+        ],
+        ids=["rabi-15", "rabi-20", "battery-1", "battery-5", "transfer-6", "transfer-11", "spins"],
+    )
+    def test_bit_identical_to_embedding(self, spec):
+        got = default_population_observables(spec)
+        want = embedded_population_observables(spec)
+        assert list(got) == list(want)
+        for name, op in want.items():
+            assert got[name].dtype == op.dtype and got[name].shape == op.shape
+            assert got[name].tobytes() == op.tobytes()
+
+
+def tomography_case(cutoff: int | None):
+    """The iswap-fidelity model, its 16 tomography inputs and time grid at
+    default config: the written channel (cutoff None) or the full channel
+    with the mode in its ground state."""
+    cfg = resolve("iswap-fidelity")
+    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
+    t_star = np.pi / (2.0 * abs(effective_coupling(fs.coupling, fs.delta_minus)))
+    times = np.linspace(0.0, 1.4 * t_star, 281)
+    kets = process_basis_kets()
+    gamma = cfg["dissipation.gamma_q"]
+    if cutoff is None:
+        return _written_model(fs, gamma), [dm(k) for k in kets], times
+    model = _full_model(fs, cutoff, cfg["dissipation.kappa_m"], gamma)
+    vac = dm(basis_ket((0,), mode_only_spec(cutoff)))
+    return model, [np.kron(vac, dm(k)) for k in kets], times
+
+
+def kept_state_outputs(model: LindbladModel, rho0s: list[np.ndarray], times: np.ndarray):
+    """(T, 16, 4, 4) channel outputs from the kept full-size state series,
+    with the mode (if any) traced out."""
+    trajs = evolve_lindblad_batch(model, rho0s, times, keep_states=True)
+    if model.spec.dim == 4:
+        return np.stack([tr.states for tr in trajs], axis=1)
+    return np.stack([partial_trace(tr.states, (1, 2), model.spec) for tr in trajs], axis=1)
+
+
 @pytest.fixture(scope="module")
 def channel_output_series() -> dict[str, np.ndarray]:
     """(281, 16, 4, 4) output series of the iswap-fidelity written channel
     and full channel (cutoff 6, mode traced out) at default config."""
-    cfg = resolve("iswap-fidelity")
-    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
-    model3 = _full_model(fs, 6, cfg["dissipation.kappa_m"], cfg["dissipation.gamma_q"])
-    model2 = _written_model(fs, cfg["dissipation.gamma_q"])
-    t_star = np.pi / (2.0 * abs(effective_coupling(fs.coupling, fs.delta_minus)))
-    times = np.linspace(0.0, 1.4 * t_star, 281)
-    kets = process_basis_kets()
-    written = evolve_lindblad_batch(model2, [dm(k) for k in kets], times, keep_states=True)
-    vac = dm(basis_ket((0,), mode_only_spec(6)))
-    full = evolve_lindblad_batch(
-        model3, [np.kron(vac, dm(k)) for k in kets], times, keep_states=True
-    )
     return {
-        "written": np.stack([tr.states for tr in written], axis=1),
-        "full": np.stack([partial_trace(tr.states, (1, 2), model3.spec) for tr in full], axis=1),
+        "written": kept_state_outputs(*tomography_case(None)),
+        "full": kept_state_outputs(*tomography_case(6)),
     }
+
+
+class TestPauliChannelOutputs:
+    """iswap-fidelity rebuilds each channel output from 16 two-qubit Pauli
+    expectation values; the partial trace of the kept states is the oracle."""
+
+    @pytest.mark.parametrize("cutoff", [None, 6, 11], ids=["written", "full-6", "full-11"])
+    def test_matches_kept_state_partial_trace(self, cutoff):
+        model, rho0s, times = tomography_case(cutoff)
+        outputs, trajs = _channel_outputs(model, rho0s, times)
+        want = kept_state_outputs(model, rho0s, times)
+        assert outputs.shape == want.shape == (281, 16, 4, 4)
+        assert np.all(np.max(np.abs(outputs - want), axis=(1, 2, 3)) <= 1e-12)
+        assert all(tr.states is None for tr in trajs)
+
+
+class TestBatchedDiagnostics:
+    """Diagnostics and observables come from one pass over the whole
+    (inputs, T, n, n) stack; each input must get its own values."""
+
+    @pytest.mark.parametrize("cutoff", [None, 6], ids=["written", "full-6"])
+    def test_diagnostics_match_per_input_recomputation(self, cutoff):
+        model, rho0s, times = tomography_case(cutoff)
+        trajs = evolve_lindblad_batch(model, rho0s, times, keep_states=True)
+        assert len(trajs) == 16
+        for tr in trajs:
+            rho_t = tr.states
+            adjoint = rho_t.conj().transpose(0, 2, 1)
+            want = {
+                "trace_deviation": np.max(np.abs(np.einsum("tii->t", rho_t) - 1.0)),
+                "hermiticity_deviation": np.max(np.abs(rho_t - adjoint)),
+                # The kept states are zero-padded when the block is smaller,
+                # so their spectrum already holds the padding's 0.
+                "min_eigenvalue": np.min(np.linalg.eigvalsh(0.5 * (rho_t + adjoint))),
+            }
+            for key, value in want.items():
+                assert type(tr.diagnostics[key]) is float
+                if cutoff is not None and key == "min_eigenvalue":
+                    # eigvalsh of the padded 24 x 24 matrix, not of the
+                    # 8 x 8 block the solver diagonalises: roundoff only.
+                    assert tr.diagnostics[key] == pytest.approx(value, rel=0, abs=1e-15)
+                else:
+                    assert tr.diagnostics[key] == value
+        # The inputs differ, so a reduction across inputs would show.
+        for key in ("trace_deviation", "min_eigenvalue"):
+            assert len({tr.diagnostics[key] for tr in trajs}) > 8
+
+    def test_observables_match_per_input_einsum(self):
+        model, rho0s, times = tomography_case(6)
+        spec = model.spec
+        q = qubit_ops()
+        observables = {
+            "sy_sx": embed(q["sy"], 1, spec) @ embed(q["sx"], 2, spec),
+            "sz_1": embed(q["sz"], 1, spec),
+            # Not hermitian: the mode coherence.
+            "a": embed(annihilation(6), 0, spec),
+        }
+        trajs = evolve_lindblad_batch(
+            model, rho0s, times, observables=observables, keep_states=True
+        )
+        ops = {**default_population_observables(spec), **observables}
+        for tr in trajs:
+            assert list(tr.observables) == [*observables, "pop_mode", "pop_spin1", "pop_spin2"]
+            for name, op in ops.items():
+                want = np.einsum("ij,tji->t", op, tr.states).real
+                assert tr.observables[name].shape == times.shape
+                assert np.max(np.abs(tr.observables[name] - want)) <= 1e-14
+        assert np.max(np.abs(trajs[5].observables["a"])) > 1e-3
+
+    def test_worst_input_named_in_error(self, monkeypatch):
+        # A faulty propagator that amplifies the excited population by
+        # 1 + 1e-6 per interval: after two intervals |e><e| has gained
+        # 2.000001e-6 in trace and |+><+| half of that.
+        def leaky(gen, dt, h_req):
+            prop = np.eye(4, dtype=complex)
+            prop[3, 3] = 1.0 + 1e-6  # the |e><e| entry of the row-major vector
+            return prop, 1
+
+        monkeypatch.setattr(dynamics, "_interval_propagator", leaky)
+        spec = HilbertSpec.spins_only(1)
+        model = LindbladModel(np.zeros((2, 2), dtype=complex), [], spec)
+        ground, excited = dm(basis_ket((0,), spec)), dm(basis_ket((1,), spec))
+        plus = 0.5 * np.ones((2, 2), dtype=complex)
+        with pytest.raises(DiagnosticsError, match=r"^trace deviation 2\.000e-06 exceeds 1e-08$"):
+            evolve_lindblad_batch(model, [ground, plus, excited], np.linspace(0.0, 1.0, 3))
 
 
 class TestBatchedGateMetrics:

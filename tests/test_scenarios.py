@@ -217,7 +217,9 @@ class TestIswapValues:
         )
         # Structural: the written two-spin channel has no mode operator,
         # so the mode decay rate cannot shift it.
-        assert run.check("kappa-doubling-effective").observed == 0.0
+        kappa2 = run.check("kappa-doubling-effective")
+        assert kappa2.observed == 0.0
+        assert kappa2.provenance == "TRIVIAL"
 
     def test_full_model_context(self, scenario_runs):
         info = scenario_runs["iswap-fidelity"].report.info
