@@ -9,12 +9,17 @@ generator
     L = -i(H (x) I - I (x) H^T)
         + sum_k rate_k [ C (x) conj(C) - 1/2 (C'C (x) I + I (x) (C'C)^T) ]
 
-then advance each uniform grid interval with a 4th-order Taylor
-propagator per substep, composed by repeated squaring. For a linear
+then build the propagator P of one grid interval from a 4th-order
+Taylor step per substep, composed by repeated squaring. For a linear
 generator this reproduces the classical 4th-order Runge-Kutta update
 exactly while costing a handful of matrix products per run. The substep
 obeys step * (max |eig(H)| + max rate) <= 0.1, with the scale taken from
-the full model; the default substep is a tenth of that ceiling.
+the full model; the default substep is a tenth of that ceiling. A
+uniform grid is then filled by doubling: with the states of times
+[0, m) known, times [m, 2m) follow from one matrix product with P^m,
+and P^m is squared for the next block, so T points take ceil(log2 T)
+products (the same repeated squaring, over the grid). A non-uniform grid
+is stepped one interval at a time.
 
 Both kinds of run work on a coordinate subspace only: the basis states
 reachable from the support of the initial state(s) through the nonzero
@@ -366,20 +371,26 @@ def evolve_lindblad_batch(
 
     n_in = len(rhos0)
     n_t = times.size
-    states = np.empty((n_in, n_t, n, n), dtype=complex)
-    for i, rho in enumerate(rhos0):
-        states[i, 0] = rho
-
-    vecs = np.stack([rho.reshape(-1) for rho in rhos0], axis=1)  # (n*n, n_in)
+    # rows[j, i] is input i's row-major state vector at times[j]; a step
+    # is rows[j + 1] = rows[j] @ P^T.
+    rows = np.empty((n_t, n_in, n * n), dtype=complex)
+    rows[0] = np.stack([rho.reshape(-1) for rho in rhos0])
+    flat = rows.reshape(n_t * n_in, n * n)
     diffs = np.diff(times)
     uniform = bool(np.all(np.abs(diffs - diffs[0]) <= 1e-9 * diffs[0]))
     max_substeps = 1
     if uniform:
         prop, k = _interval_propagator(gen, float(diffs[0]), h_req)
         max_substeps = k
-        for j in range(1, n_t):
-            vecs = prop @ vecs
-            states[:, j] = vecs.T.reshape(n_in, n, n)
+        # Doubling: times [m, 2m) are times [0, m) advanced by P^m, one
+        # GEMM per block, with P^m squared between blocks.
+        m = 1
+        while m < n_t:
+            count = min(m, n_t - m)
+            np.matmul(flat[: count * n_in], prop.T, out=flat[m * n_in : (m + count) * n_in])
+            m *= 2
+            if m < n_t:
+                prop = prop @ prop
     else:
         cache: dict[float, tuple[np.ndarray, int]] = {}
         for j, dt in enumerate(diffs, start=1):
@@ -388,8 +399,8 @@ def evolve_lindblad_batch(
                 cache[key] = _interval_propagator(gen, key, h_req)
             prop, k = cache[key]
             max_substeps = max(max_substeps, k)
-            vecs = prop @ vecs
-            states[:, j] = vecs.T.reshape(n_in, n, n)
+            np.matmul(rows[j - 1], prop.T, out=rows[j])
+    states = rows.reshape(n_t, n_in, n, n).swapaxes(0, 1)  # (n_in, T, n, n) view
 
     obs = dict(observables or {})
     for name, op in default_population_observables(model.spec).items():
@@ -417,7 +428,7 @@ def evolve_lindblad_batch(
     # one GEMM of the row-major state stack against the stacked O^T.
     names = list(obs)
     columns = np.stack([obs[name].T.reshape(-1) for name in names], axis=1)  # (n*n, n_obs)
-    values = (states.reshape(n_in * n_t, n * n) @ columns).real.reshape(n_in, n_t, len(names))
+    values = (flat @ columns).real.reshape(n_t, n_in, len(names))
 
     def lift(rho: np.ndarray) -> np.ndarray:
         full = np.zeros(rho.shape[:-2] + (d, d), dtype=complex)
@@ -442,7 +453,7 @@ def evolve_lindblad_batch(
         out.append(
             Trajectory(
                 times=times,
-                observables={name: values[i, :, m] for m, name in enumerate(names)},
+                observables={name: values[:, i, m] for m, name in enumerate(names)},
                 final_state=finals[i],
                 diagnostics=diagnostics,
                 states=lift(states[i]) if keep_states else None,
@@ -590,13 +601,16 @@ def average_gate_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float
 # c_0 + 2 Re sum_m c_m exp(i h_m . phi) over the harmonics h_m below,
 # where c_h sums the blocks (a, b) with n(a) - n(b) = h.
 _LEVELS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-_HARMONICS = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
+_HARMONICS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+# Row m holds h_m h_m^T flattened, so the Hessian is one product against it.
+_HARMONIC_OUTER = (_HARMONICS[:, :, None] * _HARMONICS[:, None, :]).reshape(4, 4)
 _SCAN = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
 _SCAN_GRID = np.stack(np.meshgrid(_SCAN, _SCAN, indexing="ij"), axis=-1).reshape(-1, 2)
 # Elementwise, not `@`: a first BLAS call at import would start its threads.
 _SCAN_ANGLES = (_HARMONICS[:, None, :] * _SCAN_GRID).sum(axis=-1)  # (4, 2304)
-# Re(c e^{i theta}) = Re(c) cos(theta) - Im(c) sin(theta), rows matching [Re c, Im c].
-_SCAN_TRIG = np.concatenate([np.cos(_SCAN_ANGLES), -np.sin(_SCAN_ANGLES)])  # (8, 2304)
+# 2 Re(c e^{i theta}) = 2 Re(c) cos(theta) - 2 Im(c) sin(theta), rows
+# matching [Re c, Im c]; the factor 2 is exact, so it is stored here.
+_SCAN_TRIG = 2.0 * np.concatenate([np.cos(_SCAN_ANGLES), -np.sin(_SCAN_ANGLES)])  # (8, 2304)
 
 
 def _fourier_kernel(vec: np.ndarray) -> np.ndarray:
@@ -609,12 +623,15 @@ def _fourier_kernel(vec: np.ndarray) -> np.ndarray:
     return kernel.reshape(len(harmonics), _GATE_DIM**2, _GATE_DIM**2)
 
 
-def _trig_poly(coeff: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian of F at phi (..., 2) from coefficients (..., 5)."""
-    terms = coeff[..., 1:] * np.exp(1j * phi @ _HARMONICS.T)
+def _trig_poly(coeff: np.ndarray, phi: np.ndarray, value_only: bool = False):
+    """Value, gradient and Hessian of F at phi (..., 2) from coefficients
+    (..., 5), or the value alone when `value_only`."""
+    terms = coeff[..., 1:] * np.exp(1j * (phi @ _HARMONICS.T))
     value = coeff[..., 0].real + 2.0 * terms.real.sum(axis=-1)
+    if value_only:
+        return value
     grad = -2.0 * terms.imag @ _HARMONICS
-    hess = -2.0 * np.einsum("...m,mi,mj->...ij", terms.real, _HARMONICS, _HARMONICS)
+    hess = -2.0 * (terms.real @ _HARMONIC_OUTER).reshape(terms.shape[:-1] + (2, 2))
     return value, grad, hess
 
 
@@ -637,10 +654,11 @@ def strip_local_phases(
     vec = _ideal_choi_vector(np.asarray(target_unitary, dtype=complex))
     # F = Re <w|J|w> only sees the hermitian part of J.
     herm = 0.5 * (flat + flat.conj().swapaxes(-1, -2))
-    coeff = np.einsum("mAB,nAB->nm", _fourier_kernel(vec), herm)
+    coeff = herm.reshape(-1, _GATE_DIM**4) @ _fourier_kernel(vec).reshape(-1, _GATE_DIM**4).T
 
     parts = np.concatenate([coeff[:, 1:].real, coeff[:, 1:].imag], axis=1)  # (N, 8)
-    scan = coeff[:, :1].real + 2.0 * (parts @ _SCAN_TRIG)
+    scan = parts @ _SCAN_TRIG
+    scan += coeff[:, :1].real
     pick = np.argmax(scan, axis=1)
     best_val = scan[np.arange(len(pick)), pick]
     best = _SCAN_GRID[pick]
@@ -663,15 +681,15 @@ def strip_local_phases(
             delta /= det[:, None]
         step = (det != 0.0) & np.all(np.isfinite(delta), axis=-1)
         phi_new = phi[idx] + np.where(step[:, None], delta, 0.0)
-        step &= ~(_trig_poly(c, phi_new)[0] < value - 1e-15)
+        step &= ~(_trig_poly(c, phi_new, value_only=True) < value - 1e-15)
         phi[idx[step]] = phi_new[step]
         active[idx] = step & (np.max(np.abs(delta), axis=-1) >= 1e-13)
 
-    refined = _trig_poly(coeff, phi)[0]
+    refined = _trig_poly(coeff, phi, value_only=True)
     best = np.where((refined >= best_val)[:, None], phi, best)
     # Direct evaluation at the located maximum (the polynomial is exact,
     # but report the physically evaluated value).
-    s = np.exp(1j * best @ (_LEVELS - 0.5).T)
+    s = np.exp(1j * (best @ (_LEVELS - 0.5).T))
     w = (s.conj()[:, :, None] * vec.reshape(_GATE_DIM, _GATE_DIM)).reshape(-1, 1, _GATE_DIM**2)
     final = np.real(w.conj() @ flat @ w.swapaxes(-1, -2))[:, 0, 0]
     if not batch:

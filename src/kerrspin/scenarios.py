@@ -130,11 +130,36 @@ def _resolve_frame(
     delta_q_factor: float,
     delta_s_factor: float | None = None,
     delta_minus_factor: float | None = None,
+    nonzero: str | None = None,
 ) -> FrameSpec:
     """Build the frame from config keys, falling back to scenario defaults
-    expressed as multiples of the coupling G."""
-    if cfg["run.from_device"]:
-        return _device_frame(cfg)
+    expressed as multiples of the coupling G. `nonzero` names the gap the
+    scenario divides by, "delta_minus" (delta_s - delta_q) or "delta_plus"
+    (delta_s + delta_q); a zero gap is a ConfigError naming its fields."""
+    fs = _device_frame(cfg) if cfg["run.from_device"] else _configured_frame(
+        cfg, default_coupling_hz, delta_q_factor, delta_s_factor, delta_minus_factor
+    )
+    if nonzero == "delta_minus" and fs.delta_minus == 0.0:
+        raise ConfigError(
+            "the mode-spin gap delta_s - delta_q is 0 and this scenario divides by it; "
+            "set frame.delta_minus_hz (or frame.delta_s_hz and frame.delta_q_hz) to a nonzero gap"
+        )
+    if nonzero == "delta_plus" and fs.delta_s + fs.delta_q == 0.0:
+        raise ConfigError(
+            "the sum delta_s + delta_q is 0 and this scenario divides by it; "
+            "set frame.delta_s_hz and frame.delta_q_hz to a nonzero sum"
+        )
+    return fs
+
+
+def _configured_frame(
+    cfg: RunConfig,
+    default_coupling_hz: float,
+    delta_q_factor: float,
+    delta_s_factor: float | None,
+    delta_minus_factor: float | None,
+) -> FrameSpec:
+    """The frame from the frame.* keys, each unset one from its default."""
     coupling = cfg.angular_or_none("frame.coupling_hz")
     if coupling is None:
         coupling = TWO_PI * default_coupling_hz
@@ -376,7 +401,7 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     first-order perturbation in G/(delta_s + delta_q) bounds the leakage
     by 8 [G/(delta_s + delta_q)]^2.
     """
-    fs = _resolve_frame(cfg, 4.0e6, 10.0, delta_s_factor=10.0)
+    fs = _resolve_frame(cfg, 4.0e6, 10.0, delta_s_factor=10.0, nonzero="delta_plus")
     cutoff = _resolve_cutoff(cfg, 15)
     coupling = fs.coupling
     t_star = math.pi / (2.0 * coupling)
@@ -587,7 +612,7 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     identically zero by construction; the full model's transient mode
     occupancy is bounded by the sudden-switch estimate 6 (G/delta_minus)^2.
     """
-    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
+    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0, nonzero="delta_minus")
     cutoff = _resolve_cutoff(cfg, 6)
     g_eff = ham.effective_coupling(fs.coupling, fs.delta_minus)
     t_star = math.pi / (2.0 * abs(g_eff))
@@ -595,9 +620,7 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
 
-    def core(cut: int, halved: bool):
-        model3 = _full_model(fs, cut, kappa, gamma)
-        model2 = _written_model(fs, gamma)
+    def core(model3: dyn.LindbladModel, model2: dyn.LindbladModel, halved: bool):
         traj3 = dyn.evolve_lindblad(
             model3, dm(basis_ket((0, 1, 0), model3.spec)), times, **_step_args(cfg, halved)
         )
@@ -619,9 +642,11 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         integrator = {"full": _integrator_info([traj3]), "effective": _integrator_info([traj2])}
         return cols, trace_dev, integrator
 
-    cols, trace_main, integrator = core(cutoff, False)
-    halved, trace_half, _ = core(cutoff, True)
-    bumped, trace_bump, _ = core(cutoff + 5, False)
+    model3 = _full_model(fs, cutoff, kappa, gamma)
+    model2 = _written_model(fs, gamma)
+    cols, trace_main, integrator = core(model3, model2, False)
+    halved, trace_half, _ = core(model3, model2, True)
+    bumped, trace_bump, _ = core(_full_model(fs, cutoff + 5, kappa, gamma), model2, False)
 
     report = ScenarioReport(scenario="state-transfer", params=dict(cfg.values))
     report.outputs["transfer"] = write_trajectory_csv(out_dir / "transfer.csv", times, cols)
@@ -642,8 +667,6 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     # Dissipationless reference: both models closed-system; their transfer
     # peaks must agree (the written model's only error is dispersive).
-    model3 = _full_model(fs, cutoff, kappa, gamma)
-    model2 = _written_model(fs, gamma)
     spec3, spec2 = model3.spec, model2.spec
     traj_u = dyn.evolve_unitary(model3.hamiltonian, basis_ket((0, 1, 0), spec3), times, spec=spec3)
     traj_u2 = dyn.evolve_unitary(model2.hamiltonian, basis_ket((1, 0), spec2), times, spec=spec2)
@@ -685,6 +708,21 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
+# The 16 two-qubit Paulis s_a (x) s_b over s = (I, sx, sy, sz), a-major.
+_SINGLE_PAULIS = [qubit_ops()[name] for name in ("id", "sx", "sy", "sz")]
+_PAULIS = np.stack([np.kron(a, b) for a in _SINGLE_PAULIS for b in _SINGLE_PAULIS])
+
+
+def _lift_paulis(d: int) -> np.ndarray:
+    """(16, d, d) lifts I_{d/4} (x) P of the two-qubit Paulis, in one broadcast.
+
+    lift[p, i*4 + a, j*4 + b] = I[i, j] P_p[a, b], the same complex products
+    np.kron forms (einsum's differ in the sign of some zeros).
+    """
+    rest = np.eye(d // 4, dtype=complex)
+    return (rest[:, None, :, None] * _PAULIS[:, None, :, None, :]).reshape(16, d, d)
+
+
 def _channel_outputs(
     model: dyn.LindbladModel, rho0s: list[np.ndarray], times: np.ndarray, **step
 ) -> tuple[np.ndarray, list[dyn.Trajectory]]:
@@ -696,15 +734,12 @@ def _channel_outputs(
     so each output is 1/4 sum_P <P> P, exactly, with no kept state series
     and no partial trace.
     """
-    q = qubit_ops()
-    single = (q["id"], q["sx"], q["sy"], q["sz"])
-    paulis = np.stack([np.kron(a, b) for a in single for b in single])
-    rest = np.eye(model.spec.dim // 4, dtype=complex)
-    observables = {f"pauli{m}": np.kron(rest, p) for m, p in enumerate(paulis)}
+    lifts = _lift_paulis(model.spec.dim)
+    observables = {f"pauli{m}": lift for m, lift in enumerate(lifts)}
     trajs = dyn.evolve_lindblad_batch(model, rho0s, times, observables=observables, **step)
     # One GEMM: (T * inputs, 16) expectation values against the stacked P / 4.
     values = np.array([[tr.observables[name] for tr in trajs] for name in observables]).T
-    outputs = values.reshape(-1, 16) @ (paulis.reshape(16, 16) / 4.0)
+    outputs = values.reshape(-1, 16) @ (_PAULIS.reshape(16, 16) / 4.0)
     return outputs.reshape(times.size, len(trajs), 4, 4), trajs
 
 
@@ -733,7 +768,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     kept as a structural check, tagged TRIVIAL. The full model's kappa
     sensitivity is reported as information.
     """
-    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
+    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0, nonzero="delta_minus")
     cutoff = _resolve_cutoff(cfg, 6)
     g_eff = ham.effective_coupling(fs.coupling, fs.delta_minus)
     t_star = math.pi / (2.0 * abs(g_eff))

@@ -267,6 +267,25 @@ class TestCli:
         assert setting.split("=")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "scenario, settings, field",
+        [
+            ("state-transfer", ["frame.delta_minus_hz=0"], "frame.delta_minus_hz"),
+            ("iswap-fidelity", ["frame.delta_minus_hz=0"], "frame.delta_minus_hz"),
+            ("rabi", ["frame.delta_s_hz=0", "frame.delta_q_hz=0"], "frame.delta_s_hz"),
+        ],
+    )
+    def test_zero_gap_exit_two(self, scenario, settings, field, tmp_path, monkeypatch, capsys):
+        # Each scenario divides by this gap; zero must be refused up front.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", scenario]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
     def test_failing_checks_exit_one(self, tmp_path, monkeypatch, capsys):
         # A detuned spin breaks the exchange contrast; the run completes,
         # reports FAIL lines, and exits 1.

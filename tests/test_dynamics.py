@@ -60,7 +60,14 @@ from kerrspin.hamiltonians import (
     rabi_hamiltonian,
     tavis_cummings_hamiltonian,
 )
-from kerrspin.scenarios import _channel_outputs, _full_model, _resolve_frame, _written_model
+from kerrspin.scenarios import (
+    _PAULIS,
+    _channel_outputs,
+    _full_model,
+    _lift_paulis,
+    _resolve_frame,
+    _written_model,
+)
 
 
 def mode_only_spec(cutoff: int) -> HilbertSpec:
@@ -718,6 +725,13 @@ class TestPauliChannelOutputs:
         assert np.all(np.max(np.abs(outputs - want), axis=(1, 2, 3)) <= 1e-12)
         assert all(tr.states is None for tr in trajs)
 
+    @pytest.mark.parametrize("d", [4, 24, 44])
+    def test_lift_bitwise_equals_kron(self, d):
+        lifts = _lift_paulis(d)
+        assert lifts.shape == (16, d, d)
+        for lift, pauli in zip(lifts, _PAULIS):
+            assert lift.tobytes() == np.kron(np.eye(d // 4, dtype=complex), pauli).tobytes()
+
 
 class TestBatchedDiagnostics:
     """Diagnostics and observables come from one pass over the whole
@@ -857,6 +871,99 @@ class TestBatchedGateMetrics:
     def test_batched_output_shape_validated(self):
         with pytest.raises(ValueError):
             choi_from_outputs(np.zeros((281, 15, 4, 4), dtype=complex))
+
+
+def sequential_block_reference(model: LindbladModel, rho0s: list[np.ndarray], dts: np.ndarray):
+    """Step the solver's block generator one interval at a time.
+
+    Same reached block, generator and substep rule as the solver, but one
+    `prop @ vecs` product per interval of length `dts[j]`. Returns the
+    states (inputs, len(dts) + 1, d, d), zero-padded to the full space.
+    """
+    d = model.spec.dim
+    rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
+    seed = np.any(np.stack(rho0s) != 0, axis=(0, 2))
+    ops = [model.hamiltonian] + [op for op, _ in rates] + [op.conj().T @ op for op, _ in rates]
+    idx = dynamics._reachable(seed, ops)
+    block = np.ix_(idx, idx)
+    gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
+    h_req = DEFAULT_STEP_SCALE * STEP_BUDGET / spectral_scale(model)
+    vecs = np.stack([rho[block].reshape(-1) for rho in rho0s], axis=1)
+    series = [vecs]
+    for dt in dts:
+        prop, _ = _interval_propagator(gen, float(dt), h_req)
+        vecs = prop @ vecs
+        series.append(vecs)
+    n = idx.size
+    states = np.zeros((len(rho0s), len(series), d, d), dtype=complex)
+    states[..., idx[:, None], idx] = np.stack(series).transpose(2, 0, 1).reshape(
+        len(rho0s), len(series), n, n
+    )
+    return states
+
+
+def stepping_case(name: str):
+    """Model and inputs of one solver batch the scenarios run, plus the
+    end of its time window."""
+    if name == "transfer-6":
+        spec, model, times = transfer_case(6)
+        return model, [dm(basis_ket((0, 1, 0), spec))], float(times[-1])
+    model, rho0s, times = tomography_case(None if name == "written" else 6)
+    return model, rho0s, float(times[-1])
+
+
+class TestDoubledStepping:
+    """A uniform grid is filled by doubling: times [m, 2m) are times [0, m)
+    advanced by P^m, with P^m squared between blocks. It must match
+    stepping one interval at a time."""
+
+    @pytest.mark.parametrize("points", [2, 3, 17, 64, 65, 281])
+    @pytest.mark.parametrize("case", ["transfer-6", "written", "full-6"])
+    def test_uniform_grid_matches_sequential_steps(self, case, points):
+        model, rho0s, t_end = stepping_case(case)
+        times = np.linspace(0.0, t_end, points)
+        trajs = evolve_lindblad_batch(model, rho0s, times, keep_states=True)
+        # The solver uses the first interval for the whole uniform grid.
+        want = sequential_block_reference(model, rho0s, np.full(points - 1, times[1] - times[0]))
+        assert len(trajs) == len(rho0s)
+        for traj, ref, rho0 in zip(trajs, want, rho0s):
+            assert traj.states.shape == ref.shape
+            assert np.all(np.max(np.abs(traj.states - ref), axis=(1, 2)) <= 1e-12)
+            assert np.array_equal(traj.states[0], rho0)
+            assert np.array_equal(traj.final_state, traj.states[-1])
+
+    @pytest.mark.parametrize("case", ["transfer-6", "full-6"])
+    def test_non_uniform_grid_matches_sequential_steps(self, case):
+        model, rho0s, t_end = stepping_case(case)
+        times = t_end * np.linspace(0.0, 1.0, 40) ** 2
+        trajs = evolve_lindblad_batch(model, rho0s, times, keep_states=True)
+        want = sequential_block_reference(model, rho0s, np.diff(times))
+        for traj, ref in zip(trajs, want):
+            assert np.all(np.max(np.abs(traj.states - ref), axis=(1, 2)) <= 1e-12)
+            assert np.array_equal(traj.final_state, traj.states[-1])
+
+
+class TestTrigPoly:
+    """The phase-strip polynomial against its former three-operand einsum
+    form, bit for bit."""
+
+    def test_matches_einsum_form_bitwise(self):
+        harmonics = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
+        rng = np.random.default_rng(7)
+        coeff = rng.normal(size=(300, 5)) + 1j * rng.normal(size=(300, 5))
+        phi = rng.uniform(-7.0, 7.0, size=(300, 2))
+        phi[:20] = 0.0
+        phi[20:40, 1] = -phi[20:40, 0]
+        terms = coeff[..., 1:] * np.exp(1j * phi @ harmonics.T)
+        want_value = coeff[..., 0].real + 2.0 * terms.real.sum(axis=-1)
+        want_grad = -2.0 * terms.imag @ harmonics
+        want_hess = -2.0 * np.einsum("...m,mi,mj->...ij", terms.real, harmonics, harmonics)
+        value, grad, hess = dynamics._trig_poly(coeff, phi)
+        assert hess.shape == (300, 2, 2)
+        assert value.tobytes() == want_value.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert hess.tobytes() == want_hess.tobytes()
+        assert dynamics._trig_poly(coeff, phi, value_only=True).tobytes() == want_value.tobytes()
 
 
 class TestStateFidelity:
