@@ -91,8 +91,6 @@ _FIELDS = [
               "Diagonalized mode detuning (Hz); None uses the scenario default"),
     FieldSpec("frame.delta_minus_hz", "optional_float", None,
               "Mode-spin gap delta_s - delta_q (Hz); None uses the scenario default"),
-    FieldSpec("frame.bare_coupling_hz", "optional_float", None,
-              "Bare spin-mode coupling g (Hz) for exact-model comparisons", _positive),
     FieldSpec("dissipation.kappa_m", "float", 1.0e6,
               "Mode energy decay rate in 1/s (plain rate, not multiplied by 2*pi)", _non_negative),
     FieldSpec("dissipation.gamma_q", "float", 1.0e3,

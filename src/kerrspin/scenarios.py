@@ -4,14 +4,17 @@ Each runner takes a resolved RunConfig plus an output directory, writes
 its CSV artifacts, and returns a ScenarioReport whose checks carry
 provenance tags (PAPER / DERIVED / TRIVIAL, see reporting module).
 
-Integration-quality gates attached to every dynamical scenario:
+Integration-quality gates of every dynamical scenario, all formed in one
+place, `_gate_checks`, from three `_Run` records (main, refined and
+cutoff-bumped run: reported columns, conservation drift, integrator info):
 - "gate:step-refinement": rerun at doubled resolution (halved dissipative
-  substep, or doubled sample grid for closed-system runs); reported
-  observables must agree to 1e-6.
-- "gate:cutoff-bump": rerun with the mode truncation raised by 5; same
-  1e-6 agreement.
+  substep on the same grid, or a 2N+1-point sample grid against the main
+  N+1 for closed-system runs, compared at the main grid's points);
+  reported observables must agree to 1e-6.
+- "gate:cutoff-bump": rerun with the mode truncation raised by the
+  constant CUTOFF_BUMP (5); same 1e-6 agreement.
 - "gate:trace-preservation" / "gate:norm-preservation": worst
-  conservation-law drift across all runs, bounded by 1e-8.
+  conservation-law drift across the three runs, bounded by 1e-8.
 """
 
 from __future__ import annotations
@@ -27,16 +30,7 @@ from . import device
 from . import dynamics as dyn
 from . import hamiltonians as ham
 from .config import ConfigError, RunConfig
-from .fock import (
-    HilbertSpec,
-    Subsystem,
-    annihilation,
-    basis_ket,
-    dm,
-    embed,
-    partial_trace,
-    qubit_ops,
-)
+from .fock import HilbertSpec, annihilation, basis_ket, dm, embed, qubit_ops
 from .reporting import (
     CheckResult,
     ScenarioReport,
@@ -53,6 +47,7 @@ from .reporting import (
 TWO_PI = 2.0 * math.pi
 GATE_TOL = 1.0e-6
 CONSERVATION_GATE_TOL = 1.0e-8
+CUTOFF_BUMP = 5  # levels added to the mode truncation by the cutoff-bump gate
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +92,14 @@ def _device_frame(cfg: RunConfig) -> FrameSpec:
     omega_m = device.magnon_frequency(bias, geom, calibration=calibration)
     omega_q = cfg.angular("device.omega_q_hz")
     omega_d = omega_m - cfg.angular("drive.detuning_hz")
-    drive = ham.DriveConfig(frequency=omega_d, amplitude=cfg.angular("drive.amplitude_hz"))
+    amplitude = cfg.angular("drive.amplitude_hz")
+    # The steady state solves a cubic whose constant term is amplitude^2.
+    if not math.isfinite(amplitude * amplitude):
+        raise ConfigError(
+            f"drive.amplitude_hz={cfg['drive.amplitude_hz']:g} is out of range: the driven "
+            "steady state needs the square of the angular amplitude, which overflows"
+        )
+    drive = ham.DriveConfig(frequency=omega_d, amplitude=amplitude)
     steady = ham.steady_amplitude(omega_m, kerr, cfg["dissipation.kappa_m"], drive)
     lin = ham.linearize(
         omega_m, omega_q, kerr, steady.mean_amplitude, drive, convention=cfg["convention.sign"]
@@ -200,26 +202,51 @@ def _forbid_gap_overrides(cfg: RunConfig, scenario: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _series_delta(a: dict[str, np.ndarray], b: dict[str, np.ndarray], stride: int = 1) -> float:
-    worst = 0.0
-    for key, col in a.items():
-        other = b[key][::stride] if stride > 1 else b[key]
-        worst = max(worst, float(np.max(np.abs(col - other))))
-    return worst
+@dataclass
+class _Run:
+    """One run of a scenario's models: the reported columns, the worst
+    conservation drift (norm or trace) and what the integrator decided."""
+
+    cols: dict[str, np.ndarray]
+    drift: float
+    info: dict
 
 
-def _add_gates(
-    report: ScenarioReport,
-    step_delta: float,
-    cutoff_delta: float,
-    conservation: float,
-    conservation_name: str,
-) -> None:
-    report.add(check_le("gate:step-refinement", step_delta, GATE_TOL, "TRIVIAL"))
-    report.add(check_le("gate:cutoff-bump", cutoff_delta, GATE_TOL, "TRIVIAL"))
-    report.add(
-        check_le(f"gate:{conservation_name}", conservation, CONSERVATION_GATE_TOL, "TRIVIAL")
-    )
+def _merge(runs: dict[str, _Run]) -> _Run:
+    """Runs of separate models (levels, ratios, written and full) as one:
+    their columns in order, the worst drift, the infos under their keys."""
+    cols = {key: col for run in runs.values() for key, col in run.cols.items()}
+    drift = max(run.drift for run in runs.values())
+    return _Run(cols, drift, {key: run.info for key, run in runs.items()})
+
+
+def _gate_checks(main: _Run, fine: _Run, bumped: _Run, conservation: str) -> list[CheckResult]:
+    """The three integration gates: step refinement against `fine`, cutoff
+    bump against `bumped`, and the worst drift of all three runs.
+
+    A rerun column as long as the main one is compared point by point; one
+    of 2N+1 points against N+1 sits on the refined grid and is compared at
+    the main grid's points (stride 2). Any other length does not refine the
+    main grid and raises ValueError.
+    """
+
+    def worst(rerun: _Run) -> float:
+        delta = 0.0
+        for key, col in main.cols.items():
+            other = rerun.cols[key]
+            if len(other) == 2 * len(col) - 1:
+                other = other[::2]
+            elif len(other) != len(col):
+                raise ValueError(f"{key!r}: {len(other)} rerun points do not refine {len(col)}")
+            delta = max(delta, float(np.max(np.abs(col - other))))
+        return delta
+
+    drift = max(main.drift, fine.drift, bumped.drift)
+    return [
+        check_le("gate:step-refinement", worst(fine), GATE_TOL, "TRIVIAL"),
+        check_le("gate:cutoff-bump", worst(bumped), GATE_TOL, "TRIVIAL"),
+        check_le(f"gate:{conservation}", drift, CONSERVATION_GATE_TOL, "TRIVIAL"),
+    ]
 
 
 _INTEGRATOR_KEYS = (
@@ -407,27 +434,24 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     t_star = math.pi / (2.0 * coupling)
     window = 3.0 * t_star
     base_points = 1200  # t_star lands exactly on index 400
+    times = np.linspace(0.0, window, base_points + 1)
 
-    def core(cut: int, factor: int):
+    def core(cut: int, tgrid: np.ndarray) -> _Run:
         spec = HilbertSpec.mode_and_spins(cut, 1)
         frame = ham.SqueezedFrame(fs.squeezing, fs.delta_s, coupling)
         h = ham.rabi_hamiltonian(spec, frame, fs.delta_q)
         psi0 = basis_ket((1, 0), spec)
         manifold = dm(basis_ket((1, 0), spec)) + dm(basis_ket((0, 1), spec))
-        tgrid = np.linspace(0.0, window, factor * base_points + 1)
         traj = dyn.evolve_unitary(
             h, psi0, tgrid, spec=spec, observables={"manifold": manifold}
         )
-        cols = {
-            "pop_mode": traj.observables["pop_mode"],
-            "pop_spin": traj.observables["pop_spin"],
-            "manifold": traj.observables["manifold"],
-        }
-        return tgrid, cols, traj.diagnostics["norm_drift"], _unitary_info(traj)
+        cols = {key: traj.observables[key] for key in ("pop_mode", "pop_spin", "manifold")}
+        return _Run(cols, traj.diagnostics["norm_drift"], _unitary_info(traj))
 
-    times, cols, norm_main, integrator = core(cutoff, 1)
-    _, refined, norm_ref, _ = core(cutoff, 2)
-    _, bumped, norm_bump, _ = core(cutoff + 5, 1)
+    main = core(cutoff, times)
+    fine = core(cutoff, np.linspace(0.0, window, 2 * base_points + 1))
+    bumped = core(cutoff + CUTOFF_BUMP, times)
+    cols = main.cols
 
     report = ScenarioReport(scenario="rabi", params=dict(cfg.values))
     report.outputs["trajectory"] = write_trajectory_csv(out_dir / "trajectory.csv", times, cols)
@@ -447,14 +471,7 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     leak_bound = 8.0 * (coupling / (fs.delta_s + fs.delta_q)) ** 2
     manifold_min = float(cols["manifold"].min())
     report.add(check_ge("manifold-retention", manifold_min, 0.975, "DERIVED"))
-
-    _add_gates(
-        report,
-        _series_delta(cols, refined, stride=2),
-        _series_delta(cols, bumped),
-        max(norm_main, norm_ref, norm_bump),
-        "norm-preservation",
-    )
+    report.checks.extend(_gate_checks(main, fine, bumped, "norm-preservation"))
 
     advisory = ham.rwa_advisory(coupling, fs.delta_s, fs.delta_q)
     report.info.update(
@@ -464,7 +481,7 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "observed_peak_time_s": t_peak,
             "manifold_leakage_bound": leak_bound,
             "manifold_retention_oracle": 1.0 - leak_bound,
-            "integrator": integrator,
+            "integrator": main.info,
             "advisories": [a for a in (advisory,) if a],
         }
     )
@@ -497,25 +514,23 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             return int(cut) + bump
         return m + 10 + bump
 
-    def core(bump: int, factor: int):
-        cols = {}
-        dims = {}
-        norm = 0.0
-        for m in levels:
-            spec = HilbertSpec.mode_and_spins(level_cutoff(m, bump), 1)
-            frame = ham.SqueezedFrame(fs.squeezing, fs.delta_s, coupling)
-            h = ham.tavis_cummings_hamiltonian(spec, frame, fs.delta_q)
-            psi0 = basis_ket((m, 0), spec)
-            tgrid = np.linspace(0.0, window, factor * base_points + 1)
-            traj = dyn.evolve_unitary(h, psi0, tgrid, spec=spec)
-            cols[f"pop_spin_m{m}"] = traj.observables["pop_spin"]
-            dims[str(m)] = _unitary_info(traj)
-            norm = max(norm, traj.diagnostics["norm_drift"])
-        return tgrid, cols, norm, dims
+    times = np.linspace(0.0, window, base_points + 1)
 
-    times, cols, norm_main, integrator = core(0, 1)
-    _, refined, norm_ref, _ = core(0, 2)
-    _, bumped, norm_bump, _ = core(5, 1)
+    def level(m: int, bump: int, tgrid: np.ndarray) -> _Run:
+        spec = HilbertSpec.mode_and_spins(level_cutoff(m, bump), 1)
+        frame = ham.SqueezedFrame(fs.squeezing, fs.delta_s, coupling)
+        h = ham.tavis_cummings_hamiltonian(spec, frame, fs.delta_q)
+        traj = dyn.evolve_unitary(h, basis_ket((m, 0), spec), tgrid, spec=spec)
+        cols = {f"pop_spin_m{m}": traj.observables["pop_spin"]}
+        return _Run(cols, traj.diagnostics["norm_drift"], _unitary_info(traj))
+
+    def core(bump: int, tgrid: np.ndarray) -> _Run:
+        return _merge({str(m): level(m, bump, tgrid) for m in levels})
+
+    main = core(0, times)
+    fine = core(0, np.linspace(0.0, window, 2 * base_points + 1))
+    bumped = core(CUTOFF_BUMP, times)
+    cols = main.cols
 
     report = ScenarioReport(scenario="battery", params=dict(cfg.values))
     peaks: dict[int, tuple[float, float]] = {}
@@ -552,14 +567,7 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     report.add(
         check_le("early-power-vanishes", early_power[m_lo] / power_max[m_lo], 0.01, "TRIVIAL")
     )
-
-    _add_gates(
-        report,
-        _series_delta(cols, refined, stride=2),
-        _series_delta(cols, bumped),
-        max(norm_main, norm_ref, norm_bump),
-        "norm-preservation",
-    )
+    report.checks.extend(_gate_checks(main, fine, bumped, "norm-preservation"))
 
     report.info.update(
         {
@@ -570,7 +578,7 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "analytic_peak_times_s": {
                 str(m): math.pi / (2.0 * math.sqrt(m) * coupling) for m in levels
             },
-            "integrator": integrator,
+            "integrator": main.info,
         }
     )
     return report
@@ -620,33 +628,29 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
 
-    def core(model3: dyn.LindbladModel, model2: dyn.LindbladModel, halved: bool):
-        traj3 = dyn.evolve_lindblad(
-            model3, dm(basis_ket((0, 1, 0), model3.spec)), times, **_step_args(cfg, halved)
+    def transfer(model: dyn.LindbladModel, label: tuple, suffix: str, halved: bool) -> _Run:
+        traj = dyn.evolve_lindblad(
+            model, dm(basis_ket(label, model.spec)), times, **_step_args(cfg, halved)
         )
-        traj2 = dyn.evolve_lindblad(
-            model2, dm(basis_ket((1, 0), model2.spec)), times, **_step_args(cfg, halved)
-        )
+        # The written two-spin equation has no mode: identically zero.
+        mode = traj.observables.get("pop_mode", np.zeros_like(times))
         cols = {
-            "pop_spin1_full": traj3.observables["pop_spin1"],
-            "pop_spin2_full": traj3.observables["pop_spin2"],
-            "pop_mode_full": traj3.observables["pop_mode"],
-            "pop_spin1_eff": traj2.observables["pop_spin1"],
-            "pop_spin2_eff": traj2.observables["pop_spin2"],
-            # The written two-spin equation has no mode: identically zero.
-            "pop_mode_eff": np.zeros_like(times),
+            f"pop_spin1_{suffix}": traj.observables["pop_spin1"],
+            f"pop_spin2_{suffix}": traj.observables["pop_spin2"],
+            f"pop_mode_{suffix}": mode,
         }
-        trace_dev = max(
-            traj3.diagnostics["trace_deviation"], traj2.diagnostics["trace_deviation"]
-        )
-        integrator = {"full": _integrator_info([traj3]), "effective": _integrator_info([traj2])}
-        return cols, trace_dev, integrator
+        return _Run(cols, traj.diagnostics["trace_deviation"], _integrator_info([traj]))
+
+    def core(model3: dyn.LindbladModel, halved: bool) -> _Run:
+        full = transfer(model3, (0, 1, 0), "full", halved)
+        return _merge({"full": full, "effective": transfer(model2, (1, 0), "eff", halved)})
 
     model3 = _full_model(fs, cutoff, kappa, gamma)
     model2 = _written_model(fs, gamma)
-    cols, trace_main, integrator = core(model3, model2, False)
-    halved, trace_half, _ = core(model3, model2, True)
-    bumped, trace_bump, _ = core(_full_model(fs, cutoff + 5, kappa, gamma), model2, False)
+    main = core(model3, False)
+    fine = core(model3, True)
+    bumped = core(_full_model(fs, cutoff + CUTOFF_BUMP, kappa, gamma), False)
+    cols = main.cols
 
     report = ScenarioReport(scenario="state-transfer", params=dict(cfg.values))
     report.outputs["transfer"] = write_trajectory_csv(out_dir / "transfer.csv", times, cols)
@@ -675,14 +679,7 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     report.add(
         check_le("dissipationless-model-agreement", abs(peak_u - peak_u2), 0.02, "DERIVED")
     )
-
-    _add_gates(
-        report,
-        _series_delta(cols, halved),
-        _series_delta(cols, bumped),
-        max(trace_main, trace_half, trace_bump),
-        "trace-preservation",
-    )
+    report.checks.extend(_gate_checks(main, fine, bumped, "trace-preservation"))
 
     advisory = ham.dispersive_advisory(fs.coupling, fs.delta_minus)
     report.info.update(
@@ -696,7 +693,7 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "dissipation_peak_drop_full": peak_u - peak_full,
             "dissipationless_mode_max": float(traj_u.observables["pop_mode"].max()),
             "mode_occupancy_bound": mode_bound,
-            "integrator": integrator,
+            "integrator": main.info,
             "advisories": [a for a in (advisory,) if a],
         }
     )
@@ -723,24 +720,41 @@ def _lift_paulis(d: int) -> np.ndarray:
     return (rest[:, None, :, None] * _PAULIS[:, None, :, None, :]).reshape(16, d, d)
 
 
+def _pauli_observables(d: int) -> dict[str, np.ndarray]:
+    """The lifted two-qubit Paulis as named observables of a d-level model."""
+    return {f"pauli{m}": lift for m, lift in enumerate(_lift_paulis(d))}
+
+
+def _pauli_outputs(trajs: list[dyn.Trajectory]) -> np.ndarray:
+    """(T, inputs, 4, 4) two-spin outputs 1/4 sum_P <P> P from trajectories
+    that recorded the `_pauli_observables`.
+
+    <I_rest (x) P> equals tr(P Tr_rest rho), and the Paulis are orthogonal
+    with tr(P P') = 4 delta, so the rebuild is exact: no state series and
+    no partial trace.
+    """
+    values = np.array([[tr.observables[f"pauli{m}"] for tr in trajs] for m in range(16)]).T
+    # One GEMM: (T * inputs, 16) expectation values against the stacked P / 4.
+    outputs = values.reshape(-1, 16) @ (_PAULIS.reshape(16, 16) / 4.0)
+    return outputs.reshape(-1, len(trajs), 4, 4)
+
+
 def _channel_outputs(
     model: dyn.LindbladModel, rho0s: list[np.ndarray], times: np.ndarray, **step
 ) -> tuple[np.ndarray, list[dyn.Trajectory]]:
-    """(T, 16, 4, 4) two-spin outputs of a Lindblad batch, plus its trajectories.
-
-    The spins are the last two factors of the model. The solver records
-    <I_rest (x) P> for the 16 two-qubit Paulis P, which equals
-    tr(P Tr_rest rho); the Paulis are orthogonal with tr(P P') = 4 delta,
-    so each output is 1/4 sum_P <P> P, exactly, with no kept state series
-    and no partial trace.
-    """
-    lifts = _lift_paulis(model.spec.dim)
-    observables = {f"pauli{m}": lift for m, lift in enumerate(lifts)}
+    """(T, 16, 4, 4) two-spin outputs of a Lindblad batch, plus its trajectories;
+    the spins are the model's last two factors."""
+    observables = _pauli_observables(model.spec.dim)
     trajs = dyn.evolve_lindblad_batch(model, rho0s, times, observables=observables, **step)
-    # One GEMM: (T * inputs, 16) expectation values against the stacked P / 4.
-    values = np.array([[tr.observables[name] for tr in trajs] for name in observables]).T
-    outputs = values.reshape(-1, 16) @ (_PAULIS.reshape(16, 16) / 4.0)
-    return outputs.reshape(times.size, len(trajs), 4, 4), trajs
+    return _pauli_outputs(trajs), trajs
+
+
+def _process_inputs(d: int) -> np.ndarray:
+    """(16, d) tomography inputs: the leading d/4 levels (the mode, if any)
+    in their ground state times each ket of `process_basis_kets`."""
+    inputs = np.zeros((16, d), dtype=complex)
+    inputs[:, :4] = dyn.process_basis_kets()
+    return inputs
 
 
 def _fidelity_series(outputs: np.ndarray, target: np.ndarray):
@@ -749,6 +763,18 @@ def _fidelity_series(outputs: np.ndarray, target: np.ndarray):
     raw = dyn.average_gate_fidelity(choi, target)
     f_pro, phases = dyn.strip_local_phases(choi, target)
     return raw, (4.0 * f_pro + 1.0) / 5.0, phases
+
+
+def _dissipationless_fidelity(h: np.ndarray, t: float) -> float:
+    """Phase-stripped average iSWAP fidelity of the closed-system gate
+    exp(-i h t) on the 16 tomography inputs, each output rebuilt from its
+    Pauli expectation values like the dissipative channels'."""
+    d = h.shape[0]
+    obs = _pauli_observables(d)
+    trajs = [dyn.evolve_unitary(h, psi, [0.0, t], observables=obs) for psi in _process_inputs(d)]
+    choi = dyn.choi_from_outputs(_pauli_outputs(trajs)[-1])
+    f_pro, _ = dyn.strip_local_phases(choi, dyn.iswap_unitary())
+    return (4.0 * f_pro + 1.0) / 5.0
 
 
 def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
@@ -760,6 +786,8 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     three-body channel (mode traced out). Each channel output is
     rebuilt from the 16 two-qubit Pauli expectation values the solver
     records, as the gate would be measured; no state series is kept.
+    The dissipationless references evolve the 16 input kets in closed
+    form and rebuild their outputs the same way.
 
     The kappa-doubling robustness check binds to the written channel,
     where the mode has been eliminated and the mode decay rate does not
@@ -776,76 +804,37 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
     target = dyn.iswap_unitary()
-    kets = dyn.process_basis_kets()
 
-    def channel(model: dyn.LindbladModel, rho0s: list[np.ndarray], halved: bool):
+    def tomography(model: dyn.LindbladModel, suffix: str, halved: bool):
+        """The channel's run record, its output series and strip phases."""
+        rho0s = [dm(psi) for psi in _process_inputs(model.spec.dim)]
         outputs, trajs = _channel_outputs(model, rho0s, times, **_step_args(cfg, halved))
         raw, stripped, phases = _fidelity_series(outputs, target)
-        trace_dev = max(tr.diagnostics["trace_deviation"] for tr in trajs)
-        return raw, stripped, phases, trace_dev, outputs, _integrator_info(trajs)
+        cols = {f"favg_raw_{suffix}": raw, f"favg_stripped_{suffix}": stripped}
+        drift = max(tr.diagnostics["trace_deviation"] for tr in trajs)
+        return _Run(cols, drift, _integrator_info(trajs)), outputs, phases
 
-    def eff_channel(gamma_rate: float, halved: bool):
-        return channel(_written_model(fs, gamma_rate), [dm(k) for k in kets], halved)
+    def channel(model: dyn.LindbladModel, suffix: str, halved: bool) -> _Run:
+        return tomography(model, suffix, halved)[0]
 
-    def full_channel(cut: int, kappa_rate: float, halved: bool):
-        vac = np.zeros((cut, cut), dtype=complex)
-        vac[0, 0] = 1.0
-        rho0s = [np.kron(vac, dm(k)) for k in kets]
-        return channel(_full_model(fs, cut, kappa_rate, gamma), rho0s, halved)
-
-    def unitary_stripped_at(h: np.ndarray, reduce_spec: HilbertSpec | None, t: float) -> float:
-        evals, vecs = np.linalg.eigh(h)
-        u_t = (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
-        if reduce_spec is None:
-            rho0s = np.stack([dm(k) for k in kets])
-        else:
-            cut = reduce_spec.dims[0]
-            vac = np.zeros((cut, cut), dtype=complex)
-            vac[0, 0] = 1.0
-            rho0s = np.stack([np.kron(vac, dm(k)) for k in kets])
-        outs = u_t @ rho0s @ u_t.conj().T
-        if reduce_spec is not None:
-            outs = partial_trace(outs, (1, 2), reduce_spec)
-        choi = dyn.choi_from_outputs(outs)
-        f_pro, _ = dyn.strip_local_phases(choi, target)
-        return (4.0 * f_pro + 1.0) / 5.0
-
-    raw_eff, stripped_eff, phases_eff, trace_eff, outputs_eff, integrator_eff = eff_channel(
-        gamma, False
-    )
-    raw_full, stripped_full, _, trace_full, outputs_full, integrator_full = full_channel(
-        cutoff, kappa, False
-    )
-    cols = {
-        "favg_raw_eff": raw_eff,
-        "favg_stripped_eff": stripped_eff,
-        "favg_raw_full": raw_full,
-        "favg_stripped_full": stripped_full,
-    }
+    written = _written_model(fs, gamma)
+    full = _full_model(fs, cutoff, kappa, gamma)
+    eff, outputs_eff, phases_eff = tomography(written, "eff", False)
+    full_run, outputs_full, _ = tomography(full, "full", False)
+    main = _merge({"effective": eff, "full": full_run})
+    stripped_eff = eff.cols["favg_stripped_eff"]
+    peak_full = float(np.max(full_run.cols["favg_stripped_full"]))
 
     # Gate runs: halved substep for both channels, mode cutoff bump for
     # the full channel (the written channel has no cutoff; reused).
-    raw_eff_h, stripped_eff_h, _, trace_eff_h, _, _ = eff_channel(gamma, True)
-    raw_full_h, stripped_full_h, _, trace_full_h, _, _ = full_channel(cutoff, kappa, True)
-    halved = {
-        "favg_raw_eff": raw_eff_h,
-        "favg_stripped_eff": stripped_eff_h,
-        "favg_raw_full": raw_full_h,
-        "favg_stripped_full": stripped_full_h,
-    }
-    raw_full_b, stripped_full_b, _, trace_full_b, _, _ = full_channel(cutoff + 5, kappa, False)
-    bumped = {
-        "favg_raw_eff": raw_eff,
-        "favg_stripped_eff": stripped_eff,
-        "favg_raw_full": raw_full_b,
-        "favg_stripped_full": stripped_full_b,
-    }
+    fine = _merge({"effective": channel(written, "eff", True), "full": channel(full, "full", True)})
+    bumped_full = _full_model(fs, cutoff + CUTOFF_BUMP, kappa, gamma)
+    bumped = _merge({"effective": eff, "full": channel(bumped_full, "full", False)})
 
     report = ScenarioReport(scenario="iswap-fidelity", params=dict(cfg.values))
-    report.outputs["fidelity"] = write_trajectory_csv(out_dir / "fidelity.csv", times, cols)
+    report.outputs["fidelity"] = write_trajectory_csv(out_dir / "fidelity.csv", times, main.cols)
 
-    model3 = _full_model(fs, cutoff, kappa, gamma)
-    dissipationless = unitary_stripped_at(_written_model(fs, gamma).hamiltonian, None, t_star)
+    dissipationless = _dissipationless_fidelity(written.hamiltonian, t_star)
     report.add(check_ge("dissipationless-fidelity", dissipationless, 0.999, "DERIVED"))
 
     peak_idx = int(np.argmax(stripped_eff))
@@ -859,7 +848,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     # builder takes no kappa: the run at doubled mode decay is the same
     # model, and the channel must come out unchanged (TRIVIAL: it reads 0
     # by construction).
-    _, stripped_eff_k2, _, _, _, _ = eff_channel(gamma, False)
+    stripped_eff_k2 = channel(written, "eff", False).cols["favg_stripped_eff"]
     report.add(
         check_le(
             "kappa-doubling-effective",
@@ -872,23 +861,20 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     # Sensitivity information (not pass/fail): spin decay x10 on the
     # written channel, mode decay x2 and the dissipationless reference on
     # the full channel.
-    _, stripped_eff_g10, _, _, _, _ = eff_channel(10.0 * gamma, False)
-    _, stripped_full_k2, _, _, _, _ = full_channel(cutoff, 2.0 * kappa, False)
-    full_dissipationless = unitary_stripped_at(model3.hamiltonian, model3.spec, t_star)
+    gamma_x10 = channel(_written_model(fs, 10.0 * gamma), "eff", False)
+    peak_g10 = float(np.max(gamma_x10.cols["favg_stripped_eff"]))
+    kappa_x2 = channel(_full_model(fs, cutoff, 2.0 * kappa, gamma), "full", False)
+    peak_full_k2 = float(np.max(kappa_x2.cols["favg_stripped_full"]))
+    full_dissipationless = _dissipationless_fidelity(full.hamiltonian, t_star)
 
     # Single-input transfer fidelity: input |e g> (index 2), ideal output
     # |g e> (index 1) up to the gate's local phase, evaluated at t_star.
     gate_idx = 200  # t_star lands exactly on this grid index
-    transfer_fid_eff = dyn.state_fidelity(outputs_eff[gate_idx, 2], kets[1])
-    transfer_fid_full = dyn.state_fidelity(outputs_full[gate_idx, 2], kets[1])
+    ideal = dyn.process_basis_kets()[1]
+    transfer_fid_eff = dyn.state_fidelity(outputs_eff[gate_idx, 2], ideal)
+    transfer_fid_full = dyn.state_fidelity(outputs_full[gate_idx, 2], ideal)
 
-    _add_gates(
-        report,
-        _series_delta(cols, halved),
-        _series_delta(cols, bumped),
-        max(trace_eff, trace_full, trace_eff_h, trace_full_h, trace_full_b),
-        "trace-preservation",
-    )
+    report.checks.extend(_gate_checks(main, fine, bumped, "trace-preservation"))
 
     advisory = ham.dispersive_advisory(fs.coupling, fs.delta_minus)
     omega_eff = fs.delta_q**2 / fs.delta_minus
@@ -899,19 +885,17 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "gate_time_s": t_star,
             "peak_time_s": float(times[peak_idx]),
             "stripped_peak_effective": peak_eff,
-            "raw_at_gate_time_effective": float(raw_eff[gate_idx]),
+            "raw_at_gate_time_effective": float(eff.cols["favg_raw_eff"][gate_idx]),
             "strip_phases_at_peak": phases_eff[peak_idx].tolist(),
             "effective_spin_phase_per_gate": omega_eff * t_star,
-            "gamma_x10_peak_effective": float(np.max(stripped_eff_g10)),
-            "gamma_x10_drop_effective": peak_eff - float(np.max(stripped_eff_g10)),
+            "gamma_x10_peak_effective": peak_g10,
+            "gamma_x10_drop_effective": peak_eff - peak_g10,
             "transfer_fidelity_effective": transfer_fid_eff,
             "transfer_fidelity_full": transfer_fid_full,
-            "stripped_peak_full": float(np.max(stripped_full)),
-            "kappa_x2_peak_shift_full": abs(
-                float(np.max(stripped_full)) - float(np.max(stripped_full_k2))
-            ),
+            "stripped_peak_full": peak_full,
+            "kappa_x2_peak_shift_full": abs(peak_full - peak_full_k2),
             "dissipationless_full": full_dissipationless,
-            "integrator": {"full": integrator_full, "effective": integrator_eff},
+            "integrator": main.info,
             "advisories": [a for a in (advisory,) if a],
         }
     )
@@ -938,14 +922,16 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     def tag(ratio: float) -> str:
         return ("%g" % ratio).replace(".", "p").replace("-", "m")
 
-    def pair_series(ratio: float, coupling: float, cut: int, factor: int):
+    def grid(ratio: float, coupling: float, factor: int) -> np.ndarray:
+        g_eff = ham.effective_coupling(coupling, ratio * coupling)
+        return np.linspace(0.0, math.pi / (2.0 * abs(g_eff)), factor * 400 + 1)
+
+    def pair(ratio: float, coupling: float, cut: int, factor: int) -> _Run:
         delta_minus = ratio * coupling
-        delta_s = fs.delta_q + delta_minus
-        g_eff = ham.effective_coupling(coupling, delta_minus)
-        tgrid = np.linspace(0.0, math.pi / (2.0 * abs(g_eff)), factor * 400 + 1)
+        tgrid = grid(ratio, coupling, factor)
 
         spec3 = HilbertSpec.mode_and_spins(cut, 2)
-        frame = ham.SqueezedFrame(0.0, delta_s, coupling)
+        frame = ham.SqueezedFrame(0.0, fs.delta_q + delta_minus, coupling)
         h3 = ham.tavis_cummings_hamiltonian(spec3, frame, fs.delta_q)
         traj3 = dyn.evolve_unitary(h3, basis_ket((0, 1, 0), spec3), tgrid, spec=spec3)
 
@@ -964,27 +950,18 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "pop_spin2_eff": traj2.observables["pop_spin2"],
             "deviation": dev,
         }
+        cols = {f"{key}_r{tag(ratio)}": val for key, val in series.items()}
         norm = max(traj3.diagnostics["norm_drift"], traj2.diagnostics["norm_drift"])
         dims = {"full": _unitary_info(traj3), "effective": _unitary_info(traj2)}
-        return tgrid, series, norm, dims
+        return _Run(cols, norm, dims)
 
-    def core(cut: int, factor: int):
-        cols = {}
-        grids = {}
-        dims = {}
-        norm = 0.0
-        for ratio in ratios:
-            tgrid, series, n, run_dims = pair_series(ratio, fs.coupling, cut, factor)
-            dims["%g" % ratio] = run_dims
-            grids[ratio] = tgrid
-            for key, val in series.items():
-                cols[f"{key}_r{tag(ratio)}"] = val
-            norm = max(norm, n)
-        return grids, cols, norm, dims
+    def core(cut: int, factor: int) -> _Run:
+        return _merge({"%g" % ratio: pair(ratio, fs.coupling, cut, factor) for ratio in ratios})
 
-    grids, cols, norm_main, integrator = core(cutoff, 1)
-    _, refined, norm_ref, _ = core(cutoff, 2)
-    _, bumped, norm_bump, _ = core(cutoff + 5, 1)
+    main = core(cutoff, 1)
+    fine = core(cutoff, 2)
+    bumped = core(cutoff + CUTOFF_BUMP, 1)
+    cols = main.cols
 
     report = ScenarioReport(scenario="dispersive-check", params=dict(cfg.values))
     devs = {}
@@ -993,7 +970,7 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         devs[ratio] = float(cols[f"deviation_r{t}"].max())
         report.outputs[f"deviation_r{t}"] = write_trajectory_csv(
             out_dir / f"dispersive_r{t}.csv",
-            grids[ratio],
+            grid(ratio, fs.coupling, 1),
             {k: cols[f"{k}_r{t}"] for k in (
                 "pop_spin1_full", "pop_spin1_eff", "pop_spin2_full", "pop_spin2_eff", "deviation"
             )},
@@ -1011,17 +988,10 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     # Small-coupling limit: shrink G by 100 at a fixed physical gap
     # delta_minus = r_mid * G (so the ratio grows by 100); the written
     # model must become exact, deviation ~ (G/delta_minus)^2.
-    _, small_series, _, _ = pair_series(100.0 * r_mid, fs.coupling / 100.0, cutoff, 1)
-    small_dev = float(small_series["deviation"].max())
+    small = pair(100.0 * r_mid, fs.coupling / 100.0, cutoff, 1)
+    small_dev = float(small.cols[f"deviation_r{tag(100.0 * r_mid)}"].max())
     report.add(check_le("small-coupling-limit", small_dev, 1e-4, "TRIVIAL"))
-
-    _add_gates(
-        report,
-        _series_delta(cols, refined, stride=2),
-        _series_delta(cols, bumped),
-        max(norm_main, norm_ref, norm_bump),
-        "norm-preservation",
-    )
+    report.checks.extend(_gate_checks(main, fine, bumped, "norm-preservation"))
 
     exponent = math.log(devs[r_mid] / devs[r_big]) / math.log(r_big / r_mid)
     report.info.update(
@@ -1030,7 +1000,7 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
             "deviations": {("%g" % r): devs[r] for r in ratios},
             "shrink_exponent": exponent,
             "small_coupling_deviation": small_dev,
-            "integrator": integrator,
+            "integrator": main.info,
         }
     )
     return report

@@ -286,6 +286,30 @@ class TestCli:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "scenario, amplitude",
+        [("rabi", "1e300"), ("state-transfer", "1e300"), ("battery", "1e200")],
+    )
+    def test_overflowing_drive_amplitude_exit_two(
+        self, scenario, amplitude, tmp_path, monkeypatch, capsys
+    ):
+        # The driven steady state squares the angular amplitude; a square
+        # past the float range must be refused where the frame is derived.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", scenario, "--from-device", "--set", f"drive.amplitude_hz={amplitude}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "drive.amplitude_hz" in err
+        assert "Traceback" not in err
+
+    def test_removed_bare_coupling_key_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # No code read frame.bare_coupling_hz; it left the schema.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "rabi", "--set", "frame.bare_coupling_hz=5"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown configuration key 'frame.bare_coupling_hz'" in err
+        assert len(schema_document()["fields"]) == 30
+
     def test_failing_checks_exit_one(self, tmp_path, monkeypatch, capsys):
         # A detuned spin breaks the exchange contrast; the run completes,
         # reports FAIL lines, and exits 1.

@@ -63,8 +63,10 @@ from kerrspin.hamiltonians import (
 from kerrspin.scenarios import (
     _PAULIS,
     _channel_outputs,
+    _dissipationless_fidelity,
     _full_model,
     _lift_paulis,
+    _process_inputs,
     _resolve_frame,
     _written_model,
 )
@@ -731,6 +733,57 @@ class TestPauliChannelOutputs:
         assert lifts.shape == (16, d, d)
         for lift, pauli in zip(lifts, _PAULIS):
             assert lift.tobytes() == np.kron(np.eye(d // 4, dtype=complex), pauli).tobytes()
+
+
+def full_space_stripped_at(h: np.ndarray, reduce_spec: HilbertSpec | None, t: float) -> float:
+    """The former iswap-fidelity dissipationless reference: the full-space
+    propagator from `eigh`, the 16 input density matrices pushed through
+    it, the mode (if any) removed by a partial trace."""
+    kets = process_basis_kets()
+    evals, vecs = np.linalg.eigh(h)
+    u_t = (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+    if reduce_spec is None:
+        rho0s = np.stack([dm(k) for k in kets])
+    else:
+        cut = reduce_spec.dims[0]
+        vac = np.zeros((cut, cut), dtype=complex)
+        vac[0, 0] = 1.0
+        rho0s = np.stack([np.kron(vac, dm(k)) for k in kets])
+    outs = u_t @ rho0s @ u_t.conj().T
+    if reduce_spec is not None:
+        outs = partial_trace(outs, (1, 2), reduce_spec)
+    f_pro, _ = strip_local_phases(choi_from_outputs(outs), iswap_unitary())
+    return (4.0 * f_pro + 1.0) / 5.0
+
+
+class TestDissipationlessFidelity:
+    """The closed-system gate reference evolves the 16 input kets and
+    rebuilds each output from its Pauli expectations; the former
+    full-space propagator with a partial trace is the oracle."""
+
+    @pytest.mark.parametrize("cutoff", [None, 6, 11], ids=["written", "full-6", "full-11"])
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    def test_matches_full_space_reference(self, cutoff, fraction):
+        model, _rho0s, times = tomography_case(cutoff)
+        t = fraction * times[-1] / 1.4
+        reduce_spec = None if cutoff is None else model.spec
+        got = _dissipationless_fidelity(model.hamiltonian, t)
+        want = full_space_stripped_at(model.hamiltonian, reduce_spec, t)
+        assert abs(got - want) <= 1e-12
+        if fraction == 1.0:
+            assert got > 0.999
+
+    def test_inputs_on_two_spins_are_the_process_kets(self):
+        assert np.array_equal(_process_inputs(4), np.array(process_basis_kets()))
+
+    @pytest.mark.parametrize("d", [4, 24, 44])
+    def test_inputs_are_mode_vacuum_times_process_kets(self, d):
+        inputs = _process_inputs(d)
+        assert inputs.shape == (16, d)
+        vac = np.zeros((d // 4, d // 4), dtype=complex)
+        vac[0, 0] = 1.0
+        for psi, k in zip(inputs, process_basis_kets()):
+            assert np.array_equal(dm(psi), np.kron(vac, dm(k)))
 
 
 class TestBatchedDiagnostics:

@@ -10,10 +10,20 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from kerrspin.config import ConfigError, resolve
-from kerrspin.scenarios import SCENARIOS, list_scenarios, run_scenario
+from kerrspin.scenarios import (
+    CONSERVATION_GATE_TOL,
+    GATE_TOL,
+    SCENARIOS,
+    _gate_checks,
+    _merge,
+    _Run,
+    list_scenarios,
+    run_scenario,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -336,3 +346,81 @@ class TestConfigGuards:
         cfg = resolve("coupling-sweep", set_pairs=[("run.from_device", True)])
         with pytest.raises(ConfigError):
             run_scenario("coupling-sweep", cfg, tmp_path / "sweep")
+
+
+def synthetic_run(drift: float = 0.0, **cols) -> _Run:
+    return _Run({key: np.asarray(col, dtype=float) for key, col in cols.items()}, drift, {})
+
+
+class TestGateChecks:
+    """The three integration gates of every dynamical scenario come from
+    `_gate_checks`; synthetic runs pin what each gate reads."""
+
+    def observed(self, main: _Run, fine: _Run, bumped: _Run) -> list[float]:
+        return [c.observed for c in _gate_checks(main, fine, bumped, "norm-preservation")]
+
+    def test_names_bounds_and_tags(self):
+        run = synthetic_run(a=[0.0, 1.0])
+        checks = _gate_checks(run, run, run, "trace-preservation")
+        assert [c.name for c in checks] == [
+            "gate:step-refinement",
+            "gate:cutoff-bump",
+            "gate:trace-preservation",
+        ]
+        assert [c.expected for c in checks] == ["<= 1e-06", "<= 1e-06", "<= 1e-08"]
+        assert (GATE_TOL, CONSERVATION_GATE_TOL) == (1.0e-6, 1.0e-8)
+        assert all(c.provenance == "TRIVIAL" for c in checks)
+        assert all(c.passed for c in checks)
+
+    def test_bounds_decide_pass(self):
+        main = synthetic_run(2.0e-8, a=[0.0, 1.0])
+        fine = synthetic_run(a=[0.0, 1.0 + 2.0e-6])
+        bumped = synthetic_run(a=[0.0, 1.0 + 0.5e-6])
+        step, cutoff, conservation = _gate_checks(main, fine, bumped, "norm-preservation")
+        assert (step.passed, cutoff.passed, conservation.passed) == (False, True, False)
+
+    def test_stride_one_worst_over_points_and_columns(self):
+        main = synthetic_run(a=[0.0, 1.0, 2.0], b=[5.0, 5.0, 5.0])
+        fine = synthetic_run(a=[0.0, 1.0, 2.5], b=[5.0, 4.0, 5.0])
+        bumped = synthetic_run(a=[0.0, 1.25, 2.0], b=[5.0, 5.0, 5.125])
+        assert self.observed(main, fine, bumped)[:2] == [1.0, 0.25]
+
+    def test_stride_two_compares_at_main_grid_points(self):
+        # 2N+1 = 5 refined points against N+1 = 3: the odd samples lie
+        # between the main grid's points and are not compared.
+        main = synthetic_run(a=[0.0, 1.0, 2.0])
+        fine = synthetic_run(a=[0.0, 99.0, 1.5, -99.0, 2.0])
+        assert self.observed(main, fine, main)[:2] == [0.5, 0.0]
+
+    @pytest.mark.parametrize("n_rerun", [2, 4, 6, 7])
+    def test_non_refining_grid_raises(self, n_rerun):
+        main = synthetic_run(a=[0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="do not refine"):
+            _gate_checks(main, synthetic_run(a=np.zeros(n_rerun)), main, "norm-preservation")
+        with pytest.raises(ValueError, match="do not refine"):
+            _gate_checks(main, main, synthetic_run(a=np.zeros(n_rerun)), "norm-preservation")
+
+    def test_each_gate_reads_its_own_rerun(self):
+        main = synthetic_run(a=[0.0, 1.0, 2.0])
+        fine = synthetic_run(a=[0.0, 1.0, 2.0 + 3e-7])
+        bumped = synthetic_run(a=[0.0, 1.0 + 5e-7, 2.0])
+        assert self.observed(main, fine, bumped)[:2] == pytest.approx([3e-7, 5e-7], rel=1e-9)
+        assert self.observed(main, bumped, fine)[:2] == pytest.approx([5e-7, 3e-7], rel=1e-9)
+
+    @pytest.mark.parametrize("worst", [0, 1, 2])
+    def test_conservation_is_max_of_three_drifts(self, worst):
+        drifts = [1e-12, 2e-12, 3e-12]
+        drifts[worst] = 4e-9
+        main, fine, bumped = (synthetic_run(d, a=[0.0, 1.0]) for d in drifts)
+        assert self.observed(main, fine, bumped)[2] == 4e-9
+
+    def test_merge(self):
+        merged = _merge(
+            {
+                "x": _Run({"a_x": np.zeros(2)}, 1e-12, {"dim": 4}),
+                "y": _Run({"b_y": np.ones(2), "c_y": np.ones(2)}, 3e-12, {"dim": 8}),
+            }
+        )
+        assert list(merged.cols) == ["a_x", "b_y", "c_y"]
+        assert merged.drift == 3e-12
+        assert merged.info == {"x": {"dim": 4}, "y": {"dim": 8}}
