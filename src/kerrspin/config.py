@@ -123,19 +123,6 @@ _FIELDS = [
 
 SCHEMA: dict[str, FieldSpec] = {f.key: f for f in _FIELDS}
 
-_KIND_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "bool": (bool,),
-    "str": (str,),
-    "optional_int": (int, type(None)),
-    "optional_float": (int, float, type(None)),
-    "optional_str": (str, type(None)),
-    "int_list": (list,),
-    "float_list": (list,),
-}
-
-
 def _finite_float(key: str, raw: object) -> float:
     """A JSON number as a float; NaN, +-Infinity and overflowing integers
     (json.loads accepts all three) are rejected."""

@@ -82,8 +82,9 @@ class StepSizeError(ValueError):
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * scale:
-        raise ValueError("hamiltonian is not hermitian")
+    # Written as `not <=` so that a NaN or infinite entry fails too.
+    if not np.max(np.abs(h - h.conj().T)) <= HERMITICITY_TOL * scale:
+        raise ValueError("hamiltonian is not hermitian (or not finite)")
     return h
 
 
@@ -202,7 +203,7 @@ def evolve_unitary(
 
     norms = np.linalg.norm(states, axis=1)
     norm_drift = float(np.max(np.abs(norms - 1.0)))
-    if norm_drift > NORM_TOL:
+    if not norm_drift <= NORM_TOL:
         raise DiagnosticsError(f"unitary norm drift {norm_drift:.3e} exceeds {NORM_TOL}")
 
     obs = dict(observables or {})
@@ -408,18 +409,21 @@ def evolve_lindblad_batch(
     obs = _project_observables(obs, d, block)
 
     # Physicality diagnostics for every input in one pass over the stack.
+    # Each test is written as `not <=` (or `not >=`) so that a non-finite
+    # state (an overflowing propagator) fails it; trace and hermiticity go
+    # first, since eigvalsh cannot take such a state.
     adjoint = states.conj().swapaxes(-1, -2)
     trace_dev = np.max(np.abs(np.einsum("itjj->it", states) - 1.0), axis=1)
     herm_dev = np.max(np.abs(states - adjoint), axis=(1, 2, 3))
+    if not np.max(trace_dev) <= TRACE_TOL:
+        raise DiagnosticsError(f"trace deviation {np.max(trace_dev):.3e} exceeds {TRACE_TOL}")
+    if not np.max(herm_dev) <= 1e-10:
+        raise DiagnosticsError(f"hermiticity deviation {np.max(herm_dev):.3e} exceeds 1e-10")
     min_eig = np.min(np.linalg.eigvalsh(0.5 * (states + adjoint)), axis=(1, 2))
     if n < d:
         # The lifted state's zero block contributes eigenvalue 0.
         min_eig = np.minimum(min_eig, 0.0)
-    if np.max(trace_dev) > TRACE_TOL:
-        raise DiagnosticsError(f"trace deviation {np.max(trace_dev):.3e} exceeds {TRACE_TOL}")
-    if np.max(herm_dev) > 1e-10:
-        raise DiagnosticsError(f"hermiticity deviation {np.max(herm_dev):.3e} exceeds 1e-10")
-    if np.min(min_eig) < POSITIVITY_FLOOR:
+    if not np.min(min_eig) >= POSITIVITY_FLOOR:
         raise DiagnosticsError(
             f"state eigenvalue {np.min(min_eig):.3e} below floor {POSITIVITY_FLOOR}"
         )

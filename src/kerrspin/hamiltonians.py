@@ -10,9 +10,10 @@ The chain implemented here:
    squeezed mode with frequency delta_s = sqrt(delta_m^2 - kerr2^2) and an
    exponentially enhanced spin coupling G = (g/2)*exp(r) (``squeeze_frame``).
 
-Builders return dense Hermitian matrices on a ``HilbertSpec``. The
-convention for two-magnon strength: the mean amplitude is rotated
-real-positive first, so kerr2 is real.
+Builders return dense Hermitian matrices on a ``HilbertSpec``; each
+mode-plus-spin builder is a formula over ``_model_operators``, where the
+slot convention is stated and checked. Two-magnon strength: the mean
+amplitude is rotated real-positive first, so kerr2 is real.
 
 All rates and frequencies are angular (rad/s) unless a name says "_hz".
 """
@@ -236,19 +237,38 @@ def squeezing_for_ratio(ratio: float) -> float:
     return 0.5 * math.atanh(ratio)
 
 
-def _mode_and_spin_parts(spec: HilbertSpec):
-    """Split a spec into the leading mode slot and the trailing qubit slots.
+def _model_operators(spec: HilbertSpec, builder: str, spins: tuple[int, int | None] = (1, 1)):
+    """The embedded operators every mode-plus-spin builder is a formula over.
 
-    Convention: slot 0 is always the bosonic mode; every later slot must
-    be a qubit.
+    Slot convention: slot 0 is the bosonic mode and every later slot is a
+    qubit; `spins` = (fewest, most) qubits the builder takes, most None
+    for no limit. A spec that breaks either raises ValueError naming the
+    builder. Returns the mode's a and n (the exact number diagonal) and
+    each spin's (sp, sz), in slot order.
     """
-    spin_slots = list(range(1, len(spec.subsystems)))
-    for i in spin_slots:
-        if spec.subsystems[i].dim != 2:
-            raise ValueError(
-                f"subsystem {spec.subsystems[i].label!r} must be a qubit (dim 2)"
-            )
-    return 0, spin_slots
+    qubits = spec.subsystems[1:]
+    for sub in qubits:
+        if sub.dim != 2:
+            raise ValueError(f"{builder}: subsystem {sub.label!r} must be a qubit (dim 2)")
+    fewest, most = spins
+    if not fewest <= len(qubits) <= (len(qubits) if most is None else most):
+        takes = f"{fewest}" if fewest == most else f"{fewest} to {most or 'any number of'}"
+        raise ValueError(f"{builder} takes {takes} spin(s) after the mode, got {len(qubits)}")
+    cutoff, ops = spec.dims[0], qubit_ops()
+    a = embed(annihilation(cutoff), 0, spec)
+    n = embed(number_operator(cutoff), 0, spec)
+    slots = range(1, len(spec.dims))
+    return a, n, [(embed(ops["sp"], s, spec), embed(ops["sz"], s, spec)) for s in slots]
+
+
+def _co_rotating(a: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """sp a + a' sm: the excitation-exchange coupling of one spin."""
+    return sp @ a + a.conj().T @ sp.conj().T
+
+
+def _counter_rotating(a: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """sp a' + a sm: the sector the rotating-wave approximation drops."""
+    return sp @ a.conj().T + a @ sp.conj().T
 
 
 def nonlinear_hamiltonian(
@@ -262,22 +282,8 @@ def nonlinear_hamiltonian(
 
     H = (omega_q/2) sz + omega_m n - (K/2) n(n-1) + g (sp a + a' sm).
     """
-    mode_slot, spin_slots = _mode_and_spin_parts(spec)
-    if len(spin_slots) != 1:
-        raise ValueError("nonlinear_hamiltonian expects exactly one spin")
-    cutoff = spec.dims[mode_slot]
-    a = embed(annihilation(cutoff), mode_slot, spec)
-    n = a.conj().T @ a
-    ops = qubit_ops()
-    sz = embed(ops["sz"], spin_slots[0], spec)
-    sp = embed(ops["sp"], spin_slots[0], spec)
-    h = (
-        0.5 * omega_q * sz
-        + omega_m * n
-        - 0.5 * kerr * (n @ n - n)
-        + g * (sp @ a + a.conj().T @ sp.conj().T)
-    )
-    return h
+    a, n, [(sp, sz)] = _model_operators(spec, "nonlinear_hamiltonian")
+    return 0.5 * omega_q * sz + omega_m * n - 0.5 * kerr * (n @ n - n) + g * _co_rotating(a, sp)
 
 
 def linearized_hamiltonian(
@@ -290,40 +296,11 @@ def linearized_hamiltonian(
     H = delta_m n - (kerr2/2)(a^2 + a'^2) [+ (delta_q/2) sz + g(sp a + h.c.)].
     Accepts a mode-only spec when g = 0 (pure quadratic-mode spectrum).
     """
-    cutoff = spec.dims[0]
-    if len(spec.subsystems) == 1:
-        if g != 0.0:
-            raise ValueError("coupling g requires a spin subsystem in the spec")
-        a_local = annihilation(cutoff)
-        n_local = number_operator(cutoff)
-        return (
-            lin.delta_m * n_local
-            - 0.5 * lin.kerr2 * (a_local @ a_local + a_local.conj().T @ a_local.conj().T)
-        )
-    mode_slot, spin_slots = _mode_and_spin_parts(spec)
-    if len(spin_slots) != 1:
-        raise ValueError("linearized_hamiltonian expects at most one spin")
-    a = embed(annihilation(cutoff), mode_slot, spec)
-    n = a.conj().T @ a
-    ops = qubit_ops()
-    sz = embed(ops["sz"], spin_slots[0], spec)
-    sp = embed(ops["sp"], spin_slots[0], spec)
-    return (
-        lin.delta_m * n
-        - 0.5 * lin.kerr2 * (a @ a + a.conj().T @ a.conj().T)
-        + 0.5 * lin.delta_q * sz
-        + g * (sp @ a + a.conj().T @ sp.conj().T)
-    )
-
-
-def _exchange_parts(spec: HilbertSpec, spin_slot: int):
-    """Co- and counter-rotating coupling matrices for one spin."""
-    a = embed(annihilation(spec.dims[0]), 0, spec)
-    sp = embed(qubit_ops()["sp"], spin_slot, spec)
-    sm = sp.conj().T
-    co = sp @ a + a.conj().T @ sm
-    counter = sp @ a.conj().T + a @ sm
-    return co, counter
+    a, n, spins = _model_operators(spec, "linearized_hamiltonian", (0 if g == 0.0 else 1, 1))
+    h = lin.delta_m * n - 0.5 * lin.kerr2 * (a @ a + a.conj().T @ a.conj().T)
+    for sp, sz in spins:
+        h = h + 0.5 * lin.delta_q * sz + g * _co_rotating(a, sp)
+    return h
 
 
 def rabi_hamiltonian(
@@ -335,13 +312,9 @@ def rabi_hamiltonian(
 
     H = (delta_q/2) sz + delta_s n + G (a + a')(sp + sm).
     """
-    mode_slot, spin_slots = _mode_and_spin_parts(spec)
-    if len(spin_slots) != 1:
-        raise ValueError("rabi_hamiltonian expects exactly one spin")
-    n = embed(number_operator(spec.dims[mode_slot]), mode_slot, spec)
-    sz = embed(qubit_ops()["sz"], spin_slots[0], spec)
-    co, counter = _exchange_parts(spec, spin_slots[0])
-    return 0.5 * delta_q * sz + frame.mode_detuning * n + frame.coupling * (co + counter)
+    a, n, [(sp, sz)] = _model_operators(spec, "rabi_hamiltonian")
+    coupling = _co_rotating(a, sp) + _counter_rotating(a, sp)
+    return 0.5 * delta_q * sz + frame.mode_detuning * n + frame.coupling * coupling
 
 
 def squeezed_exact_hamiltonian(
@@ -365,13 +338,10 @@ def squeezed_exact_hamiltonian(
     if delta_q is None:
         delta_q = lin.delta_q
     frame = squeeze_frame(lin, g)
-    mode_slot, spin_slots = _mode_and_spin_parts(spec)
-    if len(spin_slots) != 1:
-        raise ValueError("squeezed_exact_hamiltonian expects exactly one spin")
-    base = rabi_hamiltonian(spec, frame, delta_q)
-    co, counter = _exchange_parts(spec, spin_slots[0])
-    residual = 0.5 * g * math.exp(-frame.squeezing) * (co - counter)
-    return base + residual
+    a, n, [(sp, sz)] = _model_operators(spec, "squeezed_exact_hamiltonian")
+    co, counter = _co_rotating(a, sp), _counter_rotating(a, sp)
+    base = 0.5 * delta_q * sz + frame.mode_detuning * n + frame.coupling * (co + counter)
+    return base + 0.5 * g * math.exp(-frame.squeezing) * (co - counter)
 
 
 def tavis_cummings_hamiltonian(
@@ -384,15 +354,10 @@ def tavis_cummings_hamiltonian(
     H = delta_s n + sum_i [ (delta_q/2) sz_i + G (sp_i a + a' sm_i) ].
     With a single spin this is the usual exchange (beam-splitter) model.
     """
-    mode_slot, spin_slots = _mode_and_spin_parts(spec)
-    if not spin_slots:
-        raise ValueError("tavis_cummings_hamiltonian expects at least one spin")
-    n = embed(number_operator(spec.dims[mode_slot]), mode_slot, spec)
+    a, n, spins = _model_operators(spec, "tavis_cummings_hamiltonian", (1, None))
     h = frame.mode_detuning * n
-    for slot in spin_slots:
-        sz = embed(qubit_ops()["sz"], slot, spec)
-        co, _ = _exchange_parts(spec, slot)
-        h = h + 0.5 * delta_q * sz + frame.coupling * co
+    for sp, sz in spins:
+        h = h + 0.5 * delta_q * sz + frame.coupling * _co_rotating(a, sp)
     return h
 
 

@@ -105,7 +105,6 @@ class ScenarioReport:
     """Everything one scenario run produced."""
 
     scenario: str
-    params: dict
     outputs: dict[str, str] = field(default_factory=dict)
     checks: list[CheckResult] = field(default_factory=list)
     info: dict = field(default_factory=dict)

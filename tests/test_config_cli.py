@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kerrspin.cli import main
@@ -301,6 +305,55 @@ class TestCli:
         err = capsys.readouterr().err
         assert "drive.amplitude_hz" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario", ["state-transfer", "iswap-fidelity"])
+    def test_overflowing_integration_exit_one(self, scenario, tmp_path, monkeypatch, capsys):
+        # Spectral scale ~1e36: the propagator's squarings overflow, and the
+        # non-finite states must trip a diagnostic rather than crash eigvalsh.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", scenario, "--from-device", "--set", "drive.amplitude_hz=1e50"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "integration diagnostics failed" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("amplitude", ["1e50", "1e100", "1e150", "1e153"])
+    def test_uncharged_battery_exit_one(self, amplitude, tmp_path, monkeypatch, capsys):
+        # delta_s ~ 2e35 rad/s against G ~ 6e3 rad/s: the first level never
+        # charges, so its peak time and peak power are 0. The ratios over
+        # them read NaN and fail; the report is still written.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "battery", "--from-device", "--set", f"drive.amplitude_hz={amplitude}"]
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "runs" / "battery" / "report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        for name in ("charge-time-speedup", "peak-power-ratio", "early-power-vanishes"):
+            assert math.isnan(checks[name]["observed"])
+            assert not checks[name]["passed"]
+
+    def test_runtime_loads_only_stdlib_numpy_and_kerrspin(self, tmp_path):
+        # NumPy is the only runtime dependency. Modules loaded before the
+        # import (site hooks can load third-party ones) are not counted.
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from kerrspin.cli import main\n"
+            "code = main(['run', 'rabi', '--out', sys.argv[1]])\n"
+            "print(code, *sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        code, *loaded = proc.stdout.split("\n")[-2].split()
+        assert code == "0"
+        assert {"kerrspin", "numpy"} <= set(loaded)
+        allowed = set(sys.stdlib_module_names) | {"kerrspin", "numpy"}
+        assert sorted(set(loaded) - allowed) == []
 
     def test_removed_bare_coupling_key_is_unknown(self, tmp_path, monkeypatch, capsys):
         # No code read frame.bare_coupling_hz; it left the schema.

@@ -1041,3 +1041,32 @@ class TestStateFidelity:
         assert state_fidelity(bell, target) == pytest.approx(0.5)
         sx = embed(qubit_ops()["sx"], 0, spec)
         assert sx.shape == (4, 4)
+
+
+class TestNonFiniteDiagnostics:
+    """Every physicality check fails on NaN: each is written `not x <= tol`."""
+
+    def test_overflowing_lindblad_run_fails_trace_check(self):
+        # Spectral scale 1e100: the squared-up propagator overflows and the
+        # states turn NaN, which must trip the trace check before eigvalsh.
+        spec = HilbertSpec.spins_only(1)
+        model = LindbladModel(1e100 * qubit_ops()["sx"], [(qubit_ops()["sm"], 1.0)], spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DiagnosticsError, match="trace deviation nan"):
+                evolve_lindblad(model, dm(basis_ket((0,), spec)), np.linspace(0.0, 1.0, 3))
+
+    def test_nan_hamiltonian_rejected(self):
+        spec = HilbertSpec.spins_only(1)
+        h = qubit_ops()["sx"].copy()
+        h[0, 0] = np.nan
+        with pytest.raises(ValueError, match="not hermitian"):
+            evolve_unitary(h, basis_ket((0,), spec), [0.0, 1.0])
+        with pytest.raises(ValueError, match="not hermitian"):
+            LindbladModel(h, [], spec)
+
+    def test_overflowing_unitary_phase_fails_norm_check(self):
+        # A finite hermitian H whose phases E t overflow: exp(-i inf) is NaN.
+        spec = HilbertSpec.spins_only(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DiagnosticsError, match="norm drift nan"):
+                evolve_unitary(1e308 * qubit_ops()["sx"], basis_ket((0,), spec), [0.0, 10.0])
