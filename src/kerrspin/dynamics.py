@@ -34,10 +34,11 @@ operators is exact, not a truncation. C'C must be in the search: the
 anticommutator term can leave a set that is closed under C alone.
 Excitation-conserving models shrink most, and models that conserve only
 a parity halve; observables are projected onto the block. An open-system
-batch takes its physicality diagnostics and every observable series in
-one pass over the (inputs, T, n, n) stack of block states, the series
-from a single matrix product; only the final states, and the state
-series when kept on request, are zero-padded back to the full space.
+batch streams its physicality diagnostics and observable series over
+the (inputs, T, n, n) stack of block states one input at a time, so no
+temporary is the size of the stack; each input's series come from one
+matrix product. Only the final states, and the state series when kept
+on request, are zero-padded back to the full space.
 
 Gate metrics reconstruct the two-qubit channel from 16 physical inputs
 (4 computational states, 6 real and 6 imaginary two-state
@@ -47,8 +48,9 @@ z-phases. All of them accept leading batch axes, so a whole time series
 of channels is scored in one call. The phase-stripped fidelity is a
 trigonometric polynomial in the two phases whose five independent
 Fourier coefficients are linear in the Choi matrix; they come from one
-contraction with a fixed kernel, and the maximum from a coarse scan plus
-a batched Newton polish (deterministic).
+contraction with a fixed kernel. At fixed phi1 the maximum over phi2 is
+closed-form, so the maximum comes from a 48-point scan over phi1 alone
+plus a batched Newton polish (deterministic).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from kerrspin.fock import (
     NORM_TOL,
     POSITIVITY_FLOOR,
     HilbertSpec,
+    _kron,
     dm,
 )
 
@@ -191,7 +194,7 @@ def evolve_unitary(
     if psi0.shape[0] != d:
         raise ValueError("state dimension does not match hamiltonian")
     norm0 = np.linalg.norm(psi0)
-    if abs(norm0 - 1.0) > NORM_TOL:
+    if not abs(norm0 - 1.0) <= NORM_TOL:  # `not <=`: a NaN norm fails too
         raise ValueError(f"initial state norm {norm0} deviates from 1")
 
     idx = _reachable(psi0 != 0, [h])
@@ -242,15 +245,12 @@ def liouvillian(h: np.ndarray, collapse: list[tuple[np.ndarray, float]]) -> np.n
     """Vectorized generator (row-major convention) of H and its collapse channels."""
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
     for op, rate in collapse:
         if rate == 0.0:
             continue
         opdop = op.conj().T @ op
-        gen += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
-        )
+        gen += rate * (_kron(op, op.conj()) - 0.5 * (_kron(opdop, eye) + _kron(eye, opdop.T)))
     return gen
 
 
@@ -324,17 +324,33 @@ def _resolve_step(model: LindbladModel, step: float | None, step_scale: float) -
     return step_scale * ceiling, scale
 
 
-def _validate_rho0(rho0: np.ndarray, d: int) -> np.ndarray:
-    rho = dm(np.asarray(rho0, dtype=complex))
-    if rho.shape != (d, d):
-        raise ValueError("initial state dimension mismatch")
-    if abs(np.trace(rho).real - 1.0) > NORM_TOL:
-        raise ValueError("initial state trace deviates from 1")
-    if np.max(np.abs(rho - rho.conj().T)) > NORM_TOL:
-        raise ValueError("initial state is not hermitian")
-    if float(np.min(np.linalg.eigvalsh(rho))) < POSITIVITY_FLOOR:
+def _validate_inputs(rho0_list: list[np.ndarray], d: int) -> np.ndarray:
+    """(inputs, d, d) stack of the initial density matrices, each checked.
+
+    The tests are written as `not <=` (or `not >=`) so that a NaN entry
+    fails them.
+    """
+    rhos = []
+    for rho0 in rho0_list:
+        rho = dm(np.asarray(rho0, dtype=complex))
+        if rho.shape != (d, d):
+            raise ValueError("initial state dimension mismatch")
+        if not abs(np.trace(rho).real - 1.0) <= NORM_TOL:
+            raise ValueError("initial state trace deviates from 1")
+        if not np.max(np.abs(rho - rho.conj().T)) <= NORM_TOL:
+            raise ValueError("initial state is not hermitian")
+        rhos.append(rho)
+    rhos = np.stack(rhos)
+    # Positivity of all inputs from one eigvalsh on their common support.
+    # Outside the rows and columns where some input is nonzero every
+    # input is exactly 0, so each is block diagonal with a zero block,
+    # whose eigenvalues 0 lie above POSITIVITY_FLOOR: the pass or fail is
+    # that of the full d x d spectra.
+    nonzero = rhos != 0
+    support = np.flatnonzero(np.any(nonzero, axis=(0, 1)) | np.any(nonzero, axis=(0, 2)))
+    if not np.min(np.linalg.eigvalsh(rhos[:, support[:, None], support])) >= POSITIVITY_FLOOR:
         raise ValueError("initial state is not positive semidefinite")
-    return rho
+    return rhos
 
 
 def evolve_lindblad_batch(
@@ -355,27 +371,24 @@ def evolve_lindblad_batch(
     """
     times = _validate_times(times)
     d = model.spec.dim
-    rhos0 = [_validate_rho0(r, d) for r in rho0_list]
+    rhos0 = _validate_inputs(rho0_list, d)
     h_req, scale = _resolve_step(model, step, step_scale)
 
     rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
-    seed = np.zeros(d, dtype=bool)
-    for rho in rhos0:
-        seed |= np.any(rho != 0, axis=1)
+    seed = np.any(rhos0 != 0, axis=(0, 2))
     idx = _reachable(
         seed, [model.hamiltonian] + [op for op, _ in rates] + [op.conj().T @ op for op, _ in rates]
     )
     block = np.ix_(idx, idx)
     n = idx.size
     gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
-    rhos0 = [rho[block] for rho in rhos0]
 
     n_in = len(rhos0)
     n_t = times.size
     # rows[j, i] is input i's row-major state vector at times[j]; a step
     # is rows[j + 1] = rows[j] @ P^T.
     rows = np.empty((n_t, n_in, n * n), dtype=complex)
-    rows[0] = np.stack([rho.reshape(-1) for rho in rhos0])
+    rows[0] = rhos0[:, idx[:, None], idx].reshape(n_in, n * n)
     flat = rows.reshape(n_t * n_in, n * n)
     diffs = np.diff(times)
     uniform = bool(np.all(np.abs(diffs - diffs[0]) <= 1e-9 * diffs[0]))
@@ -408,18 +421,23 @@ def evolve_lindblad_batch(
         obs.setdefault(name, op)
     obs = _project_observables(obs, d, block)
 
-    # Physicality diagnostics for every input in one pass over the stack.
-    # Each test is written as `not <=` (or `not >=`) so that a non-finite
-    # state (an overflowing propagator) fails it; trace and hermiticity go
-    # first, since eigvalsh cannot take such a state.
-    adjoint = states.conj().swapaxes(-1, -2)
-    trace_dev = np.max(np.abs(np.einsum("itjj->it", states) - 1.0), axis=1)
-    herm_dev = np.max(np.abs(states - adjoint), axis=(1, 2, 3))
+    # Physicality diagnostics, one input's (T, n, n) series at a time, so
+    # that no temporary is the size of the whole stack. Each test is
+    # written as `not <=` (or `not >=`) so that a non-finite state (an
+    # overflowing propagator) fails it; trace and hermiticity go first
+    # for every input, since eigvalsh cannot take such a state.
+    trace_dev = np.empty(n_in)
+    herm_dev = np.empty(n_in)
+    for i, rho_t in enumerate(states):
+        trace_dev[i] = np.max(np.abs(np.einsum("tjj->t", rho_t) - 1.0))
+        herm_dev[i] = np.max(np.abs(rho_t - rho_t.conj().swapaxes(-1, -2)))
     if not np.max(trace_dev) <= TRACE_TOL:
         raise DiagnosticsError(f"trace deviation {np.max(trace_dev):.3e} exceeds {TRACE_TOL}")
     if not np.max(herm_dev) <= 1e-10:
         raise DiagnosticsError(f"hermiticity deviation {np.max(herm_dev):.3e} exceeds 1e-10")
-    min_eig = np.min(np.linalg.eigvalsh(0.5 * (states + adjoint)), axis=(1, 2))
+    min_eig = np.empty(n_in)
+    for i, rho_t in enumerate(states):
+        min_eig[i] = np.min(np.linalg.eigvalsh(0.5 * (rho_t + rho_t.conj().swapaxes(-1, -2))))
     if n < d:
         # The lifted state's zero block contributes eigenvalue 0.
         min_eig = np.minimum(min_eig, 0.0)
@@ -429,10 +447,9 @@ def evolve_lindblad_batch(
         )
 
     # tr(O rho) = sum_ij rho[i, j] O[j, i]: every observable's series from
-    # one GEMM of the row-major state stack against the stacked O^T.
+    # one GEMM per input of its row-major states against the stacked O^T.
     names = list(obs)
     columns = np.stack([obs[name].T.reshape(-1) for name in names], axis=1)  # (n*n, n_obs)
-    values = (flat @ columns).real.reshape(n_t, n_in, len(names))
 
     def lift(rho: np.ndarray) -> np.ndarray:
         full = np.zeros(rho.shape[:-2] + (d, d), dtype=complex)
@@ -442,6 +459,7 @@ def evolve_lindblad_batch(
     finals = lift(states[:, -1])
     out = []
     for i in range(n_in):
+        values = np.ascontiguousarray((rows[:, i] @ columns).real.T)  # (n_obs, T)
         diagnostics = {
             "method": "taylor4-superoperator",
             "spectral_scale": scale,
@@ -457,7 +475,7 @@ def evolve_lindblad_batch(
         out.append(
             Trajectory(
                 times=times,
-                observables={name: values[:, i, m] for m, name in enumerate(names)},
+                observables=dict(zip(names, values)),
                 final_state=finals[i],
                 diagnostics=diagnostics,
                 states=lift(states[i]) if keep_states else None,
@@ -514,6 +532,25 @@ def iswap_ideal_map(state: np.ndarray) -> np.ndarray:
 _PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def _choi_gather() -> np.ndarray:
+    """Flat index, per entry of J, into the 16 stacked (4, 4) output blocks
+    E(|j><j|) for j = 0..3, then E(|j><k|) and E(|k><j|) over `_PAIR_ORDER`.
+
+    The block positions are scattered to pos[j, k, a, b] = E(|j><k|)[a, b]
+    and ordered as J[a*4 + j, b*4 + k], once, so a Choi matrix is a gather.
+    """
+    j, k = np.array(_PAIR_ORDER).T
+    diag = np.arange(_GATE_DIM)
+    pos = np.empty((_GATE_DIM,) * 4, dtype=int)
+    pos[np.concatenate([diag, j, k]), np.concatenate([diag, k, j])] = np.arange(
+        _GATE_DIM**4
+    ).reshape(16, _GATE_DIM, _GATE_DIM)
+    return pos.transpose(2, 0, 3, 1).reshape(-1)
+
+
+_CHOI_GATHER = _choi_gather()
+
+
 def process_basis_kets() -> list[np.ndarray]:
     """The 16 two-qubit input states used for channel reconstruction.
 
@@ -547,20 +584,17 @@ def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
     batch = outputs.shape[:-3]
     comp = outputs[..., :4, :, :]
     j, k = np.array(_PAIR_ORDER).T
-    e_jk = outputs[..., 4:10, :, :] + 1j * outputs[..., 10:16, :, :] - (1.0 + 1j) / 2.0 * (
-        comp[..., j, :, :] + comp[..., k, :, :]
-    )
-    # blocks[..., j, k, a, b] = E(|j><k|)[a, b], scattered in one go.
-    diag = np.arange(_GATE_DIM)
-    blocks = np.empty(batch + (_GATE_DIM,) * 4, dtype=complex)
-    blocks[..., np.concatenate([diag, j, k]), np.concatenate([diag, k, j]), :, :] = np.concatenate(
-        [comp, e_jk, e_jk.conj().swapaxes(-1, -2)], axis=-3
-    )
-    # J[a*4 + j, b*4 + k] = E(|j><k|)[a, b] / 4
-    nb = len(batch)
-    choi = blocks.transpose(tuple(range(nb)) + (nb + 2, nb, nb + 3, nb + 1)).reshape(
-        batch + (_GATE_DIM**2, _GATE_DIM**2)
-    ) / _GATE_DIM
+    # The blocks in `_choi_gather` order, each E(|j><k|) formed in place.
+    blocks = np.empty(outputs.shape, dtype=complex)
+    blocks[..., :4, :, :] = comp
+    e_jk = blocks[..., 4:10, :, :]
+    np.multiply(1j, outputs[..., 10:16, :, :], out=e_jk)
+    np.add(outputs[..., 4:10, :, :], e_jk, out=e_jk)
+    e_jk -= (1.0 + 1j) / 2.0 * (comp[..., j, :, :] + comp[..., k, :, :])
+    np.conjugate(e_jk.swapaxes(-1, -2), out=blocks[..., 10:16, :, :])
+    choi = np.take(blocks.reshape(batch + (_GATE_DIM**4,)), _CHOI_GATHER, axis=-1)
+    choi = choi.reshape(batch + (_GATE_DIM**2, _GATE_DIM**2))
+    choi /= _GATE_DIM
 
     reduced = np.einsum("...aiaj->...ij", choi.reshape(batch + (_GATE_DIM,) * 4))
     defect = np.max(np.abs(_GATE_DIM * reduced - np.eye(_GATE_DIM)), axis=(-2, -1))
@@ -579,7 +613,7 @@ def _ideal_choi_vector(u: np.ndarray) -> np.ndarray:
     phi = np.zeros(_GATE_DIM**2, dtype=complex)
     for j in range(_GATE_DIM):
         phi[j * _GATE_DIM + j] = 1.0 / np.sqrt(_GATE_DIM)
-    return np.kron(u, np.eye(_GATE_DIM, dtype=complex)) @ phi
+    return _kron(u, np.eye(_GATE_DIM, dtype=complex)) @ phi
 
 
 def process_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float | np.ndarray:
@@ -609,12 +643,7 @@ _HARMONICS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 # Row m holds h_m h_m^T flattened, so the Hessian is one product against it.
 _HARMONIC_OUTER = (_HARMONICS[:, :, None] * _HARMONICS[:, None, :]).reshape(4, 4)
 _SCAN = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
-_SCAN_GRID = np.stack(np.meshgrid(_SCAN, _SCAN, indexing="ij"), axis=-1).reshape(-1, 2)
-# Elementwise, not `@`: a first BLAS call at import would start its threads.
-_SCAN_ANGLES = (_HARMONICS[:, None, :] * _SCAN_GRID).sum(axis=-1)  # (4, 2304)
-# 2 Re(c e^{i theta}) = 2 Re(c) cos(theta) - 2 Im(c) sin(theta), rows
-# matching [Re c, Im c]; the factor 2 is exact, so it is stored here.
-_SCAN_TRIG = 2.0 * np.concatenate([np.cos(_SCAN_ANGLES), -np.sin(_SCAN_ANGLES)])  # (8, 2304)
+_SCAN_PHASE = np.exp(1j * _SCAN)
 
 
 def _fourier_kernel(vec: np.ndarray) -> np.ndarray:
@@ -647,8 +676,9 @@ def strip_local_phases(
     F(phi1, phi2) is a trigonometric polynomial with harmonics in
     {-1, 0, 1} per axis; its five independent Fourier coefficients are
     linear in the Choi matrix J, read off with one fixed kernel. The
-    maximum is located by a 48 x 48 coarse scan plus Newton refinement,
-    then F is evaluated directly there. Batched over the leading axes of
+    maximum is located by a 48-point scan over phi1, each point at its
+    exact maximum over phi2, plus Newton refinement; then F is evaluated
+    directly there. Batched over the leading axes of
     `choi` (..., 16, 16), returning the maxima (...) and phases (..., 2);
     a single Choi matrix gives (float, (phi1, phi2)). Deterministic.
     """
@@ -656,16 +686,22 @@ def strip_local_phases(
     batch = choi.shape[:-2]
     flat = choi.reshape(-1, _GATE_DIM**2, _GATE_DIM**2)
     vec = _ideal_choi_vector(np.asarray(target_unitary, dtype=complex))
-    # F = Re <w|J|w> only sees the hermitian part of J.
-    herm = 0.5 * (flat + flat.conj().swapaxes(-1, -2))
+    # F = Re <w|J|w> only sees the hermitian part of J, formed in one buffer.
+    herm = np.conjugate(flat.swapaxes(-1, -2), out=np.empty_like(flat))
+    herm += flat
+    herm *= 0.5
     coeff = herm.reshape(-1, _GATE_DIM**4) @ _fourier_kernel(vec).reshape(-1, _GATE_DIM**4).T
 
-    parts = np.concatenate([coeff[:, 1:].real, coeff[:, 1:].imag], axis=1)  # (N, 8)
-    scan = parts @ _SCAN_TRIG
-    scan += coeff[:, :1].real
+    # At fixed phi1, F = A + 2 Re(B e^{i phi2}) with A = c0 + 2 Re(c1 e^{i phi1})
+    # and B = c2 + c3 e^{i phi1} + conj(c4) e^{-i phi1}, so its maximum over
+    # phi2 is A + 2|B|, at phi2 = -arg B.
+    c0, c1, c2, c3, c4 = (coeff[:, m : m + 1] for m in range(5))
+    b = c2 + c3 * _SCAN_PHASE + c4.conj() * _SCAN_PHASE.conj()  # (N, 48)
+    scan = c0.real + 2.0 * (c1 * _SCAN_PHASE).real + 2.0 * np.abs(b)
     pick = np.argmax(scan, axis=1)
-    best_val = scan[np.arange(len(pick)), pick]
-    best = _SCAN_GRID[pick]
+    best = np.stack([_SCAN[pick], -np.angle(b[np.arange(len(pick)), pick])], axis=-1)
+    # The start value as the polish evaluates F, so the two compare alike.
+    best_val = _trig_poly(coeff, best, value_only=True)
 
     # Newton polish; each element stops on a singular Hessian, a
     # non-finite step, a decrease of F, or a step below 1e-13.

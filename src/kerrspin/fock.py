@@ -110,6 +110,16 @@ def qubit_ops() -> dict[str, np.ndarray]:
     }
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) for a matrix `a`, without np.kron's call overhead.
+
+    The result forms the same complex products as np.kron, so it is bit
+    for bit equal to it. Leading axes of `b` are batch axes.
+    """
+    (m, n), (p, q) = a.shape, b.shape[-2:]
+    return (a[:, None, :, None] * b[..., None, :, None, :]).reshape(b.shape[:-2] + (m * p, n * q))
+
+
 def embed(op: np.ndarray, slot: int, spec: HilbertSpec) -> np.ndarray:
     """Lift a single-subsystem operator into the composite space."""
     dims = spec.dims
@@ -121,7 +131,7 @@ def embed(op: np.ndarray, slot: int, spec: HilbertSpec) -> np.ndarray:
         )
     left = np.eye(int(np.prod(dims[:slot])), dtype=complex)
     right = np.eye(int(np.prod(dims[slot + 1 :])), dtype=complex)
-    return np.kron(np.kron(left, op), right)
+    return _kron(_kron(left, op), right)
 
 
 def ket(amplitudes: dict[tuple[int, ...], complex], spec: HilbertSpec) -> np.ndarray:

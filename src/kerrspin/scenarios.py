@@ -30,7 +30,7 @@ from . import device
 from . import dynamics as dyn
 from . import hamiltonians as ham
 from .config import ConfigError, RunConfig
-from .fock import HilbertSpec, annihilation, basis_ket, dm, embed, qubit_ops
+from .fock import HilbertSpec, _kron, annihilation, basis_ket, dm, embed, qubit_ops
 from .reporting import (
     CheckResult,
     ScenarioReport,
@@ -712,7 +712,7 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
 # The 16 two-qubit Paulis s_a (x) s_b over s = (I, sx, sy, sz), a-major.
 _SINGLE_PAULIS = [qubit_ops()[name] for name in ("id", "sx", "sy", "sz")]
-_PAULIS = np.stack([np.kron(a, b) for a in _SINGLE_PAULIS for b in _SINGLE_PAULIS])
+_PAULIS = np.stack([_kron(a, b) for a in _SINGLE_PAULIS for b in _SINGLE_PAULIS])
 
 
 def _lift_paulis(d: int) -> np.ndarray:
@@ -721,8 +721,7 @@ def _lift_paulis(d: int) -> np.ndarray:
     lift[p, i*4 + a, j*4 + b] = I[i, j] P_p[a, b], the same complex products
     np.kron forms (einsum's differ in the sign of some zeros).
     """
-    rest = np.eye(d // 4, dtype=complex)
-    return (rest[:, None, :, None] * _PAULIS[:, None, :, None, :]).reshape(16, d, d)
+    return _kron(np.eye(d // 4, dtype=complex), _PAULIS)
 
 
 def _pauli_observables(d: int) -> dict[str, np.ndarray]:

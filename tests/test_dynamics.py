@@ -15,6 +15,8 @@ Analytic oracles used here, all closed-form:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,7 @@ from kerrspin.scenarios import (
     _dissipationless_fidelity,
     _full_model,
     _lift_paulis,
+    _pauli_observables,
     _process_inputs,
     _resolve_frame,
     _written_model,
@@ -255,6 +258,59 @@ class TestLindblad:
                 evolve_lindblad(
                     model, rho0, np.linspace(0.0, 1.0, 5), observables={"bad": np.eye(*shape)}
                 )
+
+    def test_initial_state_validation(self):
+        spec = HilbertSpec.spins_only(2)
+        q = qubit_ops()
+        model = LindbladModel(0.3 * embed(q["sx"], 0, spec), [(embed(q["sm"], 1, spec), 0.5)], spec)
+        times = np.linspace(0.0, 1.0, 5)
+        good = dm(basis_ket((0, 0), spec))
+        skew = good.copy()
+        skew[0, 1] = 1e-6
+        # Eigenvalues 1.1 and -0.1 on the block of basis states 1 and 2.
+        negative = np.zeros((4, 4), dtype=complex)
+        negative[1:3, 1:3] = [[0.5, 0.6], [0.6, 0.5]]
+        cases = {
+            "dimension mismatch": np.eye(2) / 2.0,
+            "trace deviates from 1": 2.0 * good,
+            "not hermitian": skew,
+            "not positive semidefinite": negative,
+        }
+        for message, bad in cases.items():
+            with pytest.raises(ValueError, match=f"^initial state .*{message}$"):
+                evolve_lindblad_batch(model, [good, bad], times)
+
+    @pytest.mark.parametrize("eigenvalue, passes", [(-1e-9, True), (-1e-7, False)])
+    def test_positivity_floor_on_common_support(self, eigenvalue, passes):
+        # One input mixes basis states 1 and 2 with eigenvalues
+        # (1 - eigenvalue, eigenvalue); the batch's common support is
+        # {0, 1, 2} of 4, and the floor (-1e-8) must still decide.
+        spec = HilbertSpec.spins_only(2)
+        model = LindbladModel(np.zeros((4, 4), dtype=complex), [], spec)
+        mixed = np.zeros((4, 4), dtype=complex)
+        mixed[1:3, 1:3] = [[0.5, 0.5 - eigenvalue], [0.5 - eigenvalue, 0.5]]
+        inputs = [dm(basis_ket((0, 0), spec)), mixed]
+        times = np.linspace(0.0, 1.0, 3)
+        if passes:
+            evolve_lindblad_batch(model, inputs, times)
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                evolve_lindblad_batch(model, inputs, times)
+
+    def test_inputs_diagonalised_once_on_their_support(self, monkeypatch):
+        model, rho0s, _times = tomography_case(6)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        stack = dynamics._validate_inputs(rho0s, model.spec.dim)
+        # The 16 inputs live on the mode vacuum times the 4 spin states.
+        assert shapes == [(16, 4, 4)]
+        assert stack.tobytes() == np.stack(rho0s).tobytes()
 
     def test_keep_states_shape(self):
         spec = HilbertSpec.spins_only(1)
@@ -786,8 +842,31 @@ class TestDissipationlessFidelity:
             assert np.array_equal(dm(psi), np.kron(vac, dm(k)))
 
 
+def reached_indices(model: LindbladModel, rho0s: list[np.ndarray]) -> np.ndarray:
+    """The solver's reached block: the search from the inputs' support
+    through H, every collapse operator with a nonzero rate and its C'C."""
+    rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
+    seed = np.any(np.stack(rho0s) != 0, axis=(0, 2))
+    ops = [model.hamiltonian] + [op for op, _ in rates] + [op.conj().T @ op for op, _ in rates]
+    return dynamics._reachable(seed, ops)
+
+
+def one_pass_diagnostics(states: np.ndarray, d: int) -> dict[str, np.ndarray]:
+    """The former all-at-once diagnostics over the whole (inputs, T, n, n)
+    stack of block states, one value per input."""
+    adjoint = states.conj().swapaxes(-1, -2)
+    min_eig = np.min(np.linalg.eigvalsh(0.5 * (states + adjoint)), axis=(1, 2))
+    if states.shape[-1] < d:
+        min_eig = np.minimum(min_eig, 0.0)
+    return {
+        "trace_deviation": np.max(np.abs(np.einsum("itjj->it", states) - 1.0), axis=1),
+        "hermiticity_deviation": np.max(np.abs(states - adjoint), axis=(1, 2, 3)),
+        "min_eigenvalue": min_eig,
+    }
+
+
 class TestBatchedDiagnostics:
-    """Diagnostics and observables come from one pass over the whole
+    """Diagnostics and observables are taken one input at a time over the
     (inputs, T, n, n) stack; each input must get its own values."""
 
     @pytest.mark.parametrize("cutoff", [None, 6], ids=["written", "full-6"])
@@ -816,6 +895,17 @@ class TestBatchedDiagnostics:
         # The inputs differ, so a reduction across inputs would show.
         for key in ("trace_deviation", "min_eigenvalue"):
             assert len({tr.diagnostics[key] for tr in trajs}) > 8
+
+    @pytest.mark.parametrize("cutoff", [None, 6], ids=["written", "full-6"])
+    def test_streamed_diagnostics_equal_one_pass_oracle(self, cutoff):
+        model, rho0s, times = tomography_case(cutoff)
+        trajs = evolve_lindblad_batch(model, rho0s, times, keep_states=True)
+        idx = reached_indices(model, rho0s)
+        block = np.stack([tr.states[:, idx[:, None], idx] for tr in trajs])
+        want = one_pass_diagnostics(block, model.spec.dim)
+        for i, tr in enumerate(trajs):
+            for key, values in want.items():
+                assert tr.diagnostics[key] == values[i]
 
     def test_observables_match_per_input_einsum(self):
         model, rho0s, times = tomography_case(6)
@@ -857,6 +947,44 @@ class TestBatchedDiagnostics:
             evolve_lindblad_batch(model, [ground, plus, excited], np.linspace(0.0, 1.0, 3))
 
 
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes tracemalloc sees allocated during fn(*args, **kwargs),
+    on a second call so that one-time setup is not counted."""
+    fn(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """The gate-tomography layers make no temporary the size of what they
+    are given. Each bound is a small multiple of the data the layer must
+    hold; the former one-pass diagnostics peaked at 3.5x the state stack,
+    the 48 x 48 phase scan at 5.8x the Choi series and the block scatter
+    of choi_from_outputs at 3.4x its output series."""
+
+    def test_lindblad_batch_peak(self):
+        model, rho0s, times = tomography_case(6)
+        observables = _pauli_observables(model.spec.dim)
+        peak = traced_peak(evolve_lindblad_batch, model, rho0s, times, observables=observables)
+        n = 8  # reached block: the mode vacuum and one quantum times two spins
+        assert reached_indices(model, rho0s).size == n
+        stack = times.size * len(rho0s) * n * n * np.dtype(complex).itemsize
+        assert peak <= 2.0 * stack
+
+    def test_choi_from_outputs_peak(self, channel_output_series):
+        outputs = channel_output_series["full"]
+        assert traced_peak(choi_from_outputs, outputs) <= 2.75 * outputs.nbytes
+
+    def test_strip_local_phases_peak(self, channel_output_series):
+        choi = choi_from_outputs(channel_output_series["full"])
+        assert choi.shape == (281, 16, 16)
+        assert traced_peak(strip_local_phases, choi, iswap_unitary()) <= 2.0 * choi.nbytes
+
+
 class TestBatchedGateMetrics:
     """The time-batched gate metrics against the per-time-point oracle."""
 
@@ -890,6 +1018,25 @@ class TestBatchedGateMetrics:
         # Only t = 0 is flat: the identity channel scores 0.25 along the
         # whole ridge phi1 + phi2 = const.
         assert flat_maxima == [0]
+
+    @pytest.mark.parametrize("channel", ["written", "full"])
+    def test_choi_bitwise_equals_block_scatter(self, channel_output_series, channel):
+        # The former construction: E(|j><k|) scattered into a (..., 4, 4, 4, 4)
+        # block array, then transposed and reshaped into J.
+        outputs = channel_output_series[channel]
+        comp = outputs[:, :4]
+        j, k = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).T
+        e_jk = outputs[:, 4:10] + 1j * outputs[:, 10:16] - (1.0 + 1j) / 2.0 * (
+            comp[:, j] + comp[:, k]
+        )
+        diag = np.arange(4)
+        blocks = np.empty((len(outputs), 4, 4, 4, 4), dtype=complex)
+        blocks[:, np.concatenate([diag, j, k]), np.concatenate([diag, k, j])] = np.concatenate(
+            [comp, e_jk, e_jk.conj().swapaxes(-1, -2)], axis=1
+        )
+        want = blocks.transpose(0, 3, 1, 4, 2).reshape(-1, 16, 16) / 4
+        assert choi_from_outputs(outputs).tobytes() == want.tobytes()
+        assert choi_from_outputs(outputs[200]).tobytes() == want[200].tobytes()
 
     def test_unbatched_inputs_keep_scalar_types(self, channel_output_series):
         u = iswap_unitary()
@@ -935,9 +1082,7 @@ def sequential_block_reference(model: LindbladModel, rho0s: list[np.ndarray], dt
     """
     d = model.spec.dim
     rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
-    seed = np.any(np.stack(rho0s) != 0, axis=(0, 2))
-    ops = [model.hamiltonian] + [op for op, _ in rates] + [op.conj().T @ op for op, _ in rates]
-    idx = dynamics._reachable(seed, ops)
+    idx = reached_indices(model, rho0s)
     block = np.ix_(idx, idx)
     gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
     h_req = DEFAULT_STEP_SCALE * STEP_BUDGET / spectral_scale(model)
@@ -1063,6 +1208,18 @@ class TestNonFiniteDiagnostics:
             evolve_unitary(h, basis_ket((0,), spec), [0.0, 1.0])
         with pytest.raises(ValueError, match="not hermitian"):
             LindbladModel(h, [], spec)
+
+    def test_nan_initial_states_rejected(self):
+        spec = HilbertSpec.spins_only(1)
+        model = LindbladModel(qubit_ops()["sx"], [(qubit_ops()["sm"], 1.0)], spec)
+        times = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="initial state trace deviates from 1"):
+            evolve_lindblad(model, np.diag([1.0, np.nan]), times)
+        for bad in (np.nan, np.inf):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not hermitian"):
+                evolve_lindblad(model, np.array([[1.0, bad], [bad, 0.0]]), times)
+        with pytest.raises(ValueError, match="initial state norm nan deviates from 1"):
+            evolve_unitary(qubit_ops()["sx"], np.array([np.nan, 0.0]), times)
 
     def test_overflowing_unitary_phase_fails_norm_check(self):
         # A finite hermitian H whose phases E t overflow: exp(-i inf) is NaN.
