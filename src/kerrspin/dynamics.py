@@ -40,12 +40,14 @@ temporary is the size of the stack; each input's series come from one
 matrix product. Only the final states, and the state series when kept
 on request, are zero-padded back to the full space.
 
-Gate metrics reconstruct the two-qubit channel from 16 physical inputs
-(4 computational states, 6 real and 6 imaginary two-state
-superpositions), assemble the Choi matrix, and score it against the
-ideal excitation-swap gate, optionally maximizing over the two local
-z-phases. All of them accept leading batch axes, so a whole time series
-of channels is scored in one call. The phase-stripped fidelity is a
+The two-qubit gate metrics hold the whole tomography protocol: the 16
+physical inputs (4 computational states, 6 real and 6 imaginary
+two-state superpositions; a mode, if any, in its ground state), the
+Pauli observables each output is rebuilt from, and one fidelity path
+that assembles the Choi matrix and scores it against the ideal
+excitation-swap gate, raw and maximized over the two local z-phases.
+All of them accept leading batch axes, so a whole time series of
+channels is scored in one call. The phase-stripped fidelity is a
 trigonometric polynomial in the two phases whose five independent
 Fourier coefficients are linear in the Choi matrix; they come from one
 contraction with a fixed kernel. At fixed phi1 the maximum over phi2 is
@@ -66,6 +68,7 @@ from kerrspin.fock import (
     HilbertSpec,
     _kron,
     dm,
+    qubit_ops,
 )
 
 TRACE_TOL = 1e-8
@@ -162,8 +165,12 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
     return times
 
 
-def _project_observables(obs: dict[str, np.ndarray], d: int, block) -> dict[str, np.ndarray]:
-    """Each observable's block on the reached subspace, after a shape check."""
+def _project_observables(observables: dict | None, spec: HilbertSpec | None, d: int, block) -> dict:
+    """Each observable's block on the reached subspace, after a shape check;
+    the spec's population observables fill in the names not given."""
+    obs = dict(observables or {})
+    for name, op in (default_population_observables(spec) if spec else {}).items():
+        obs.setdefault(name, op)
     out = {}
     for name, op in obs.items():
         op = np.asarray(op)
@@ -209,15 +216,11 @@ def evolve_unitary(
     if not norm_drift <= NORM_TOL:
         raise DiagnosticsError(f"unitary norm drift {norm_drift:.3e} exceeds {NORM_TOL}")
 
-    obs = dict(observables or {})
-    if spec is not None:
-        for name, op in default_population_observables(spec).items():
-            obs.setdefault(name, op)
     # <psi|O|psi> per time point: one GEMM, then a row-wise conjugate dot.
     conj = states.conj()
     series = {
         name: np.einsum("ti,ti->t", conj, states @ op.T).real
-        for name, op in _project_observables(obs, d, block).items()
+        for name, op in _project_observables(observables, spec, d, block).items()
     }
     diagnostics = {
         "method": "eigendecomposition",
@@ -294,6 +297,8 @@ def _interval_propagator(gen: np.ndarray, dt: float, h_req: float) -> tuple[np.n
     The substep count is the smallest power of two with dt/k <= h_req, so
     halving the requested step exactly doubles the substeps.
     """
+    if not np.isfinite(dt / h_req):
+        raise StepSizeError(f"grid interval {dt:.6e} s holds no finite count of {h_req:.6e} s")
     k = 1
     while dt / k > h_req:
         k *= 2
@@ -381,6 +386,7 @@ def evolve_lindblad_batch(
     )
     block = np.ix_(idx, idx)
     n = idx.size
+    obs = _project_observables(observables, model.spec, d, block)
     gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
 
     n_in = len(rhos0)
@@ -415,11 +421,6 @@ def evolve_lindblad_batch(
             max_substeps = max(max_substeps, k)
             np.matmul(rows[j - 1], prop.T, out=rows[j])
     states = rows.reshape(n_t, n_in, n, n).swapaxes(0, 1)  # (n_in, T, n, n) view
-
-    obs = dict(observables or {})
-    for name, op in default_population_observables(model.spec).items():
-        obs.setdefault(name, op)
-    obs = _project_observables(obs, d, block)
 
     # Physicality diagnostics, one input's (T, n, n) series at a time, so
     # that no temporary is the size of the whole stack. Each test is
@@ -551,20 +552,44 @@ def _choi_gather() -> np.ndarray:
 _CHOI_GATHER = _choi_gather()
 
 
-def process_basis_kets() -> list[np.ndarray]:
-    """The 16 two-qubit input states used for channel reconstruction.
+def process_basis_kets(d: int = _GATE_DIM) -> np.ndarray:
+    """(16, d) tomography inputs: the leading d/4 levels (the mode, if any)
+    in their ground state times each two-qubit ket, the spins last.
 
-    Order: computational |0..3>, then (|j>+|k>)/sqrt2 over the pair list
+    Kets: computational |0..3>, then (|j>+|k>)/sqrt2 over the pair list
     ((0,1),(0,2),(0,3),(1,2),(1,3),(2,3)), then (|j>+i|k>)/sqrt2 over the
-    same pairs. Downstream reconstruction relies on this exact order.
+    same pairs. `_CHOI_GATHER` relies on this exact order.
     """
     eye = np.eye(_GATE_DIM, dtype=complex)
-    kets = [eye[:, j].copy() for j in range(_GATE_DIM)]
-    for j, k in _PAIR_ORDER:
-        kets.append((eye[:, j] + eye[:, k]) / np.sqrt(2.0))
-    for j, k in _PAIR_ORDER:
-        kets.append((eye[:, j] + 1j * eye[:, k]) / np.sqrt(2.0))
+    j, k = np.array(_PAIR_ORDER).T
+    kets = np.zeros((16, d), dtype=complex)
+    kets[:, :_GATE_DIM] = np.concatenate(
+        [eye, (eye[j] + eye[k]) / np.sqrt(2.0), (eye[j] + 1j * eye[k]) / np.sqrt(2.0)]
+    )
     return kets
+
+
+# The 16 two-qubit Paulis s_a (x) s_b over s = (I, sx, sy, sz), a-major.
+_SINGLE_PAULIS = [qubit_ops()[name] for name in ("id", "sx", "sy", "sz")]
+_PAULIS = np.stack([_kron(a, b) for a in _SINGLE_PAULIS for b in _SINGLE_PAULIS])
+
+
+def pauli_observables(d: int) -> dict[str, np.ndarray]:
+    """The two-qubit Paulis P lifted to I_{d/4} (x) P, the spins last, as
+    named observables; one broadcast of the products np.kron forms."""
+    lifts = _kron(np.eye(d // _GATE_DIM, dtype=complex), _PAULIS)
+    return {f"pauli{m}": lift for m, lift in enumerate(lifts)}
+
+
+def pauli_outputs(trajs: list[Trajectory]) -> np.ndarray:
+    """(T, inputs, 4, 4) two-spin outputs 1/4 sum_P <P> P from trajectories
+    that recorded the `pauli_observables`. <I_rest (x) P> is tr(P Tr_rest
+    rho) and tr(P P') = 4 delta, so the rebuild is exact without a state
+    series or a partial trace."""
+    values = np.array([[tr.observables[f"pauli{m}"] for tr in trajs] for m in range(16)]).T
+    # One GEMM: (T * inputs, 16) expectation values against the stacked P / 4.
+    outputs = values.reshape(-1, 16) @ (_PAULIS.reshape(16, 16) / 4.0)
+    return outputs.reshape(-1, len(trajs), _GATE_DIM, _GATE_DIM)
 
 
 def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
@@ -610,10 +635,8 @@ def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
 
 def _ideal_choi_vector(u: np.ndarray) -> np.ndarray:
     """(U (x) I)|Phi+> for the maximally entangled reference."""
-    phi = np.zeros(_GATE_DIM**2, dtype=complex)
-    for j in range(_GATE_DIM):
-        phi[j * _GATE_DIM + j] = 1.0 / np.sqrt(_GATE_DIM)
-    return _kron(u, np.eye(_GATE_DIM, dtype=complex)) @ phi
+    eye = np.eye(_GATE_DIM, dtype=complex)
+    return _kron(u, eye) @ (eye.reshape(-1) / np.sqrt(_GATE_DIM))
 
 
 def process_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float | np.ndarray:
@@ -627,10 +650,14 @@ def process_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float | np
     return float(overlap) if overlap.ndim == 0 else overlap
 
 
-def average_gate_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float | np.ndarray:
-    """F_avg = (d F_pro + 1)/(d + 1) with d = 4, batched like process_fidelity."""
-    f_pro = process_fidelity(choi, target_unitary)
+def _average_from_process(f_pro: float | np.ndarray) -> float | np.ndarray:
+    """F_avg = (d F_pro + 1)/(d + 1) with d = 4."""
     return (_GATE_DIM * f_pro + 1.0) / (_GATE_DIM + 1.0)
+
+
+def average_gate_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float | np.ndarray:
+    """Average gate fidelity of the channel, batched like process_fidelity."""
+    return _average_from_process(process_fidelity(choi, target_unitary))
 
 
 # Local z-phases applied after the channel: S = diag(s) (x) I with
@@ -735,6 +762,15 @@ def strip_local_phases(
     if not batch:
         return float(final[0]), (float(best[0, 0]), float(best[0, 1]))
     return final.reshape(batch), best.reshape(batch + (2,))
+
+
+def fidelities_from_outputs(outputs: np.ndarray, target_unitary: np.ndarray):
+    """Raw and phase-stripped average gate fidelity, and the strip phases,
+    of the channel(s) with these 16 outputs (..., 16, 4, 4); a single
+    channel gives floats and a (phi1, phi2) tuple."""
+    choi = choi_from_outputs(outputs)
+    f_pro, phases = strip_local_phases(choi, target_unitary)
+    return average_gate_fidelity(choi, target_unitary), _average_from_process(f_pro), phases
 
 
 def state_fidelity(state: np.ndarray, target: np.ndarray) -> float:

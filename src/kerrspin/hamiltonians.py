@@ -30,17 +30,20 @@ from kerrspin.fock import HilbertSpec, annihilation, embed, number_operator, qub
 SIGN_CONVENTIONS = ("paper", "rederived")
 
 
-class InstabilityError(ValueError):
-    """Raised when the quadratic mode Hamiltonian has no stable vacuum.
+def stability_margin(delta_m: float, kerr2: float) -> float:
+    """(delta_m - |kerr2|)/|delta_m|; the usable region is margin > 0
+    (equivalently delta_m > |kerr2|), and delta_m = 0 gives -inf."""
+    return (delta_m - abs(kerr2)) / abs(delta_m) if delta_m != 0 else float("-inf")
 
-    Carries ``margin`` = (delta_m - kerr2)/delta_m; the usable region is
-    margin > 0 (equivalently delta_m > |kerr2|).
-    """
+
+class InstabilityError(ValueError):
+    """Raised when the quadratic mode Hamiltonian has no stable vacuum;
+    carries its ``stability_margin`` as ``margin``."""
 
     def __init__(self, delta_m: float, kerr2: float):
         self.delta_m = delta_m
         self.kerr2 = kerr2
-        self.margin = (delta_m - abs(kerr2)) / delta_m if delta_m != 0 else float("-inf")
+        self.margin = stability_margin(delta_m, kerr2)
         super().__init__(
             "squeezed frame unstable: need delta_m > |kerr2|, got "
             f"delta_m={delta_m:.6g}, kerr2={kerr2:.6g} (margin={self.margin:.6g})"
@@ -102,9 +105,7 @@ class LinearizedParams:
 
     @property
     def stability_margin(self) -> float:
-        if self.delta_m == 0:
-            return float("-inf")
-        return (self.delta_m - abs(self.kerr2)) / self.delta_m
+        return stability_margin(self.delta_m, self.kerr2)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from . import device
 from . import dynamics as dyn
 from . import hamiltonians as ham
 from .config import ConfigError, RunConfig
-from .fock import HilbertSpec, _kron, annihilation, basis_ket, dm, embed, qubit_ops
+from .fock import HilbertSpec, annihilation, basis_ket, dm, embed, qubit_ops
 from .reporting import (
     CheckResult,
     ScenarioReport,
@@ -91,21 +91,24 @@ def _device_frame(cfg: RunConfig) -> FrameSpec:
     geom = device.SphereGeometry(cfg["device.radius_m"])
     place = device.SpinPlacement(cfg["device.distance_m"])
     bias = device.BiasField(cfg["device.bias_t"])
-    calibration = cfg["device.calibration"]
-    kerr = device.kerr_coefficient(geom, calibration=calibration)
-    g = device.bare_coupling(geom, place, calibration=calibration)
-    omega_m = device.magnon_frequency(bias, geom, calibration=calibration)
+    cal = {"calibration": cfg["device.calibration"]}
+    kerr = _finite("device.radius_m", device.kerr_coefficient, geom, **cal)
+    g = _finite("device.radius_m or device.distance_m", device.bare_coupling, geom, place, **cal)
+    omega_m = _finite(
+        "device.bias_t or device.radius_m", device.magnon_frequency, bias, geom, **cal
+    )
     omega_q = cfg.angular("device.omega_q_hz")
     omega_d = omega_m - cfg.angular("drive.detuning_hz")
     amplitude = cfg.angular("drive.amplitude_hz")
-    # The steady state solves a cubic whose constant term is amplitude^2.
-    if not math.isfinite(amplitude * amplitude):
-        raise ConfigError(
-            f"drive.amplitude_hz={cfg['drive.amplitude_hz']:g} is out of range: the driven "
-            "steady state needs the square of the angular amplitude, which overflows"
-        )
+    kappa = cfg["dissipation.kappa_m"]
+    # The steady state solves a cubic whose coefficients hold the squares of
+    # these rates (omega_m - omega_d is the drive detuning).
+    for key, rate in [("device.radius_m", kerr), ("drive.detuning_hz", omega_m - omega_d),
+                      ("dissipation.kappa_m", kappa), ("drive.amplitude_hz", amplitude)]:
+        if not math.isfinite(rate * rate):
+            raise ConfigError(f"{key} out of range: the driven steady state squares {rate:g} rad/s")
     drive = ham.DriveConfig(frequency=omega_d, amplitude=amplitude)
-    steady = ham.steady_amplitude(omega_m, kerr, cfg["dissipation.kappa_m"], drive)
+    steady = ham.steady_amplitude(omega_m, kerr, kappa, drive)
     lin = ham.linearize(
         omega_m, omega_q, kerr, steady.mean_amplitude, drive, convention=cfg["convention.sign"]
     )
@@ -131,42 +134,30 @@ def _device_frame(cfg: RunConfig) -> FrameSpec:
     )
 
 
+def _finite(keys: str, rate: Callable[..., float], *args, **kwargs) -> float:
+    """rate(*args, **kwargs), or a ConfigError naming `keys` if not finite: the
+    device formulas' float `**` raises OverflowError or underflows to a 0 divisor."""
+    try:
+        value = rate(*args, **kwargs)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{keys} out of range: the derived {rate.__name__} is not finite")
+    return value
+
+
 def _resolve_frame(
     cfg: RunConfig,
     default_coupling_hz: float,
     delta_q_factor: float,
     delta_s_factor: float | None = None,
     delta_minus_factor: float | None = None,
-    nonzero: str | None = None,
 ) -> FrameSpec:
-    """Build the frame from config keys, falling back to scenario defaults
-    expressed as multiples of the coupling G. `nonzero` names the gap the
-    scenario divides by, "delta_minus" (delta_s - delta_q) or "delta_plus"
-    (delta_s + delta_q); a zero gap is a ConfigError naming its fields."""
-    fs = _device_frame(cfg) if cfg["run.from_device"] else _configured_frame(
-        cfg, default_coupling_hz, delta_q_factor, delta_s_factor, delta_minus_factor
-    )
-    if nonzero == "delta_minus" and fs.delta_minus == 0.0:
-        raise ConfigError(
-            "the mode-spin gap delta_s - delta_q is 0 and this scenario divides by it; "
-            "set frame.delta_minus_hz (or frame.delta_s_hz and frame.delta_q_hz) to a nonzero gap"
-        )
-    if nonzero == "delta_plus" and fs.delta_s + fs.delta_q == 0.0:
-        raise ConfigError(
-            "the sum delta_s + delta_q is 0 and this scenario divides by it; "
-            "set frame.delta_s_hz and frame.delta_q_hz to a nonzero sum"
-        )
-    return fs
-
-
-def _configured_frame(
-    cfg: RunConfig,
-    default_coupling_hz: float,
-    delta_q_factor: float,
-    delta_s_factor: float | None,
-    delta_minus_factor: float | None,
-) -> FrameSpec:
-    """The frame from the frame.* keys, each unset one from its default."""
+    """The frame derived from the device with run.from_device, else from the
+    frame.* keys, each unset one from its scenario default (a multiple of
+    the coupling G)."""
+    if cfg["run.from_device"]:
+        return _device_frame(cfg)
     coupling = cfg.angular_or_none("frame.coupling_hz")
     if coupling is None:
         coupling = TWO_PI * default_coupling_hz
@@ -194,12 +185,26 @@ def _configured_frame(
     )
 
 
-def _forbid_gap_overrides(cfg: RunConfig, scenario: str) -> None:
-    if cfg["frame.delta_s_hz"] is not None or cfg["frame.delta_minus_hz"] is not None:
-        raise ConfigError(
-            f"{scenario} derives the mode-spin gap from dispersive.ratios; "
-            "unset frame.delta_s_hz and frame.delta_minus_hz"
-        )
+def _time_scale(
+    coupling: float, delta_minus: float | None = None, gap_key: str = "frame.delta_minus_hz"
+) -> float:
+    """pi/(2 G) or, given the mode-spin gap, pi/(2 |G_eff|) with G_eff =
+    G^2/delta_minus. A ConfigError names `gap_key` for a zero gap or one
+    whose periods the time scale holds more of than a float can count, and
+    frame.coupling_hz for a time scale that is not finite and positive."""
+    rate = coupling
+    if delta_minus == 0.0:
+        raise ConfigError(f"{gap_key}: the gap delta_s - delta_q is 0; this scenario divides by it")
+    if delta_minus is not None:
+        # effective_coupling's G**2 raises OverflowError where G * G is inf.
+        big = not math.isfinite(coupling * coupling)
+        rate = math.inf if big else abs(ham.effective_coupling(coupling, delta_minus))
+    t = math.pi / (2.0 * rate) if rate != 0.0 else math.inf
+    if not 0.0 < t < math.inf:
+        raise ConfigError(f"frame.coupling_hz: G = {coupling:g} rad/s sets the time scale {t:g} s")
+    if delta_minus is not None and not math.isfinite(t * delta_minus):
+        raise ConfigError(f"{gap_key}: the time scale {t:g} s is too long at gap {delta_minus:g}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +441,15 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     first-order perturbation in G/(delta_s + delta_q) bounds the leakage
     by 8 [G/(delta_s + delta_q)]^2.
     """
-    fs = _resolve_frame(cfg, 4.0e6, 10.0, delta_s_factor=10.0, nonzero="delta_plus")
+    fs = _resolve_frame(cfg, 4.0e6, 10.0, delta_s_factor=10.0)
+    if fs.delta_s + fs.delta_q == 0.0:  # the leakage bound divides by it
+        raise ConfigError(
+            "the sum delta_s + delta_q is 0 and rabi divides by it; "
+            "set frame.delta_s_hz and frame.delta_q_hz to a nonzero sum"
+        )
     cutoff = _resolve_cutoff(cfg, 15)
     coupling = fs.coupling
-    t_star = math.pi / (2.0 * coupling)
+    t_star = _time_scale(coupling)
     window = 3.0 * t_star
     base_points = 1200  # t_star lands exactly on index 400
     times = np.linspace(0.0, window, base_points + 1)
@@ -507,7 +517,7 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     fs = _resolve_frame(cfg, 4.0e6, 10.0, delta_s_factor=10.0)
     levels = sorted(cfg["battery.fock_levels"])
     coupling = fs.coupling
-    window = math.pi / coupling
+    window = 2.0 * _time_scale(coupling)  # pi / G
     base_points = 1600
 
     def level_cutoff(m: int, bump: int = 0) -> int:
@@ -626,10 +636,10 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     identically zero by construction; the full model's transient mode
     occupancy is bounded by the sudden-switch estimate 6 (G/delta_minus)^2.
     """
-    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0, nonzero="delta_minus")
+    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
     cutoff = _resolve_cutoff(cfg, 6)
+    t_star = _time_scale(fs.coupling, fs.delta_minus)
     g_eff = ham.effective_coupling(fs.coupling, fs.delta_minus)
-    t_star = math.pi / (2.0 * abs(g_eff))
     times = np.linspace(0.0, 1.4 * t_star, 281)  # t_star at index 200
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
@@ -710,75 +720,15 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-# The 16 two-qubit Paulis s_a (x) s_b over s = (I, sx, sy, sz), a-major.
-_SINGLE_PAULIS = [qubit_ops()[name] for name in ("id", "sx", "sy", "sz")]
-_PAULIS = np.stack([_kron(a, b) for a in _SINGLE_PAULIS for b in _SINGLE_PAULIS])
-
-
-def _lift_paulis(d: int) -> np.ndarray:
-    """(16, d, d) lifts I_{d/4} (x) P of the two-qubit Paulis, in one broadcast.
-
-    lift[p, i*4 + a, j*4 + b] = I[i, j] P_p[a, b], the same complex products
-    np.kron forms (einsum's differ in the sign of some zeros).
-    """
-    return _kron(np.eye(d // 4, dtype=complex), _PAULIS)
-
-
-def _pauli_observables(d: int) -> dict[str, np.ndarray]:
-    """The lifted two-qubit Paulis as named observables of a d-level model."""
-    return {f"pauli{m}": lift for m, lift in enumerate(_lift_paulis(d))}
-
-
-def _pauli_outputs(trajs: list[dyn.Trajectory]) -> np.ndarray:
-    """(T, inputs, 4, 4) two-spin outputs 1/4 sum_P <P> P from trajectories
-    that recorded the `_pauli_observables`.
-
-    <I_rest (x) P> equals tr(P Tr_rest rho), and the Paulis are orthogonal
-    with tr(P P') = 4 delta, so the rebuild is exact: no state series and
-    no partial trace.
-    """
-    values = np.array([[tr.observables[f"pauli{m}"] for tr in trajs] for m in range(16)]).T
-    # One GEMM: (T * inputs, 16) expectation values against the stacked P / 4.
-    outputs = values.reshape(-1, 16) @ (_PAULIS.reshape(16, 16) / 4.0)
-    return outputs.reshape(-1, len(trajs), 4, 4)
-
-
-def _channel_outputs(
-    model: dyn.LindbladModel, rho0s: list[np.ndarray], times: np.ndarray, **step
-) -> tuple[np.ndarray, list[dyn.Trajectory]]:
-    """(T, 16, 4, 4) two-spin outputs of a Lindblad batch, plus its trajectories;
-    the spins are the model's last two factors."""
-    observables = _pauli_observables(model.spec.dim)
-    trajs = dyn.evolve_lindblad_batch(model, rho0s, times, observables=observables, **step)
-    return _pauli_outputs(trajs), trajs
-
-
-def _process_inputs(d: int) -> np.ndarray:
-    """(16, d) tomography inputs: the leading d/4 levels (the mode, if any)
-    in their ground state times each ket of `process_basis_kets`."""
-    inputs = np.zeros((16, d), dtype=complex)
-    inputs[:, :4] = dyn.process_basis_kets()
-    return inputs
-
-
-def _fidelity_series(outputs: np.ndarray, target: np.ndarray):
-    """Raw and phase-stripped average gate fidelity of a (T, 16, 4, 4) output series."""
-    choi = dyn.choi_from_outputs(outputs)
-    raw = dyn.average_gate_fidelity(choi, target)
-    f_pro, phases = dyn.strip_local_phases(choi, target)
-    return raw, (4.0 * f_pro + 1.0) / 5.0, phases
-
-
 def _dissipationless_fidelity(h: np.ndarray, t: float) -> float:
     """Phase-stripped average iSWAP fidelity of the closed-system gate
     exp(-i h t) on the 16 tomography inputs, each output rebuilt from its
     Pauli expectation values like the dissipative channels'."""
     d = h.shape[0]
-    obs = _pauli_observables(d)
-    trajs = [dyn.evolve_unitary(h, psi, [0.0, t], observables=obs) for psi in _process_inputs(d)]
-    choi = dyn.choi_from_outputs(_pauli_outputs(trajs)[-1])
-    f_pro, _ = dyn.strip_local_phases(choi, dyn.iswap_unitary())
-    return (4.0 * f_pro + 1.0) / 5.0
+    obs = dyn.pauli_observables(d)
+    kets = dyn.process_basis_kets(d)
+    trajs = [dyn.evolve_unitary(h, psi, [0.0, t], observables=obs) for psi in kets]
+    return dyn.fidelities_from_outputs(dyn.pauli_outputs(trajs)[-1], dyn.iswap_unitary())[1]
 
 
 def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
@@ -787,11 +737,11 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     Reported fidelity series: raw and phase-stripped average gate
     fidelity for the written two-spin channel and for the full
-    three-body channel (mode traced out). Each channel output is
-    rebuilt from the 16 two-qubit Pauli expectation values the solver
-    records, as the gate would be measured; no state series is kept.
-    The dissipationless references evolve the 16 input kets in closed
-    form and rebuild their outputs the same way.
+    three-body channel (mode traced out). The protocol is dynamics':
+    every channel, Lindblad or dissipationless, evolves its
+    process_basis_kets, rebuilds each output from the recorded
+    pauli_observables (pauli_outputs) and is scored by
+    fidelities_from_outputs; no state series is kept.
 
     The kappa-doubling robustness check binds to the written channel,
     where the mode has been eliminated and the mode decay rate does not
@@ -800,10 +750,10 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     kept as a structural check, tagged TRIVIAL. The full model's kappa
     sensitivity is reported as information.
     """
-    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0, nonzero="delta_minus")
+    fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
     cutoff = _resolve_cutoff(cfg, 6)
+    t_star = _time_scale(fs.coupling, fs.delta_minus)
     g_eff = ham.effective_coupling(fs.coupling, fs.delta_minus)
-    t_star = math.pi / (2.0 * abs(g_eff))
     times = np.linspace(0.0, 1.4 * t_star, 281)
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
@@ -811,9 +761,13 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     def tomography(model: dyn.LindbladModel, suffix: str, halved: bool):
         """The channel's run record, its output series and strip phases."""
-        rho0s = [dm(psi) for psi in _process_inputs(model.spec.dim)]
-        outputs, trajs = _channel_outputs(model, rho0s, times, **_step_args(cfg, halved))
-        raw, stripped, phases = _fidelity_series(outputs, target)
+        d = model.spec.dim
+        kets, observables = dyn.process_basis_kets(d), dyn.pauli_observables(d)
+        trajs = dyn.evolve_lindblad_batch(
+            model, kets, times, observables=observables, **_step_args(cfg, halved)
+        )
+        outputs = dyn.pauli_outputs(trajs)
+        raw, stripped, phases = dyn.fidelities_from_outputs(outputs, target)
         cols = {f"favg_raw_{suffix}": raw, f"favg_stripped_{suffix}": stripped}
         drift = max(tr.diagnostics["trace_deviation"] for tr in trajs)
         return _Run(cols, drift, _integrator_info(trajs)), outputs, phases
@@ -916,19 +870,27 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     population deviation from the full model versus the gap-to-coupling
     ratio. The deviation shrinks roughly quadratically with the ratio and
     vanishes in the small-coupling limit."""
-    _forbid_gap_overrides(cfg, "dispersive-check")
+    if cfg["frame.delta_s_hz"] is not None or cfg["frame.delta_minus_hz"] is not None:
+        raise ConfigError(
+            "dispersive-check derives the mode-spin gap from dispersive.ratios; "
+            "unset frame.delta_s_hz and frame.delta_minus_hz"
+        )
     fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
     ratios = sorted(cfg["dispersive.ratios"])
-    if len(ratios) < 2:
-        raise ConfigError("dispersive.ratios needs at least two entries")
     cutoff = _resolve_cutoff(cfg, 6)
 
     def tag(ratio: float) -> str:
         return ("%g" % ratio).replace(".", "p").replace("-", "m")
 
+    # Labels name CSVs and columns; the shrink exponent divides by log(r_big / r_mid).
+    if len({tag(ratio) for ratio in ratios}) < max(len(ratios), 2):
+        raise ConfigError(f"dispersive.ratios needs 2 or more distinct entries, got {ratios}")
+    if any(fs.delta_q + ratio * fs.coupling == fs.delta_q for ratio in ratios):
+        raise ConfigError(f"dispersive.ratios {ratios}: a gap ratio * G rounds to 0 at delta_q")
+
     def grid(ratio: float, coupling: float, factor: int) -> np.ndarray:
-        g_eff = ham.effective_coupling(coupling, ratio * coupling)
-        return np.linspace(0.0, math.pi / (2.0 * abs(g_eff)), factor * 400 + 1)
+        t_star = _time_scale(coupling, ratio * coupling, "dispersive.ratios")
+        return np.linspace(0.0, t_star, factor * 400 + 1)
 
     def pair(ratio: float, coupling: float, cut: int, factor: int) -> _Run:
         tgrid = grid(ratio, coupling, factor)

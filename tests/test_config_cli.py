@@ -277,14 +277,41 @@ class TestCli:
             ("state-transfer", ["frame.delta_minus_hz=0"], "frame.delta_minus_hz"),
             ("iswap-fidelity", ["frame.delta_minus_hz=0"], "frame.delta_minus_hz"),
             ("rabi", ["frame.delta_s_hz=0", "frame.delta_q_hz=0"], "frame.delta_s_hz"),
+            # A time scale pi/(2 G) or pi/(2 |G_eff|) that is not finite and positive.
+            ("state-transfer", ["frame.coupling_hz=1e-300"], "frame.coupling_hz"),
+            ("iswap-fidelity", ["frame.coupling_hz=1e-300"], "frame.coupling_hz"),
+            ("state-transfer", ["frame.coupling_hz=1e300"], "frame.coupling_hz"),
+            ("iswap-fidelity", ["frame.coupling_hz=1e300"], "frame.coupling_hz"),
+            ("dispersive-check", ["frame.coupling_hz=1e300"], "frame.coupling_hz"),
+            ("dispersive-check", ["frame.coupling_hz=1e-300"], "frame.coupling_hz"),
+            ("rabi", ["frame.coupling_hz=1e-320"], "frame.coupling_hz"),
+            ("battery", ["frame.coupling_hz=1e-320"], "frame.coupling_hz"),
+            # A transfer time that spans more gap periods than a float counts.
+            ("state-transfer", ["frame.delta_minus_hz=1e300"], "frame.delta_minus_hz"),
+            # Ratios that repeat (or share a label), or whose gap rounds away.
+            ("dispersive-check", ["dispersive.ratios=[5,5]"], "dispersive.ratios"),
+            ("dispersive-check", ["dispersive.ratios=[5,20,20]"], "dispersive.ratios"),
+            ("dispersive-check", ["dispersive.ratios=[5,5.0000001]"], "dispersive.ratios"),
+            ("dispersive-check", ["dispersive.ratios=[1e-300,10]"], "dispersive.ratios"),
+            ("dispersive-check", ["dispersive.ratios=[1e-300,1e300]"], "dispersive.ratios"),
+            # --from-device: a derived rate, or a square the drive cubic needs, overflows.
+            ("rabi", ["--from-device", "device.radius_m=1e-300"], "device.radius_m"),
+            ("rabi", ["--from-device", "device.radius_m=1e-100"], "device.radius_m"),
+            ("rabi", ["--from-device", "device.radius_m=1e100"], "device.radius_m"),
+            ("rabi", ["--from-device", "device.distance_m=1e300"], "device.distance_m"),
+            ("rabi", ["--from-device", "drive.detuning_hz=1e300"], "drive.detuning_hz"),
+            ("state-transfer", ["--from-device", "device.radius_m=1e-300"], "device.radius_m"),
+            ("battery", ["--from-device", "device.bias_t=1e300"], "device.bias_t"),
         ],
     )
     def test_zero_gap_exit_two(self, scenario, settings, field, tmp_path, monkeypatch, capsys):
-        # Each scenario divides by this gap; zero must be refused up front.
+        # Each scenario divides by its gap and needs a finite time scale and
+        # finite device rates; a value it cannot use (a zero gap, or one
+        # past the float range) must be refused up front, naming its key.
         monkeypatch.chdir(tmp_path)
         argv = ["run", scenario]
         for setting in settings:
-            argv += ["--set", setting]
+            argv += [setting] if setting.startswith("--") else ["--set", setting]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert field in err

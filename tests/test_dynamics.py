@@ -29,15 +29,19 @@ from kerrspin.dynamics import (
     LindbladModel,
     StepSizeError,
     _interval_propagator,
+    _PAULIS,
     average_gate_fidelity,
     choi_from_outputs,
     default_population_observables,
     evolve_lindblad,
     evolve_lindblad_batch,
     evolve_unitary,
+    fidelities_from_outputs,
     iswap_ideal_map,
     iswap_unitary,
     liouvillian,
+    pauli_observables,
+    pauli_outputs,
     populations,
     process_basis_kets,
     process_fidelity,
@@ -63,13 +67,8 @@ from kerrspin.hamiltonians import (
     tavis_cummings_hamiltonian,
 )
 from kerrspin.scenarios import (
-    _PAULIS,
-    _channel_outputs,
     _dissipationless_fidelity,
     _full_model,
-    _lift_paulis,
-    _pauli_observables,
-    _process_inputs,
     _resolve_frame,
     _written_model,
 )
@@ -231,6 +230,18 @@ class TestLindblad:
             evolve_lindblad(model, rho0, times, step_scale=1.5)
         # An in-budget explicit step works.
         evolve_lindblad(model, rho0, times, step=0.1 / 11.0 / 2.0)
+
+    def test_unbounded_substep_count_raises(self):
+        # Spectral scale 1e300 over a 5e9 s interval: dt / substep is inf,
+        # so no power of two reaches it; refused before the doubling loop.
+        spec = HilbertSpec.spins_only(1)
+        model = LindbladModel(1e300 * qubit_ops()["sz"], [], spec)
+        rho0 = dm(basis_ket((1,), spec))
+        with pytest.raises(StepSizeError, match="no finite count"):
+            evolve_lindblad(model, rho0, np.linspace(0.0, 1e10, 3))
+        gen = liouvillian(model.hamiltonian, [])
+        with pytest.raises(StepSizeError, match="no finite count"):
+            _interval_propagator(gen, 1e300, 1e-300)
 
     def test_model_validation(self):
         spec = HilbertSpec.spins_only(1)
@@ -777,7 +788,9 @@ class TestPauliChannelOutputs:
     @pytest.mark.parametrize("cutoff", [None, 6, 11], ids=["written", "full-6", "full-11"])
     def test_matches_kept_state_partial_trace(self, cutoff):
         model, rho0s, times = tomography_case(cutoff)
-        outputs, trajs = _channel_outputs(model, rho0s, times)
+        observables = pauli_observables(model.spec.dim)
+        trajs = evolve_lindblad_batch(model, rho0s, times, observables=observables)
+        outputs = pauli_outputs(trajs)
         want = kept_state_outputs(model, rho0s, times)
         assert outputs.shape == want.shape == (281, 16, 4, 4)
         assert np.all(np.max(np.abs(outputs - want), axis=(1, 2, 3)) <= 1e-12)
@@ -785,7 +798,9 @@ class TestPauliChannelOutputs:
 
     @pytest.mark.parametrize("d", [4, 24, 44])
     def test_lift_bitwise_equals_kron(self, d):
-        lifts = _lift_paulis(d)
+        observables = pauli_observables(d)
+        assert list(observables) == [f"pauli{m}" for m in range(16)]
+        lifts = np.stack(list(observables.values()))
         assert lifts.shape == (16, d, d)
         for lift, pauli in zip(lifts, _PAULIS):
             assert lift.tobytes() == np.kron(np.eye(d // 4, dtype=complex), pauli).tobytes()
@@ -812,6 +827,18 @@ def full_space_stripped_at(h: np.ndarray, reduce_spec: HilbertSpec | None, t: fl
     return (4.0 * f_pro + 1.0) / 5.0
 
 
+def former_process_kets() -> list[np.ndarray]:
+    """The 16 two-qubit input kets as first written, one at a time:
+    computational states, then the real and the imaginary superpositions
+    over the pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)."""
+    eye = np.eye(4, dtype=complex)
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    kets = [eye[:, j].copy() for j in range(4)]
+    kets += [(eye[:, j] + eye[:, k]) / np.sqrt(2.0) for j, k in pairs]
+    kets += [(eye[:, j] + 1j * eye[:, k]) / np.sqrt(2.0) for j, k in pairs]
+    return kets
+
+
 class TestDissipationlessFidelity:
     """The closed-system gate reference evolves the 16 input kets and
     rebuilds each output from its Pauli expectations; the former
@@ -830,15 +857,16 @@ class TestDissipationlessFidelity:
             assert got > 0.999
 
     def test_inputs_on_two_spins_are_the_process_kets(self):
-        assert np.array_equal(_process_inputs(4), np.array(process_basis_kets()))
+        assert process_basis_kets(4).tobytes() == np.array(former_process_kets()).tobytes()
+        assert process_basis_kets().tobytes() == process_basis_kets(4).tobytes()
 
     @pytest.mark.parametrize("d", [4, 24, 44])
     def test_inputs_are_mode_vacuum_times_process_kets(self, d):
-        inputs = _process_inputs(d)
+        inputs = process_basis_kets(d)
         assert inputs.shape == (16, d)
         vac = np.zeros((d // 4, d // 4), dtype=complex)
         vac[0, 0] = 1.0
-        for psi, k in zip(inputs, process_basis_kets()):
+        for psi, k in zip(inputs, former_process_kets()):
             assert np.array_equal(dm(psi), np.kron(vac, dm(k)))
 
 
@@ -929,6 +957,19 @@ class TestBatchedDiagnostics:
                 assert np.max(np.abs(tr.observables[name] - want)) <= 1e-14
         assert np.max(np.abs(trajs[5].observables["a"])) > 1e-3
 
+    def test_observable_shape_checked_before_integrating(self, monkeypatch):
+        def unreachable(gen, dt, h_req):
+            raise AssertionError("the propagator was built before the observables were checked")
+
+        monkeypatch.setattr(dynamics, "_interval_propagator", unreachable)
+        spec = HilbertSpec.spins_only(1)
+        model = LindbladModel(qubit_ops()["sz"], [], spec)
+        rho0s = [dm(basis_ket((1,), spec))]
+        with pytest.raises(ValueError, match=r"observable 'bad' shape \(3, 3\) does not match dim 2"):
+            evolve_lindblad_batch(
+                model, rho0s, np.linspace(0.0, 1.0, 3), observables={"bad": np.eye(3)}
+            )
+
     def test_worst_input_named_in_error(self, monkeypatch):
         # A faulty propagator that amplifies the excited population by
         # 1 + 1e-6 per interval: after two intervals |e><e| has gained
@@ -968,7 +1009,7 @@ class TestBoundedMemory:
 
     def test_lindblad_batch_peak(self):
         model, rho0s, times = tomography_case(6)
-        observables = _pauli_observables(model.spec.dim)
+        observables = pauli_observables(model.spec.dim)
         peak = traced_peak(evolve_lindblad_batch, model, rho0s, times, observables=observables)
         n = 8  # reached block: the mode vacuum and one quantum times two spins
         assert reached_indices(model, rho0s).size == n
@@ -1037,6 +1078,25 @@ class TestBatchedGateMetrics:
         want = blocks.transpose(0, 3, 1, 4, 2).reshape(-1, 16, 16) / 4
         assert choi_from_outputs(outputs).tobytes() == want.tobytes()
         assert choi_from_outputs(outputs[200]).tobytes() == want[200].tobytes()
+
+    @pytest.mark.parametrize("channel", ["written", "full"])
+    def test_fidelities_bitwise_equal_former_series(self, channel_output_series, channel):
+        # The former scenario-side fidelity series: Choi, raw F_avg, then
+        # the stripped maxima mapped to (4 F + 1)/5.
+        outputs = channel_output_series[channel]
+        u = iswap_unitary()
+        choi = choi_from_outputs(outputs)
+        f_pro, want_phases = strip_local_phases(choi, u)
+        want = (average_gate_fidelity(choi, u), (4.0 * f_pro + 1.0) / 5.0, want_phases)
+        got = fidelities_from_outputs(outputs, u)
+        for value, ref in zip(got, want):
+            assert value.shape == ref.shape and value.tobytes() == ref.tobytes()
+        # One time point gives floats and a phase tuple, as before.
+        choi = choi_from_outputs(outputs[200])
+        f_pro, want_phases = strip_local_phases(choi, u)
+        want = (average_gate_fidelity(choi, u), (4.0 * f_pro + 1.0) / 5.0, want_phases)
+        assert fidelities_from_outputs(outputs[200], u) == want
+        assert type(fidelities_from_outputs(outputs[200], u)[1]) is float
 
     def test_unbatched_inputs_keep_scalar_types(self, channel_output_series):
         u = iswap_unitary()

@@ -157,6 +157,12 @@ class TestSqueezeFrame:
             squeeze_frame(lin, 1.0)
         assert exc.value.margin == pytest.approx(-0.5)
         assert "unstable" in str(exc.value)
+        # A negative mode detuning is unstable too: the margin divides by
+        # |delta_m|, so it stays negative.
+        lin = LinearizedParams(delta_m=-2.0, delta_q=0.0, mean_amplitude=0j, kerr2=1.0)
+        with pytest.raises(InstabilityError) as exc:
+            squeeze_frame(lin, 1.0)
+        assert exc.value.margin == lin.stability_margin == -1.5
 
     def test_boundary_is_unstable(self):
         lin = LinearizedParams(delta_m=1.0, delta_q=0.0, mean_amplitude=0j, kerr2=1.0)
