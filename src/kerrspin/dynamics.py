@@ -33,12 +33,24 @@ one, so the states never leave that block. Evolving the projected
 operators is exact, not a truncation. C'C must be in the search: the
 anticommutator term can leave a set that is closed under C alone.
 Excitation-conserving models shrink most, and models that conserve only
-a parity halve; observables are projected onto the block. An open-system
-batch streams its physicality diagnostics and observable series over
-the (inputs, T, n, n) stack of block states one input at a time, so no
+a parity halve; observables are projected onto the block. A unitary
+batch searches once from the union of its kets' supports and
+diagonalises that block once for all of them. An open-system batch
+streams its physicality diagnostics and observable series over the
+(inputs, T, n, n) stack of block states one input at a time, so no
 temporary is the size of the stack; each input's series come from one
 matrix product. Only the final states, and the state series when kept
 on request, are zero-padded back to the full space.
+
+Positivity (every state's eigenvalues at or above POSITIVITY_FLOOR) is
+tested on the hermitian part of each input's state series. A run that
+reports its lowest eigenvalue (`min_eigenvalue`, the default) takes it
+from eigvalsh. A run that does not proves positivity by a Cholesky
+factorisation of the hermitian part shifted by half the floor: its
+backward error lies far below that margin, so it succeeds only on states
+that the eigvalsh test passes. Where it fails, that input gets the
+eigvalsh test, so the pass or fail and the error message are those of
+the reporting run.
 
 The two-qubit gate metrics hold the whole tomography protocol: the 16
 physical inputs (4 computational states, 6 real and 6 imaginary
@@ -180,6 +192,76 @@ def _project_observables(observables: dict | None, spec: HilbertSpec | None, d: 
     return out
 
 
+def evolve_unitary_batch(
+    h: np.ndarray,
+    kets: list[np.ndarray],
+    times: np.ndarray,
+    spec: HilbertSpec | None = None,
+    observables: dict[str, np.ndarray] | None = None,
+    keep_states: bool = False,
+) -> list[Trajectory]:
+    """Closed-system evolution of several initial kets under one H, by
+    eigendecomposition (no step error).
+
+    One search finds the coordinate subspace reachable from the union of
+    the kets' supports (see the module docstring), and only the block of
+    H on it is diagonalised, once for all kets; final states and kept
+    states are zero-padded back to full size.
+    """
+    h = _check_hermitian(h)
+    times = _validate_times(times)
+    d = h.shape[0]
+    kets = [np.asarray(psi0, dtype=complex).reshape(-1) for psi0 in kets]
+    for psi0 in kets:
+        if psi0.shape[0] != d:
+            raise ValueError("state dimension does not match hamiltonian")
+        norm0 = np.linalg.norm(psi0)
+        if not abs(norm0 - 1.0) <= NORM_TOL:  # `not <=`: a NaN norm fails too
+            raise ValueError(f"initial state norm {norm0} deviates from 1")
+
+    idx = _reachable(np.any(np.stack(kets) != 0, axis=0), [h])
+    block = np.ix_(idx, idx)
+    obs = _project_observables(observables, spec, d, block)
+    evals, vecs = np.linalg.eigh(h[block])
+    phases = np.exp(-1j * np.outer(evals, times))
+
+    out = []
+    for psi0 in kets:
+        coeff = vecs.conj().T @ psi0[idx]
+        states = (vecs @ (phases * coeff[:, None])).T  # (T, n)
+        norms = np.linalg.norm(states, axis=1)
+        norm_drift = float(np.max(np.abs(norms - 1.0)))
+        if not norm_drift <= NORM_TOL:
+            raise DiagnosticsError(f"unitary norm drift {norm_drift:.3e} exceeds {NORM_TOL}")
+
+        # <psi|O|psi> per time point: one GEMM, then a row-wise conjugate dot.
+        conj = states.conj()
+        series = {name: np.einsum("ti,ti->t", conj, states @ op.T).real for name, op in obs.items()}
+        diagnostics = {
+            "method": "eigendecomposition",
+            "norm_drift": norm_drift,
+            "step_error": 0.0,
+            "hilbert_dim": d,
+            "reduced_dim": idx.size,
+        }
+        final_state = np.zeros(d, dtype=complex)
+        final_state[idx] = states[-1]
+        kept = None
+        if keep_states:
+            kept = np.zeros((times.size, d), dtype=complex)
+            kept[:, idx] = states
+        out.append(
+            Trajectory(
+                times=times,
+                observables=series,
+                final_state=final_state,
+                diagnostics=diagnostics,
+                states=kept,
+            )
+        )
+    return out
+
+
 def evolve_unitary(
     h: np.ndarray,
     psi0: np.ndarray,
@@ -188,60 +270,10 @@ def evolve_unitary(
     observables: dict[str, np.ndarray] | None = None,
     keep_states: bool = False,
 ) -> Trajectory:
-    """Closed-system evolution by eigendecomposition (no step error).
-
-    Only the block of H on the coordinate subspace reachable from the
-    support of psi0 is diagonalised (see the module docstring); the
-    final state and kept states are zero-padded back to full size.
-    """
-    h = _check_hermitian(h)
-    times = _validate_times(times)
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    d = h.shape[0]
-    if psi0.shape[0] != d:
-        raise ValueError("state dimension does not match hamiltonian")
-    norm0 = np.linalg.norm(psi0)
-    if not abs(norm0 - 1.0) <= NORM_TOL:  # `not <=`: a NaN norm fails too
-        raise ValueError(f"initial state norm {norm0} deviates from 1")
-
-    idx = _reachable(psi0 != 0, [h])
-    block = np.ix_(idx, idx)
-    evals, vecs = np.linalg.eigh(h[block])
-    coeff = vecs.conj().T @ psi0[idx]
-    phases = np.exp(-1j * np.outer(evals, times))
-    states = (vecs @ (phases * coeff[:, None])).T  # (T, n)
-
-    norms = np.linalg.norm(states, axis=1)
-    norm_drift = float(np.max(np.abs(norms - 1.0)))
-    if not norm_drift <= NORM_TOL:
-        raise DiagnosticsError(f"unitary norm drift {norm_drift:.3e} exceeds {NORM_TOL}")
-
-    # <psi|O|psi> per time point: one GEMM, then a row-wise conjugate dot.
-    conj = states.conj()
-    series = {
-        name: np.einsum("ti,ti->t", conj, states @ op.T).real
-        for name, op in _project_observables(observables, spec, d, block).items()
-    }
-    diagnostics = {
-        "method": "eigendecomposition",
-        "norm_drift": norm_drift,
-        "step_error": 0.0,
-        "hilbert_dim": d,
-        "reduced_dim": idx.size,
-    }
-    final_state = np.zeros(d, dtype=complex)
-    final_state[idx] = states[-1]
-    kept = None
-    if keep_states:
-        kept = np.zeros((times.size, d), dtype=complex)
-        kept[:, idx] = states
-    return Trajectory(
-        times=times,
-        observables=series,
-        final_state=final_state,
-        diagnostics=diagnostics,
-        states=kept,
-    )
+    """Closed-system evolution of one initial ket (see the batch form)."""
+    return evolve_unitary_batch(
+        h, [psi0], times, spec=spec, observables=observables, keep_states=keep_states
+    )[0]
 
 
 def liouvillian(h: np.ndarray, collapse: list[tuple[np.ndarray, float]]) -> np.ndarray:
@@ -358,6 +390,28 @@ def _validate_inputs(rho0_list: list[np.ndarray], d: int) -> np.ndarray:
     return rhos
 
 
+def _certified_above_floor(sym: np.ndarray) -> bool:
+    """Whether a Cholesky factorisation proves that every matrix of the
+    (..., n, n) hermitian stack `sym` has its eigenvalues at or above
+    POSITIVITY_FLOOR.
+
+    It factorises sym - (POSITIVITY_FLOOR / 2) I. A factorisation that
+    succeeds is the exact one of a matrix within a backward error of at
+    most about n^2 * 1.1e-16 * ||sym|| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10). For trace-1 states on the
+    blocks a Lindblad run can hold that is 1e-12 or less, far below the
+    half-floor margin of 5e-9, so the smallest eigenvalue lies above
+    POSITIVITY_FLOOR / 2 up to that error, and eigvalsh, whose own error
+    is of the same order, would pass it too. A failed factorisation
+    proves nothing: the caller then falls back to eigvalsh.
+    """
+    try:
+        np.linalg.cholesky(sym - 0.5 * POSITIVITY_FLOOR * np.eye(sym.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def evolve_lindblad_batch(
     model: LindbladModel,
     rho0_list: list[np.ndarray],
@@ -366,6 +420,7 @@ def evolve_lindblad_batch(
     step: float | None = None,
     step_scale: float = DEFAULT_STEP_SCALE,
     keep_states: bool = False,
+    record_min_eigenvalue: bool = True,
 ) -> list[Trajectory]:
     """Open-system evolution of several initial states under one model.
 
@@ -373,6 +428,15 @@ def evolve_lindblad_batch(
     batching the 16 tomography inputs costs little more than one run.
     They are built on the coordinate subspace the inputs can reach (see
     the module docstring); the substep still comes from the full model.
+
+    With `record_min_eigenvalue` (the default) each input's diagnostics
+    hold `min_eigenvalue`, the lowest eigvalsh eigenvalue of its state
+    series. Without it they hold no such key: each input's positivity is
+    certified by a Cholesky factorisation of its hermitian part minus
+    POSITIVITY_FLOOR / 2 times the identity (see `_certified_above_floor`),
+    and only an input whose factorisation fails gets the eigvalsh test.
+    Either way the same inputs pass, and a failure raises the same
+    DiagnosticsError naming the lowest eigenvalue.
     """
     times = _validate_times(times)
     d = model.spec.dim
@@ -436,9 +500,13 @@ def evolve_lindblad_batch(
         raise DiagnosticsError(f"trace deviation {np.max(trace_dev):.3e} exceeds {TRACE_TOL}")
     if not np.max(herm_dev) <= 1e-10:
         raise DiagnosticsError(f"hermiticity deviation {np.max(herm_dev):.3e} exceeds 1e-10")
-    min_eig = np.empty(n_in)
+    # An input whose minimum goes unreported and whose Cholesky
+    # certificate holds keeps min_eig inf; the rest get their eigvalsh.
+    min_eig = np.full(n_in, np.inf)
     for i, rho_t in enumerate(states):
-        min_eig[i] = np.min(np.linalg.eigvalsh(0.5 * (rho_t + rho_t.conj().swapaxes(-1, -2))))
+        sym = 0.5 * (rho_t + rho_t.conj().swapaxes(-1, -2))
+        if record_min_eigenvalue or not _certified_above_floor(sym):
+            min_eig[i] = np.min(np.linalg.eigvalsh(sym))
     if n < d:
         # The lifted state's zero block contributes eigenvalue 0.
         min_eig = np.minimum(min_eig, 0.0)
@@ -471,8 +539,9 @@ def evolve_lindblad_batch(
             "liouville_dim": n * n,
             "trace_deviation": float(trace_dev[i]),
             "hermiticity_deviation": float(herm_dev[i]),
-            "min_eigenvalue": float(min_eig[i]),
         }
+        if record_min_eigenvalue:
+            diagnostics["min_eigenvalue"] = float(min_eig[i])
         out.append(
             Trajectory(
                 times=times,
@@ -493,6 +562,7 @@ def evolve_lindblad(
     step: float | None = None,
     step_scale: float = DEFAULT_STEP_SCALE,
     keep_states: bool = False,
+    record_min_eigenvalue: bool = True,
 ) -> Trajectory:
     """Open-system evolution of one initial state (see the batch form)."""
     return evolve_lindblad_batch(
@@ -503,6 +573,7 @@ def evolve_lindblad(
         step=step,
         step_scale=step_scale,
         keep_states=keep_states,
+        record_min_eigenvalue=record_min_eigenvalue,
     )[0]
 
 

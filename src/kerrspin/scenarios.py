@@ -57,13 +57,16 @@ CUTOFF_BUMP = 5  # levels added to the mode truncation by the cutoff-bump gate
 
 @dataclass
 class FrameSpec:
-    """Interaction-frame rates, all angular (rad/s)."""
+    """Interaction-frame rates, all angular (rad/s), and the configuration
+    keys behind the coupling, the spin detuning and the mode-spin gap
+    (`keys`), which an error about a rate derived from them names."""
 
     coupling: float
     delta_q: float
     delta_s: float
     squeezing: float
     info: dict
+    keys: dict[str, str]
 
     @property
     def delta_minus(self) -> float:
@@ -118,6 +121,11 @@ def _device_frame(cfg: RunConfig) -> FrameSpec:
         delta_q=lin.delta_q,
         delta_s=frame.mode_detuning,
         squeezing=frame.squeezing,
+        keys={
+            "coupling": "device.radius_m or device.distance_m",
+            "delta_q": "device.omega_q_hz or drive.detuning_hz",
+            "gap": "device.omega_q_hz, device.bias_t or drive.detuning_hz",
+        },
         info={
             "origin": "device",
             "device": {
@@ -161,9 +169,8 @@ def _resolve_frame(
     coupling = cfg.angular_or_none("frame.coupling_hz")
     if coupling is None:
         coupling = TWO_PI * default_coupling_hz
-    delta_q = cfg.angular_or_none("frame.delta_q_hz")
-    if delta_q is None:
-        delta_q = delta_q_factor * coupling
+    dq_cfg = cfg.angular_or_none("frame.delta_q_hz")
+    delta_q = delta_q_factor * coupling if dq_cfg is None else dq_cfg
     ds_cfg = cfg.angular_or_none("frame.delta_s_hz")
     dm_cfg = cfg.angular_or_none("frame.delta_minus_hz")
     if ds_cfg is not None and dm_cfg is not None:
@@ -182,28 +189,36 @@ def _resolve_frame(
         delta_s=delta_s,
         squeezing=0.0,
         info={"origin": "configured"},
+        keys={
+            "coupling": "frame.coupling_hz",
+            # An unset delta_q is a multiple of the coupling.
+            "delta_q": "frame.coupling_hz" if dq_cfg is None else "frame.delta_q_hz",
+            "gap": "frame.delta_minus_hz" if ds_cfg is None else "frame.delta_s_hz",
+        },
     )
 
 
-def _time_scale(
-    coupling: float, delta_minus: float | None = None, gap_key: str = "frame.delta_minus_hz"
-) -> float:
+def _time_scale(coupling: float, keys: dict[str, str], delta_minus: float | None = None) -> float:
     """pi/(2 G) or, given the mode-spin gap, pi/(2 |G_eff|) with G_eff =
-    G^2/delta_minus. A ConfigError names `gap_key` for a zero gap or one
+    G^2/delta_minus. A ConfigError names keys["gap"] for a zero gap or one
     whose periods the time scale holds more of than a float can count, and
-    frame.coupling_hz for a time scale that is not finite and positive."""
+    keys["coupling"] for a time scale that is not finite and positive."""
     rate = coupling
     if delta_minus == 0.0:
-        raise ConfigError(f"{gap_key}: the gap delta_s - delta_q is 0; this scenario divides by it")
+        raise ConfigError(
+            f"{keys['gap']}: the gap delta_s - delta_q is 0; this scenario divides by it"
+        )
     if delta_minus is not None:
         # effective_coupling's G**2 raises OverflowError where G * G is inf.
         big = not math.isfinite(coupling * coupling)
         rate = math.inf if big else abs(ham.effective_coupling(coupling, delta_minus))
     t = math.pi / (2.0 * rate) if rate != 0.0 else math.inf
     if not 0.0 < t < math.inf:
-        raise ConfigError(f"frame.coupling_hz: G = {coupling:g} rad/s sets the time scale {t:g} s")
+        raise ConfigError(f"{keys['coupling']}: G = {coupling:g} rad/s sets the time scale {t:g} s")
     if delta_minus is not None and not math.isfinite(t * delta_minus):
-        raise ConfigError(f"{gap_key}: the time scale {t:g} s is too long at gap {delta_minus:g}")
+        raise ConfigError(
+            f"{keys['gap']}: the time scale {t:g} s is too long at gap {delta_minus:g}"
+        )
     return t
 
 
@@ -449,7 +464,7 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         )
     cutoff = _resolve_cutoff(cfg, 15)
     coupling = fs.coupling
-    t_star = _time_scale(coupling)
+    t_star = _time_scale(coupling, fs.keys)
     window = 3.0 * t_star
     base_points = 1200  # t_star lands exactly on index 400
     times = np.linspace(0.0, window, base_points + 1)
@@ -517,7 +532,7 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     fs = _resolve_frame(cfg, 4.0e6, 10.0, delta_s_factor=10.0)
     levels = sorted(cfg["battery.fock_levels"])
     coupling = fs.coupling
-    window = 2.0 * _time_scale(coupling)  # pi / G
+    window = 2.0 * _time_scale(coupling, fs.keys)  # pi / G
     base_points = 1600
 
     def level_cutoff(m: int, bump: int = 0) -> int:
@@ -532,6 +547,14 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         return m + 10 + bump
 
     times = np.linspace(0.0, window, base_points + 1)
+    # The power column divides the energy delta_q * pop by the time, so it
+    # stays below |delta_q| / times[1].
+    if not math.isfinite(fs.delta_q / float(times[1])):
+        keys = " or ".join(dict.fromkeys([fs.keys["coupling"], fs.keys["delta_q"]]))
+        raise ConfigError(
+            f"{keys}: the power scale delta_q / dt = {fs.delta_q:g} rad/s / {times[1]:g} s"
+            " overflows"
+        )
 
     def level(m: int, bump: int, tgrid: np.ndarray) -> _Run:
         spec = HilbertSpec.mode_and_spins(level_cutoff(m, bump), 1)
@@ -638,15 +661,21 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     """
     fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
     cutoff = _resolve_cutoff(cfg, 6)
-    t_star = _time_scale(fs.coupling, fs.delta_minus)
+    t_star = _time_scale(fs.coupling, fs.keys, fs.delta_minus)
     g_eff = ham.effective_coupling(fs.coupling, fs.delta_minus)
     times = np.linspace(0.0, 1.4 * t_star, 281)  # t_star at index 200
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
 
-    def transfer(model: dyn.LindbladModel, label: tuple, suffix: str, halved: bool) -> _Run:
+    def transfer(
+        model: dyn.LindbladModel, label: tuple, suffix: str, halved: bool, record: bool
+    ) -> _Run:
         traj = dyn.evolve_lindblad(
-            model, dm(basis_ket(label, model.spec)), times, **_step_args(cfg, halved)
+            model,
+            dm(basis_ket(label, model.spec)),
+            times,
+            record_min_eigenvalue=record,
+            **_step_args(cfg, halved),
         )
         # The written two-spin equation has no mode: identically zero.
         mode = traj.observables.get("pop_mode", np.zeros_like(times))
@@ -657,13 +686,15 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         }
         return _Run(cols, traj.diagnostics["trace_deviation"], _integrator_info([traj]))
 
-    def core(model3: dyn.LindbladModel, halved: bool) -> _Run:
-        full = transfer(model3, (0, 1, 0), "full", halved)
-        return _merge({"full": full, "effective": transfer(model2, (1, 0), "eff", halved)})
+    def core(model3: dyn.LindbladModel, halved: bool, record: bool = False) -> _Run:
+        """Both models' runs; only the main one (`record`) reports its
+        lowest state eigenvalue, the reruns' info is never read."""
+        full = transfer(model3, (0, 1, 0), "full", halved, record)
+        return _merge({"full": full, "effective": transfer(model2, (1, 0), "eff", halved, record)})
 
     model3 = _full_model(fs, cutoff, kappa, gamma)
     model2 = _written_model(fs, gamma)
-    main = core(model3, False)
+    main = core(model3, False, record=True)
     fine = core(model3, True)
     bumped = core(_full_model(fs, cutoff + CUTOFF_BUMP, kappa, gamma), False)
     cols = main.cols
@@ -725,9 +756,8 @@ def _dissipationless_fidelity(h: np.ndarray, t: float) -> float:
     exp(-i h t) on the 16 tomography inputs, each output rebuilt from its
     Pauli expectation values like the dissipative channels'."""
     d = h.shape[0]
-    obs = dyn.pauli_observables(d)
-    kets = dyn.process_basis_kets(d)
-    trajs = [dyn.evolve_unitary(h, psi, [0.0, t], observables=obs) for psi in kets]
+    kets, obs = dyn.process_basis_kets(d), dyn.pauli_observables(d)
+    trajs = dyn.evolve_unitary_batch(h, kets, [0.0, t], observables=obs)
     return dyn.fidelities_from_outputs(dyn.pauli_outputs(trajs)[-1], dyn.iswap_unitary())[1]
 
 
@@ -752,19 +782,25 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     """
     fs = _resolve_frame(cfg, 0.7e6, 2.0, delta_minus_factor=10.0)
     cutoff = _resolve_cutoff(cfg, 6)
-    t_star = _time_scale(fs.coupling, fs.delta_minus)
+    t_star = _time_scale(fs.coupling, fs.keys, fs.delta_minus)
     g_eff = ham.effective_coupling(fs.coupling, fs.delta_minus)
     times = np.linspace(0.0, 1.4 * t_star, 281)
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
     target = dyn.iswap_unitary()
 
-    def tomography(model: dyn.LindbladModel, suffix: str, halved: bool):
-        """The channel's run record, its output series and strip phases."""
+    def tomography(model: dyn.LindbladModel, suffix: str, halved: bool, record: bool = True):
+        """The channel's run record, its output series and strip phases;
+        the record holds the batch's lowest state eigenvalue if `record`."""
         d = model.spec.dim
         kets, observables = dyn.process_basis_kets(d), dyn.pauli_observables(d)
         trajs = dyn.evolve_lindblad_batch(
-            model, kets, times, observables=observables, **_step_args(cfg, halved)
+            model,
+            kets,
+            times,
+            observables=observables,
+            record_min_eigenvalue=record,
+            **_step_args(cfg, halved),
         )
         outputs = dyn.pauli_outputs(trajs)
         raw, stripped, phases = dyn.fidelities_from_outputs(outputs, target)
@@ -773,7 +809,9 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         return _Run(cols, drift, _integrator_info(trajs)), outputs, phases
 
     def channel(model: dyn.LindbladModel, suffix: str, halved: bool) -> _Run:
-        return tomography(model, suffix, halved)[0]
+        """A rerun: only its columns and drift are read, so its positivity
+        is certified without computing the eigenvalue."""
+        return tomography(model, suffix, halved, record=False)[0]
 
     written = _written_model(fs, gamma)
     full = _full_model(fs, cutoff, kappa, gamma)
@@ -889,7 +927,7 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         raise ConfigError(f"dispersive.ratios {ratios}: a gap ratio * G rounds to 0 at delta_q")
 
     def grid(ratio: float, coupling: float, factor: int) -> np.ndarray:
-        t_star = _time_scale(coupling, ratio * coupling, "dispersive.ratios")
+        t_star = _time_scale(coupling, {**fs.keys, "gap": "dispersive.ratios"}, ratio * coupling)
         return np.linspace(0.0, t_star, factor * 400 + 1)
 
     def pair(ratio: float, coupling: float, cut: int, factor: int) -> _Run:

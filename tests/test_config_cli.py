@@ -302,6 +302,14 @@ class TestCli:
             ("rabi", ["--from-device", "drive.detuning_hz=1e300"], "drive.detuning_hz"),
             ("state-transfer", ["--from-device", "device.radius_m=1e-300"], "device.radius_m"),
             ("battery", ["--from-device", "device.bias_t=1e300"], "device.bias_t"),
+            # --from-device: the derived coupling or gap sets a time scale
+            # out of range; the device and drive keys behind it are named.
+            ("rabi", ["--from-device", "device.distance_m=1e100"],
+             "device.radius_m or device.distance_m:"),
+            ("state-transfer", ["--from-device", "device.omega_q_hz=1e300"],
+             "device.omega_q_hz, device.bias_t or drive.detuning_hz:"),
+            ("iswap-fidelity", ["--from-device", "device.omega_q_hz=1e300"],
+             "device.omega_q_hz, device.bias_t or drive.detuning_hz:"),
         ],
     )
     def test_zero_gap_exit_two(self, scenario, settings, field, tmp_path, monkeypatch, capsys):
@@ -316,6 +324,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "setting, field",
+        [
+            ("frame.coupling_hz=1e300", "frame.coupling_hz:"),
+            ("frame.delta_q_hz=1e300", "frame.coupling_hz or frame.delta_q_hz:"),
+        ],
+    )
+    def test_overflowing_battery_power_exit_two(self, setting, field, tmp_path):
+        # energy / time overflowed in the power column; with RuntimeWarning
+        # an error, as CI runs the console script, that was a traceback.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "kerrspin.cli", "run", "battery",
+             "--set", setting, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "power scale" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "scenario, amplitude",

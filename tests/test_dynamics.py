@@ -36,6 +36,7 @@ from kerrspin.dynamics import (
     evolve_lindblad,
     evolve_lindblad_batch,
     evolve_unitary,
+    evolve_unitary_batch,
     fidelities_from_outputs,
     iswap_ideal_map,
     iswap_unitary,
@@ -50,6 +51,7 @@ from kerrspin.dynamics import (
     strip_local_phases,
 )
 from kerrspin.fock import (
+    POSITIVITY_FLOOR,
     HilbertSpec,
     Subsystem,
     annihilation,
@@ -71,6 +73,7 @@ from kerrspin.scenarios import (
     _full_model,
     _resolve_frame,
     _written_model,
+    run_scenario,
 )
 
 
@@ -310,14 +313,7 @@ class TestLindblad:
 
     def test_inputs_diagonalised_once_on_their_support(self, monkeypatch):
         model, rho0s, _times = tomography_case(6)
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        shapes = recorded_eigvalsh_shapes(monkeypatch)
         stack = dynamics._validate_inputs(rho0s, model.spec.dim)
         # The 16 inputs live on the mode vacuum times the 4 spin states.
         assert shapes == [(16, 4, 4)]
@@ -1287,3 +1283,187 @@ class TestNonFiniteDiagnostics:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DiagnosticsError, match="norm drift nan"):
                 evolve_unitary(1e308 * qubit_ops()["sx"], basis_ket((0,), spec), [0.0, 10.0])
+
+
+def rotated_qubit_state(lam: float) -> np.ndarray:
+    """A one-qubit density matrix with eigenvalues (1 - lam, lam), its
+    eigenbasis turned off the computational one."""
+    c, s = np.cos(0.3), np.sin(0.3) * np.exp(0.7j)
+    u = np.array([[c, -np.conj(s)], [s, c]])
+    return u @ np.diag([1.0 - lam, lam]) @ u.conj().T
+
+
+def recorded_eigvalsh_shapes(monkeypatch) -> list[tuple]:
+    """The shape of every array np.linalg.eigvalsh is called on from now."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+class TestPositivityCertificate:
+    """A Lindblad run whose min_eigenvalue is not reported proves each
+    input's positivity by a Cholesky factorisation and diagonalises only
+    where that fails; the pass or fail must stay that of min eigvalsh >=
+    POSITIVITY_FLOOR, and nothing else the run returns may change."""
+
+    def run_to(self, monkeypatch, lam: float, record: bool):
+        # A patched propagator P vec(rho) = tr(rho) vec(target) maps the
+        # ground state in one interval to a state with eigenvalue lam.
+        target = rotated_qubit_state(lam).reshape(-1)
+        prop = np.outer(target, np.eye(2).reshape(-1))
+        monkeypatch.setattr(dynamics, "_interval_propagator", lambda gen, dt, h_req: (prop, 1))
+        spec = HilbertSpec.spins_only(1)
+        # sx only makes both states reachable, so the block is the qubit.
+        model = LindbladModel(qubit_ops()["sx"], [], spec)
+        ground = dm(basis_ket((0,), spec))
+        return evolve_lindblad(model, ground, [0.0, 1.0], record_min_eigenvalue=record)
+
+    @pytest.mark.parametrize("fraction", [0.75, 1.25])
+    def test_same_verdict_and_message_as_eigvalsh(self, monkeypatch, fraction):
+        # 0.75 floor passes only through the eigvalsh fallback: the
+        # factorisation of rho - floor/2 I fails at eigenvalue -floor/4.
+        lam = fraction * POSITIVITY_FLOOR
+        assert np.min(np.linalg.eigvalsh(rotated_qubit_state(lam))) == pytest.approx(lam, rel=1e-6)
+        outcomes = []
+        for record in (True, False):
+            try:
+                outcomes.append(self.run_to(monkeypatch, lam, record).diagnostics)
+            except DiagnosticsError as err:
+                outcomes.append(str(err))
+        if fraction < 1.0:
+            reported, certified = outcomes
+            assert type(reported) is dict and type(certified) is dict
+            assert reported["min_eigenvalue"] == pytest.approx(lam, rel=1e-6)
+            assert "min_eigenvalue" not in certified
+        else:
+            assert outcomes == [f"state eigenvalue {lam:.3e} below floor {POSITIVITY_FLOOR}"] * 2
+
+    @pytest.mark.parametrize(
+        "lam, record, series_diagonalised",
+        [(0.1, False, 0), (0.75 * POSITIVITY_FLOOR, False, 1), (0.1, True, 1)],
+    )
+    def test_eigvalsh_only_where_reported_or_uncertified(
+        self, monkeypatch, lam, record, series_diagonalised
+    ):
+        shapes = recorded_eigvalsh_shapes(monkeypatch)
+        self.run_to(monkeypatch, lam, record)
+        # The (T, n, n) state series; the rest check the input and the scale.
+        assert shapes.count((2, 2, 2)) == series_diagonalised
+
+    @pytest.mark.parametrize(
+        "cutoff, step_scale",
+        [
+            (None, DEFAULT_STEP_SCALE),
+            (6, DEFAULT_STEP_SCALE),
+            (6, DEFAULT_STEP_SCALE / 2),
+            (11, DEFAULT_STEP_SCALE),
+        ],
+        ids=["written", "full-6", "full-6-halved", "full-11"],
+    )
+    def test_tomography_batches_bitwise_equal(self, cutoff, step_scale):
+        model, rho0s, times = tomography_case(cutoff)
+        kwargs = {"observables": pauli_observables(model.spec.dim), "step_scale": step_scale}
+        reported = evolve_lindblad_batch(model, rho0s, times, **kwargs)
+        certified = evolve_lindblad_batch(
+            model, rho0s, times, record_min_eigenvalue=False, **kwargs
+        )
+        for a, b in zip(reported, certified, strict=True):
+            assert list(a.observables) == list(b.observables)
+            for name, series in a.observables.items():
+                assert series.tobytes() == b.observables[name].tobytes()
+            assert a.final_state.tobytes() == b.final_state.tobytes()
+            want = {key: value for key, value in a.diagnostics.items() if key != "min_eigenvalue"}
+            assert b.diagnostics == want
+            assert "trace_deviation" in want and "hermiticity_deviation" in want
+
+    def test_iswap_fidelity_diagonalises_only_its_reported_batches(self, tmp_path, monkeypatch):
+        shapes = recorded_eigvalsh_shapes(monkeypatch)
+        run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path)
+        n_t, n_in, batches = 281, 16, 8
+        # Only the 2 main batches (written and full) report min_eigenvalue,
+        # so only their per-input state series are diagonalised. Each of
+        # the 8 batches also checks its inputs in one call and takes its
+        # spectral scale from the full H.
+        assert sum(1 for shape in shapes if shape[0] == n_t) == 2 * n_in
+        matrices = sum(int(np.prod(shape[:-2])) for shape in shapes)
+        assert matrices == 2 * n_in * n_t + batches * (n_in + 1)
+
+
+def former_evolve_unitary(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, observables: dict):
+    """The former one-ket evolution: the ket's own reached block, its
+    eigh, the observable series and the zero-padded final state."""
+    idx = dynamics._reachable(psi0 != 0, [h])
+    block = np.ix_(idx, idx)
+    evals, vecs = np.linalg.eigh(h[block])
+    coeff = vecs.conj().T @ psi0[idx]
+    states = (vecs @ (np.exp(-1j * np.outer(evals, times)) * coeff[:, None])).T
+    series = {
+        name: np.einsum("ti,ti->t", states.conj(), states @ op[block].T).real
+        for name, op in observables.items()
+    }
+    final = np.zeros(h.shape[0], dtype=complex)
+    final[idx] = states[-1]
+    return series, final
+
+
+class TestUnitaryBatch:
+    """evolve_unitary_batch evolves several kets on the block reached from
+    the union of their supports, with one search and one eigh."""
+
+    def test_one_ket_bitwise_equals_former_path(self):
+        for spec, h, psi0, times in (rabi_case(15), battery_case(5)):
+            observables = default_population_observables(spec)
+            (traj,) = evolve_unitary_batch(h, [psi0], times, spec=spec)
+            series, final = former_evolve_unitary(h, psi0, times, observables)
+            assert list(traj.observables) == list(series)
+            for name, values in series.items():
+                assert traj.observables[name].tobytes() == values.tobytes()
+            assert traj.final_state.tobytes() == final.tobytes()
+            single = evolve_unitary(h, psi0, times, spec=spec)
+            assert single.final_state.tobytes() == final.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [None, 6])
+    def test_tomography_kets_match_one_ket_runs(self, monkeypatch, cutoff):
+        model, _rho0s, times = tomography_case(cutoff)
+        h, d = model.hamiltonian, model.spec.dim
+        kets, observables = process_basis_kets(d), pauli_observables(d)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        trajs = evolve_unitary_batch(h, kets, times, observables=observables, keep_states=True)
+        # |0gg>, |0ge>, |0eg>, |0ee> and, with a mode, |1gg>, |1ge>, |1eg>, |2gg>.
+        union = 4 if cutoff is None else 8
+        assert calls == [(union, union)]
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert len(trajs) == 16
+        for psi, traj in zip(kets, trajs):
+            one = evolve_unitary(h, psi, times, observables=observables, keep_states=True)
+            assert traj.diagnostics["reduced_dim"] == union
+            assert np.max(np.abs(traj.states - one.states)) <= 1e-12
+            for name, values in one.observables.items():
+                assert np.max(np.abs(traj.observables[name] - values)) <= 1e-12
+
+    def test_dissipationless_fidelity_is_one_batch(self, monkeypatch):
+        model, _rho0s, times = tomography_case(6)
+        calls = []
+        batch = dynamics.evolve_unitary_batch
+        monkeypatch.setattr(
+            dynamics, "evolve_unitary_batch", lambda *a, **k: calls.append(1) or batch(*a, **k)
+        )
+        monkeypatch.setattr(dynamics, "evolve_unitary", None)
+        assert _dissipationless_fidelity(model.hamiltonian, times[200]) > 0.999
+        assert calls == [1]
+
+    def test_kets_validated_one_by_one(self):
+        h = qubit_ops()["sx"]
+        good = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="state dimension does not match"):
+            evolve_unitary_batch(h, [good, np.ones(3) / np.sqrt(3.0)], [0.0, 1.0])
+        with pytest.raises(ValueError, match="initial state norm 2.0 deviates from 1"):
+            evolve_unitary_batch(h, [good, 2.0 * good], [0.0, 1.0])
