@@ -18,8 +18,9 @@ the full model; the default substep is a tenth of that ceiling. A
 uniform grid is then filled by doubling: with the states of times
 [0, m) known, times [m, 2m) follow from one matrix product with P^m,
 and P^m is squared for the next block, so T points take ceil(log2 T)
-products (the same repeated squaring, over the grid). A non-uniform grid
-is stepped one interval at a time.
+products (the same repeated squaring, over the grid). Open-system runs
+take uniform grids only: steps that differ by more than 1e-9 relative
+are refused before the generator is built.
 
 Both kinds of run work on a coordinate subspace only: the basis states
 reachable from the support of the initial state(s) through the nonzero
@@ -158,14 +159,6 @@ def default_population_observables(spec: HilbertSpec) -> dict[str, np.ndarray]:
         f"pop_{sub.label}": np.diag(occ.astype(complex))
         for sub, occ in zip(spec.subsystems, labels)
     }
-
-
-def populations(traj: Trajectory, label: str) -> np.ndarray:
-    """Occupation series recorded for one subsystem label."""
-    key = f"pop_{label}"
-    if key not in traj.observables:
-        raise ValueError(f"unknown subsystem {label!r}; have {sorted(traj.observables)}")
-    return traj.observables[key]
 
 
 def _validate_times(times: np.ndarray) -> np.ndarray:
@@ -424,7 +417,9 @@ def evolve_lindblad_batch(
 ) -> list[Trajectory]:
     """Open-system evolution of several initial states under one model.
 
-    The generator and interval propagators are built once and shared, so
+    `times` must be a uniform grid: steps that differ by more than 1e-9
+    relative raise ValueError before any generator is built. The
+    generator and interval propagator are built once and shared, so
     batching the 16 tomography inputs costs little more than one run.
     They are built on the coordinate subspace the inputs can reach (see
     the module docstring); the substep still comes from the full model.
@@ -439,6 +434,9 @@ def evolve_lindblad_batch(
     DiagnosticsError naming the lowest eigenvalue.
     """
     times = _validate_times(times)
+    dt = float(times[1] - times[0])
+    if not np.all(np.abs(np.diff(times) - dt) <= 1e-9 * dt):
+        raise ValueError("times must be a uniform grid (steps equal to 1e-9 relative)")
     d = model.spec.dim
     rhos0 = _validate_inputs(rho0_list, d)
     h_req, scale = _resolve_step(model, step, step_scale)
@@ -460,53 +458,41 @@ def evolve_lindblad_batch(
     rows = np.empty((n_t, n_in, n * n), dtype=complex)
     rows[0] = rhos0[:, idx[:, None], idx].reshape(n_in, n * n)
     flat = rows.reshape(n_t * n_in, n * n)
-    diffs = np.diff(times)
-    uniform = bool(np.all(np.abs(diffs - diffs[0]) <= 1e-9 * diffs[0]))
-    max_substeps = 1
-    if uniform:
-        prop, k = _interval_propagator(gen, float(diffs[0]), h_req)
-        max_substeps = k
-        # Doubling: times [m, 2m) are times [0, m) advanced by P^m, one
-        # GEMM per block, with P^m squared between blocks.
-        m = 1
-        while m < n_t:
-            count = min(m, n_t - m)
-            np.matmul(flat[: count * n_in], prop.T, out=flat[m * n_in : (m + count) * n_in])
-            m *= 2
-            if m < n_t:
-                prop = prop @ prop
-    else:
-        cache: dict[float, tuple[np.ndarray, int]] = {}
-        for j, dt in enumerate(diffs, start=1):
-            key = float(dt)
-            if key not in cache:
-                cache[key] = _interval_propagator(gen, key, h_req)
-            prop, k = cache[key]
-            max_substeps = max(max_substeps, k)
-            np.matmul(rows[j - 1], prop.T, out=rows[j])
+    prop, k = _interval_propagator(gen, dt, h_req)
+    # Doubling: times [m, 2m) are times [0, m) advanced by P^m, one GEMM
+    # per block, with P^m squared between blocks.
+    m = 1
+    while m < n_t:
+        count = min(m, n_t - m)
+        np.matmul(flat[: count * n_in], prop.T, out=flat[m * n_in : (m + count) * n_in])
+        m *= 2
+        if m < n_t:
+            prop = prop @ prop
     states = rows.reshape(n_t, n_in, n, n).swapaxes(0, 1)  # (n_in, T, n, n) view
 
-    # Physicality diagnostics, one input's (T, n, n) series at a time, so
-    # that no temporary is the size of the whole stack. Each test is
-    # written as `not <=` (or `not >=`) so that a non-finite state (an
-    # overflowing propagator) fails it; trace and hermiticity go first
-    # for every input, since eigvalsh cannot take such a state.
+    # Physicality diagnostics, one pass over one input's (T, n, n) series
+    # at a time, so that no temporary is the size of the whole stack.
+    # Each test is written as `not <=` (or `not >=`) so that a non-finite
+    # state (an overflowing propagator) fails it; an input that fails its
+    # trace or hermiticity test skips positivity, since eigvalsh cannot
+    # take such a state. An input whose minimum goes unreported and whose
+    # Cholesky certificate holds keeps min_eig inf, as does a skipped one.
     trace_dev = np.empty(n_in)
     herm_dev = np.empty(n_in)
+    min_eig = np.full(n_in, np.inf)
     for i, rho_t in enumerate(states):
+        adjoint = rho_t.conj().swapaxes(-1, -2)
         trace_dev[i] = np.max(np.abs(np.einsum("tjj->t", rho_t) - 1.0))
-        herm_dev[i] = np.max(np.abs(rho_t - rho_t.conj().swapaxes(-1, -2)))
+        herm_dev[i] = np.max(np.abs(rho_t - adjoint))
+        if not (trace_dev[i] <= TRACE_TOL and herm_dev[i] <= 1e-10):
+            continue
+        sym = 0.5 * (rho_t + adjoint)
+        if record_min_eigenvalue or not _certified_above_floor(sym):
+            min_eig[i] = np.min(np.linalg.eigvalsh(sym))
     if not np.max(trace_dev) <= TRACE_TOL:
         raise DiagnosticsError(f"trace deviation {np.max(trace_dev):.3e} exceeds {TRACE_TOL}")
     if not np.max(herm_dev) <= 1e-10:
         raise DiagnosticsError(f"hermiticity deviation {np.max(herm_dev):.3e} exceeds 1e-10")
-    # An input whose minimum goes unreported and whose Cholesky
-    # certificate holds keeps min_eig inf; the rest get their eigvalsh.
-    min_eig = np.full(n_in, np.inf)
-    for i, rho_t in enumerate(states):
-        sym = 0.5 * (rho_t + rho_t.conj().swapaxes(-1, -2))
-        if record_min_eigenvalue or not _certified_above_floor(sym):
-            min_eig[i] = np.min(np.linalg.eigvalsh(sym))
     if n < d:
         # The lifted state's zero block contributes eigenvalue 0.
         min_eig = np.minimum(min_eig, 0.0)
@@ -532,8 +518,8 @@ def evolve_lindblad_batch(
         diagnostics = {
             "method": "taylor4-superoperator",
             "spectral_scale": scale,
-            "substep": float(diffs[0]) / max_substeps if uniform else h_req,
-            "max_substeps_per_interval": max_substeps,
+            "substep": dt / k,
+            "max_substeps_per_interval": k,
             "hilbert_dim": d,
             "reduced_dim": n,
             "liouville_dim": n * n,
@@ -590,15 +576,6 @@ def iswap_unitary() -> np.ndarray:
     u[1, 1] = u[2, 2] = 0.0
     u[1, 2] = u[2, 1] = -1j
     return u
-
-
-def iswap_ideal_map(state: np.ndarray) -> np.ndarray:
-    """Apply the ideal gate to a ket or density matrix."""
-    u = iswap_unitary()
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return u @ state
-    return u @ state @ u.conj().T
 
 
 _PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))

@@ -231,13 +231,6 @@ def squeeze_frame(lin: LinearizedParams, g: float) -> SqueezedFrame:
     return SqueezedFrame(r, delta_s, 0.5 * g * math.exp(r))
 
 
-def squeezing_for_ratio(ratio: float) -> float:
-    """Inverse map: kerr2/delta_m -> r. tanh(2r) = ratio."""
-    if not -1.0 < ratio < 1.0:
-        raise InstabilityError(1.0, ratio)
-    return 0.5 * math.atanh(ratio)
-
-
 def _model_operators(spec: HilbertSpec, builder: str, spins: tuple[int, int | None] = (1, 1)):
     """The embedded operators every mode-plus-spin builder is a formula over.
 

@@ -667,9 +667,11 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
 
-    def transfer(
-        model: dyn.LindbladModel, label: tuple, suffix: str, halved: bool, record: bool
-    ) -> _Run:
+    def transfer(model: dyn.LindbladModel, halved: bool, record: bool = False) -> _Run:
+        """The run from one spin excited (the full model's mode empty);
+        only the main runs (`record`) report their lowest state eigenvalue,
+        the reruns' info is never read."""
+        label, suffix = ((0, 1, 0), "full") if len(model.spec.dims) == 3 else ((1, 0), "eff")
         traj = dyn.evolve_lindblad(
             model,
             dm(basis_ket(label, model.spec)),
@@ -686,17 +688,14 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         }
         return _Run(cols, traj.diagnostics["trace_deviation"], _integrator_info([traj]))
 
-    def core(model3: dyn.LindbladModel, halved: bool, record: bool = False) -> _Run:
-        """Both models' runs; only the main one (`record`) reports its
-        lowest state eigenvalue, the reruns' info is never read."""
-        full = transfer(model3, (0, 1, 0), "full", halved, record)
-        return _merge({"full": full, "effective": transfer(model2, (1, 0), "eff", halved, record)})
-
     model3 = _full_model(fs, cutoff, kappa, gamma)
     model2 = _written_model(fs, gamma)
-    main = core(model3, False, record=True)
-    fine = core(model3, True)
-    bumped = core(_full_model(fs, cutoff + CUTOFF_BUMP, kappa, gamma), False)
+    eff = transfer(model2, False, record=True)
+    main = _merge({"full": transfer(model3, False, record=True), "effective": eff})
+    fine = _merge({"full": transfer(model3, True), "effective": transfer(model2, True)})
+    # The written model has no cutoff: the bump reuses its main run.
+    bumped_model3 = _full_model(fs, cutoff + CUTOFF_BUMP, kappa, gamma)
+    bumped = _merge({"full": transfer(bumped_model3, False), "effective": eff})
     cols = main.cols
 
     report = ScenarioReport(scenario="state-transfer")
@@ -924,7 +923,8 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     if len({tag(ratio) for ratio in ratios}) < max(len(ratios), 2):
         raise ConfigError(f"dispersive.ratios needs 2 or more distinct entries, got {ratios}")
     if any(fs.delta_q + ratio * fs.coupling == fs.delta_q for ratio in ratios):
-        raise ConfigError(f"dispersive.ratios {ratios}: a gap ratio * G rounds to 0 at delta_q")
+        keys = dict.fromkeys([fs.keys["coupling"], fs.keys["delta_q"], "dispersive.ratios"])
+        raise ConfigError(f"{', '.join(keys)} {ratios}: a gap ratio * G rounds to 0 at delta_q")
 
     def grid(ratio: float, coupling: float, factor: int) -> np.ndarray:
         t_star = _time_scale(coupling, {**fs.keys, "gap": "dispersive.ratios"}, ratio * coupling)

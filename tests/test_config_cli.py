@@ -310,6 +310,9 @@ class TestCli:
              "device.omega_q_hz, device.bias_t or drive.detuning_hz:"),
             ("iswap-fidelity", ["--from-device", "device.omega_q_hz=1e300"],
              "device.omega_q_hz, device.bias_t or drive.detuning_hz:"),
+            # A coupling or spin detuning that puts ratio * G below delta_q's ulp.
+            ("dispersive-check", ["frame.delta_q_hz=1e30"], "frame.delta_q_hz"),
+            ("dispersive-check", ["--from-device", "device.distance_m=1e100"], "device.distance_m"),
         ],
     )
     def test_zero_gap_exit_two(self, scenario, settings, field, tmp_path, monkeypatch, capsys):

@@ -38,12 +38,10 @@ from kerrspin.dynamics import (
     evolve_unitary,
     evolve_unitary_batch,
     fidelities_from_outputs,
-    iswap_ideal_map,
     iswap_unitary,
     liouvillian,
     pauli_observables,
     pauli_outputs,
-    populations,
     process_basis_kets,
     process_fidelity,
     spectral_scale,
@@ -81,6 +79,29 @@ def mode_only_spec(cutoff: int) -> HilbertSpec:
     return HilbertSpec((Subsystem("mode", cutoff),))
 
 
+def spied_calls(monkeypatch, owner, name: str) -> list:
+    """The positional arguments of every call to owner.<name> from now."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def near_uniform_grid(t_end: float, points: int) -> np.ndarray:
+    """np.linspace(0, t_end, points) with every other point moved by 1e-12
+    relative, so its steps differ in the last bits but stay uniform to 1e-9."""
+    times = np.linspace(0.0, t_end, points) * (1.0 + 1e-12 * (-1.0) ** np.arange(points))
+    steps = np.diff(times)
+    assert np.ptp(steps) > 0.0
+    assert np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])
+    return times
+
+
 class TestUnitary:
     def test_driven_qubit_oscillation(self):
         spec = HilbertSpec.spins_only(1)
@@ -89,7 +110,7 @@ class TestUnitary:
         times = np.linspace(0.0, 4.0 * np.pi / omega, 161)
         traj = evolve_unitary(h, basis_ket((0,), spec), times, spec=spec)
         expected = np.sin(0.5 * omega * times) ** 2
-        assert np.max(np.abs(populations(traj, "spin") - expected)) < 1e-12
+        assert np.max(np.abs(traj.observables["pop_spin"] - expected)) < 1e-12
 
     def test_resonant_exchange_full_transfer(self):
         g = 1.0
@@ -99,11 +120,11 @@ class TestUnitary:
         h = tavis_cummings_hamiltonian(spec, fr, delta_q=delta)
         times = np.linspace(0.0, np.pi / (2.0 * g), 101)
         traj = evolve_unitary(h, basis_ket((1, 0), spec), times, spec=spec)
-        spin = populations(traj, "spin")
+        spin = traj.observables["pop_spin"]
         assert spin[-1] >= 1.0 - 1e-10
         assert np.max(np.abs(spin - np.sin(g * times) ** 2)) < 1e-10
         # Single excitation shared between mode and spin.
-        total = spin + populations(traj, "mode")
+        total = spin + traj.observables["pop_mode"]
         assert np.max(np.abs(total - 1.0)) < 1e-10
 
     def test_keep_states_and_final_state(self):
@@ -131,10 +152,6 @@ class TestUnitary:
             evolve_unitary(good_h, good_psi, np.array([0.0, 1.0, 0.5]))
         with pytest.raises(ValueError):
             evolve_unitary(good_h, good_psi, np.array([0.0]))
-        with pytest.raises(ValueError):
-            populations(
-                evolve_unitary(good_h, good_psi, times, spec=spec), "nonexistent"
-            )
         for shape in [(3, 3), (1, 1)]:
             with pytest.raises(ValueError, match="observable 'bad' shape"):
                 evolve_unitary(good_h, good_psi, times, observables={"bad": np.eye(*shape)})
@@ -152,7 +169,7 @@ class TestLindblad:
         times = np.linspace(0.0, 3.0 / gamma, 61)
         traj = evolve_lindblad(model, dm(basis_ket((1,), spec)), times)
         expected = np.exp(-gamma * times)
-        assert np.max(np.abs(populations(traj, "spin") - expected)) < 1e-9
+        assert np.max(np.abs(traj.observables["pop_spin"] - expected)) < 1e-9
         assert traj.diagnostics["trace_deviation"] < 1e-10
 
     def test_mode_decay(self):
@@ -167,7 +184,7 @@ class TestLindblad:
         rho0 = dm(basis_ket((3,), spec))
         traj = evolve_lindblad(model, rho0, times)
         expected = 3.0 * np.exp(-kappa * times)
-        assert np.max(np.abs(populations(traj, "mode") - expected)) < 1e-9
+        assert np.max(np.abs(traj.observables["pop_mode"] - expected)) < 1e-9
 
     def test_zero_rates_match_unitary(self):
         g = 1.0
@@ -181,7 +198,8 @@ class TestLindblad:
         open_traj = evolve_lindblad(model, dm(psi0), times)
         closed_traj = evolve_unitary(h, psi0, times, spec=spec)
         for label in ("mode", "spin"):
-            diff = populations(open_traj, label) - populations(closed_traj, label)
+            key = f"pop_{label}"
+            diff = open_traj.observables[key] - closed_traj.observables[key]
             assert np.max(np.abs(diff)) < 1e-10
 
     def test_batch_matches_single(self):
@@ -200,7 +218,7 @@ class TestLindblad:
         for got, want in zip(batched, singles):
             assert np.max(np.abs(got.final_state - want.final_state)) < 1e-12
 
-    def test_nonuniform_grid(self):
+    def test_non_uniform_grid_refused(self, monkeypatch):
         gamma = 0.8
         spec = HilbertSpec.spins_only(1)
         model = LindbladModel(
@@ -208,10 +226,18 @@ class TestLindblad:
             collapse=[(qubit_ops()["sm"], gamma)],
             spec=spec,
         )
-        times = np.array([0.0, 0.1, 0.3, 0.35, 0.5, 1.0, 1.7])
-        traj = evolve_lindblad(model, dm(basis_ket((1,), spec)), times)
+        rho0 = dm(basis_ket((1,), spec))
+        calls = spied_calls(monkeypatch, dynamics, "liouvillian")
+        with pytest.raises(ValueError, match="uniform grid"):
+            evolve_lindblad(model, rho0, np.linspace(0.0, 1.7, 7) ** 2)
+        assert calls == []
+        # Steps equal to 1e-9 relative are one grid: a linspace off by
+        # 1e-12 relative is stepped at its first interval.
+        times = near_uniform_grid(3.0 / gamma, 61)
+        traj = evolve_lindblad(model, rho0, times)
+        assert len(calls) == 1
         expected = np.exp(-gamma * times)
-        assert np.max(np.abs(populations(traj, "spin") - expected)) < 1e-8
+        assert np.max(np.abs(traj.observables["pop_spin"] - expected)) < 1e-9
 
     def test_step_validation(self):
         spec = HilbertSpec.spins_only(1)
@@ -417,7 +443,7 @@ class TestReachableSubspace:
         times = np.linspace(0.0, 2.0 / kappa, 41)
         traj = evolve_lindblad(model, dm(basis_ket((1,), spec)), times)
         assert traj.diagnostics["reduced_dim"] == 2
-        assert np.max(np.abs(populations(traj, "mode") - np.exp(-kappa * times))) < 1e-9
+        assert np.max(np.abs(traj.observables["pop_mode"] - np.exp(-kappa * times))) < 1e-9
 
     def test_single_reachable_state(self):
         spec = HilbertSpec.spins_only(1)
@@ -433,7 +459,13 @@ class TestReachableSubspace:
         assert traj.diagnostics["min_eigenvalue"] == 0.0
         assert traj.final_state.shape == (2, 2)
         assert np.max(np.abs(traj.final_state - rho0)) < 1e-12
-        assert np.max(np.abs(populations(traj, "spin"))) < 1e-12
+        assert np.max(np.abs(traj.observables["pop_spin"])) < 1e-12
+
+
+def iswap_ideal_map(rho: np.ndarray) -> np.ndarray:
+    """The ideal gate applied to a density matrix, U rho U'."""
+    u = iswap_unitary()
+    return u @ rho @ u.conj().T
 
 
 def reconstruct_choi(apply_channel) -> np.ndarray:
@@ -889,6 +921,14 @@ def one_pass_diagnostics(states: np.ndarray, d: int) -> dict[str, np.ndarray]:
     }
 
 
+def leaky_propagator(gen, dt, h_req):
+    """A faulty one-qubit propagator that amplifies the excited population
+    by 1 + 1e-6 per interval."""
+    prop = np.eye(4, dtype=complex)
+    prop[3, 3] = 1.0 + 1e-6  # the |e><e| entry of the row-major vector
+    return prop, 1
+
+
 class TestBatchedDiagnostics:
     """Diagnostics and observables are taken one input at a time over the
     (inputs, T, n, n) stack; each input must get its own values."""
@@ -967,21 +1007,48 @@ class TestBatchedDiagnostics:
             )
 
     def test_worst_input_named_in_error(self, monkeypatch):
-        # A faulty propagator that amplifies the excited population by
-        # 1 + 1e-6 per interval: after two intervals |e><e| has gained
-        # 2.000001e-6 in trace and |+><+| half of that.
-        def leaky(gen, dt, h_req):
-            prop = np.eye(4, dtype=complex)
-            prop[3, 3] = 1.0 + 1e-6  # the |e><e| entry of the row-major vector
-            return prop, 1
-
-        monkeypatch.setattr(dynamics, "_interval_propagator", leaky)
+        # After two leaky intervals |e><e| has gained 2.000001e-6 in trace
+        # and |+><+| half of that.
+        monkeypatch.setattr(dynamics, "_interval_propagator", leaky_propagator)
         spec = HilbertSpec.spins_only(1)
         model = LindbladModel(np.zeros((2, 2), dtype=complex), [], spec)
         ground, excited = dm(basis_ket((0,), spec)), dm(basis_ket((1,), spec))
         plus = 0.5 * np.ones((2, 2), dtype=complex)
         with pytest.raises(DiagnosticsError, match=r"^trace deviation 2\.000e-06 exceeds 1e-08$"):
             evolve_lindblad_batch(model, [ground, plus, excited], np.linspace(0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_failed_inputs_skip_positivity(self, monkeypatch, record):
+        # The leaky propagator fails the excited input's trace test, and a
+        # NaN input, let past the input checks, fails trace and
+        # hermiticity. Neither may reach a positivity test; the ground
+        # input passes and gets its own. The batch then raises the trace
+        # error at the batch maximum, which np.max makes NaN.
+        validate = dynamics._validate_inputs
+
+        def with_nan_input(rho0_list, d):
+            return np.concatenate([validate(rho0_list, d), np.full((1, d, d), np.nan)])
+
+        monkeypatch.setattr(dynamics, "_interval_propagator", leaky_propagator)
+        monkeypatch.setattr(dynamics, "_validate_inputs", with_nan_input)
+        seen = {
+            name: spied_calls(monkeypatch, np.linalg, name) for name in ("eigvalsh", "cholesky")
+        }
+        spec = HilbertSpec.spins_only(1)
+        model = LindbladModel(np.zeros((2, 2), dtype=complex), [], spec)
+        ground, excited = dm(basis_ket((0,), spec)), dm(basis_ket((1,), spec))
+        with pytest.raises(DiagnosticsError, match=r"^trace deviation nan exceeds 1e-08$"):
+            evolve_lindblad_batch(
+                model, [ground, excited], np.linspace(0.0, 1.0, 3), record_min_eigenvalue=record
+            )
+        arrays = {name: [args[0] for args in calls] for name, calls in seen.items()}
+        assert all(np.all(np.isfinite(a)) for found in arrays.values() for a in found)
+        # Only the ground input's (T, n, n) series is tested for positivity.
+        series = [a for found in arrays.values() for a in found if a.shape == (3, 2, 2)]
+        assert len(series) == 1
+        assert len(arrays["cholesky"]) == (0 if record else 1)
+        # eigvalsh sees the ground state itself, cholesky it shifted by -floor/2.
+        assert np.max(np.abs(series[0] - ground)) <= abs(POSITIVITY_FLOOR)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -1169,7 +1236,7 @@ def stepping_case(name: str):
 class TestDoubledStepping:
     """A uniform grid is filled by doubling: times [m, 2m) are times [0, m)
     advanced by P^m, with P^m squared between blocks. It must match
-    stepping one interval at a time."""
+    stepping one interval at a time. A non-uniform grid is refused."""
 
     @pytest.mark.parametrize("points", [2, 3, 17, 64, 65, 281])
     @pytest.mark.parametrize("case", ["transfer-6", "written", "full-6"])
@@ -1187,11 +1254,18 @@ class TestDoubledStepping:
             assert np.array_equal(traj.final_state, traj.states[-1])
 
     @pytest.mark.parametrize("case", ["transfer-6", "full-6"])
-    def test_non_uniform_grid_matches_sequential_steps(self, case):
+    def test_non_uniform_grid_refused(self, monkeypatch, case):
         model, rho0s, t_end = stepping_case(case)
-        times = t_end * np.linspace(0.0, 1.0, 40) ** 2
+        built = spied_calls(monkeypatch, dynamics, "liouvillian")
+        propagators = spied_calls(monkeypatch, dynamics, "_interval_propagator")
+        with pytest.raises(ValueError, match="uniform grid"):
+            evolve_lindblad_batch(model, rho0s, t_end * np.linspace(0.0, 1.0, 40) ** 2)
+        assert built == [] and propagators == []
+        # A grid uniform to 1e-9 relative is stepped at its first interval.
+        times = near_uniform_grid(t_end, 40)
         trajs = evolve_lindblad_batch(model, rho0s, times, keep_states=True)
-        want = sequential_block_reference(model, rho0s, np.diff(times))
+        assert len(built) == 1 and propagators[0][1] == times[1] - times[0]
+        want = sequential_block_reference(model, rho0s, np.full(39, times[1] - times[0]))
         for traj, ref in zip(trajs, want):
             assert np.all(np.max(np.abs(traj.states - ref), axis=(1, 2)) <= 1e-12)
             assert np.array_equal(traj.final_state, traj.states[-1])

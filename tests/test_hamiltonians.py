@@ -40,7 +40,6 @@ from kerrspin.hamiltonians import (
     rwa_advisory,
     squeeze_frame,
     squeezed_exact_hamiltonian,
-    squeezing_for_ratio,
     steady_amplitude,
     tavis_cummings_hamiltonian,
 )
@@ -172,15 +171,19 @@ class TestSqueezeFrame:
     @given(st.floats(min_value=0.01, max_value=2.0))
     @settings(max_examples=40, deadline=None)
     def test_ratio_roundtrip(self, r):
+        # The frame's squeezing inverts tanh(2r) = kerr2/delta_m.
         ratio = math.tanh(2.0 * r)
-        assert squeezing_for_ratio(ratio) == pytest.approx(r, rel=1e-12)
         lin = LinearizedParams(delta_m=1.0, delta_q=0.0, mean_amplitude=0j, kerr2=ratio)
-        assert squeeze_frame(lin, 1.0).squeezing == pytest.approx(r, rel=1e-12)
+        squeezing = squeeze_frame(lin, 1.0).squeezing
+        assert squeezing == pytest.approx(r, rel=1e-12)
+        assert math.tanh(2.0 * squeezing) == pytest.approx(ratio, rel=1e-12)
 
     def test_ratio_domain(self):
+        # tanh(2r) = kerr2/delta_m has no solution at |ratio| >= 1.
         for bad in (1.0, -1.0, 1.5):
+            lin = LinearizedParams(delta_m=1.0, delta_q=0.0, mean_amplitude=0j, kerr2=bad)
             with pytest.raises(InstabilityError):
-                squeezing_for_ratio(bad)
+                squeeze_frame(lin, 1.0)
 
 
 class TestQuadraticSpectrum:
