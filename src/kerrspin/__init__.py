@@ -24,7 +24,6 @@ from kerrspin.fock import (
     ket,
     basis_ket,
     dm,
-    expectation,
     partial_trace,
 )
 from kerrspin.device import (
@@ -78,7 +77,6 @@ __all__ = [
     "ket",
     "basis_ket",
     "dm",
-    "expectation",
     "partial_trace",
     "MaterialParams",
     "SphereGeometry",

@@ -60,16 +60,21 @@ Pauli observables each output is rebuilt from, and one fidelity path
 that assembles the Choi matrix and scores it against the ideal
 excitation-swap gate, raw and maximized over the two local z-phases.
 All of them accept leading batch axes, so a whole time series of
-channels is scored in one call. The phase-stripped fidelity is a
-trigonometric polynomial in the two phases whose five independent
-Fourier coefficients are linear in the Choi matrix; they come from one
-contraction with a fixed kernel. At fixed phi1 the maximum over phi2 is
-closed-form, so the maximum comes from a 48-point scan over phi1 alone
-plus a batched Newton polish (deterministic).
+channels is scored in one call. The Choi matrix comes by linear
+inversion: one fixed 16 x 16 matrix, the inverse of the inputs' stacked
+vec(|psi><psi|), maps the 16 outputs to the images E(|j><k|) of the
+matrix units, so only `process_basis_kets` knows the input order. The
+phase-stripped fidelity is a trigonometric polynomial in the two phases
+whose five independent Fourier coefficients are linear in the Choi
+matrix; they come from one contraction with a fixed kernel. At fixed
+phi1 the maximum over phi2 is closed-form, so the maximum comes from a
+48-point scan over phi1 alone plus a batched Newton polish
+(deterministic).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,9 +236,7 @@ def evolve_unitary_batch(
         conj = states.conj()
         series = {name: np.einsum("ti,ti->t", conj, states @ op.T).real for name, op in obs.items()}
         diagnostics = {
-            "method": "eigendecomposition",
             "norm_drift": norm_drift,
-            "step_error": 0.0,
             "hilbert_dim": d,
             "reduced_dim": idx.size,
         }
@@ -458,16 +461,19 @@ def evolve_lindblad_batch(
     rows = np.empty((n_t, n_in, n * n), dtype=complex)
     rows[0] = rhos0[:, idx[:, None], idx].reshape(n_in, n * n)
     flat = rows.reshape(n_t * n_in, n * n)
-    prop, k = _interval_propagator(gen, dt, h_req)
-    # Doubling: times [m, 2m) are times [0, m) advanced by P^m, one GEMM
-    # per block, with P^m squared between blocks.
-    m = 1
-    while m < n_t:
-        count = min(m, n_t - m)
-        np.matmul(flat[: count * n_in], prop.T, out=flat[m * n_in : (m + count) * n_in])
-        m *= 2
-        if m < n_t:
-            prop = prop @ prop
+    # A generator too large for its squarings overflows to inf and NaN
+    # here; the trace diagnostic below reports the non-finite states.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prop, k = _interval_propagator(gen, dt, h_req)
+        # Doubling: times [m, 2m) are times [0, m) advanced by P^m, one
+        # GEMM per block, with P^m squared between blocks.
+        m = 1
+        while m < n_t:
+            count = min(m, n_t - m)
+            np.matmul(flat[: count * n_in], prop.T, out=flat[m * n_in : (m + count) * n_in])
+            m *= 2
+            if m < n_t:
+                prop = prop @ prop
     states = rows.reshape(n_t, n_in, n, n).swapaxes(0, 1)  # (n_in, T, n, n) view
 
     # Physicality diagnostics, one pass over one input's (T, n, n) series
@@ -516,7 +522,6 @@ def evolve_lindblad_batch(
     for i in range(n_in):
         values = np.ascontiguousarray((rows[:, i] @ columns).real.T)  # (n_obs, T)
         diagnostics = {
-            "method": "taylor4-superoperator",
             "spectral_scale": scale,
             "substep": dt / k,
             "max_substeps_per_interval": k,
@@ -578,43 +583,32 @@ def iswap_unitary() -> np.ndarray:
     return u
 
 
-_PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _choi_gather() -> np.ndarray:
-    """Flat index, per entry of J, into the 16 stacked (4, 4) output blocks
-    E(|j><j|) for j = 0..3, then E(|j><k|) and E(|k><j|) over `_PAIR_ORDER`.
-
-    The block positions are scattered to pos[j, k, a, b] = E(|j><k|)[a, b]
-    and ordered as J[a*4 + j, b*4 + k], once, so a Choi matrix is a gather.
-    """
-    j, k = np.array(_PAIR_ORDER).T
-    diag = np.arange(_GATE_DIM)
-    pos = np.empty((_GATE_DIM,) * 4, dtype=int)
-    pos[np.concatenate([diag, j, k]), np.concatenate([diag, k, j])] = np.arange(
-        _GATE_DIM**4
-    ).reshape(16, _GATE_DIM, _GATE_DIM)
-    return pos.transpose(2, 0, 3, 1).reshape(-1)
-
-
-_CHOI_GATHER = _choi_gather()
-
-
 def process_basis_kets(d: int = _GATE_DIM) -> np.ndarray:
     """(16, d) tomography inputs: the leading d/4 levels (the mode, if any)
     in their ground state times each two-qubit ket, the spins last.
 
     Kets: computational |0..3>, then (|j>+|k>)/sqrt2 over the pair list
     ((0,1),(0,2),(0,3),(1,2),(1,3),(2,3)), then (|j>+i|k>)/sqrt2 over the
-    same pairs. `_CHOI_GATHER` relies on this exact order.
+    same pairs.
     """
     eye = np.eye(_GATE_DIM, dtype=complex)
-    j, k = np.array(_PAIR_ORDER).T
+    j, k = np.triu_indices(_GATE_DIM, 1)
     kets = np.zeros((16, d), dtype=complex)
     kets[:, :_GATE_DIM] = np.concatenate(
         [eye, (eye[j] + eye[k]) / np.sqrt(2.0), (eye[j] + 1j * eye[k]) / np.sqrt(2.0)]
     )
     return kets
+
+
+@functools.cache
+def _dual() -> np.ndarray:
+    """D = inv(V) for linear-inversion tomography. Row m of V is the
+    row-major vec(|psi_m><psi_m|) of the 16 inputs, so row j*4 + k of D
+    holds the coefficients of |j><k| over the input states, and
+    D @ (stacked outputs) is E(|j><k|). Formed on first use, so runs that
+    do no tomography never page in the LAPACK inverse."""
+    rhos = [np.outer(psi, psi.conj()).ravel() for psi in process_basis_kets()]
+    return np.linalg.inv(np.stack(rhos))
 
 
 # The 16 two-qubit Paulis s_a (x) s_b over s = (I, sx, sy, sz), a-major.
@@ -644,28 +638,19 @@ def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
     """Choi matrices from the 16 channel outputs (in process_basis_kets order).
 
     `outputs` has shape (..., 16, 4, 4) and the result (..., 16, 16): one
-    Choi matrix per leading index. Uses linearity: for j != k,
-      E(|j><k|) = E_x + i E_y - (1+i)/2 (E(|j><j|) + E(|k><k|))
-    with E_x/E_y the outputs for the real/imaginary superpositions. The
-    Choi normalization is tr J = 1 for a trace-preserving channel, with
-    the channel output on the first tensor factor. Every slice must pass
-    the trace-preservation check.
+    Choi matrix per leading index. By linear inversion, E(|j><k|) is row
+    j*4 + k of D @ outputs, with D the inverse of the matrix whose rows
+    are the inputs' vec(|psi><psi|), and J[a*4 + j, b*4 + k] =
+    E(|j><k|)[a, b] / 4. The Choi normalization is tr J = 1 for a
+    trace-preserving channel, with the channel output on the first tensor
+    factor. Every slice must pass the trace-preservation check.
     """
     outputs = np.asarray(outputs, dtype=complex)
     if outputs.shape[-3:] != (16, _GATE_DIM, _GATE_DIM):
         raise ValueError("expected 16 outputs of shape (4, 4)")
     batch = outputs.shape[:-3]
-    comp = outputs[..., :4, :, :]
-    j, k = np.array(_PAIR_ORDER).T
-    # The blocks in `_choi_gather` order, each E(|j><k|) formed in place.
-    blocks = np.empty(outputs.shape, dtype=complex)
-    blocks[..., :4, :, :] = comp
-    e_jk = blocks[..., 4:10, :, :]
-    np.multiply(1j, outputs[..., 10:16, :, :], out=e_jk)
-    np.add(outputs[..., 4:10, :, :], e_jk, out=e_jk)
-    e_jk -= (1.0 + 1j) / 2.0 * (comp[..., j, :, :] + comp[..., k, :, :])
-    np.conjugate(e_jk.swapaxes(-1, -2), out=blocks[..., 10:16, :, :])
-    choi = np.take(blocks.reshape(batch + (_GATE_DIM**4,)), _CHOI_GATHER, axis=-1)
+    images = _dual() @ outputs.reshape(batch + (16, _GATE_DIM**2))
+    choi = np.einsum("...jkab->...ajbk", images.reshape(batch + (_GATE_DIM,) * 4))
     choi = choi.reshape(batch + (_GATE_DIM**2, _GATE_DIM**2))
     choi /= _GATE_DIM
 

@@ -56,12 +56,6 @@ class HilbertSpec:
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def index(self, label: str) -> int:
-        for i, s in enumerate(self.subsystems):
-            if s.label == label:
-                return i
-        raise KeyError(f"no subsystem labeled {label!r}")
-
     @staticmethod
     def mode_and_spins(cutoff: int, n_spins: int = 1) -> "HilbertSpec":
         """Bosonic mode (truncated at ``cutoff`` levels) plus qubits.
@@ -166,18 +160,6 @@ def dm(state: np.ndarray) -> np.ndarray:
     if state.ndim == 2 and state.shape[0] == state.shape[1]:
         return state
     raise ValueError(f"expected vector or square matrix, got shape {state.shape}")
-
-
-def expectation(op: np.ndarray, state: np.ndarray) -> float | complex:
-    """<op> for a vector or density matrix; real part returned if Hermitian."""
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        val = state.conj() @ (op @ state)
-    else:
-        val = np.trace(op @ state)
-    if np.max(np.abs(op - op.conj().T)) < HERMITICITY_TOL * max(1.0, np.max(np.abs(op))):
-        return float(val.real)
-    return complex(val)
 
 
 def partial_trace(rho: np.ndarray, keep: int | tuple[int, ...], spec: HilbertSpec) -> np.ndarray:

@@ -13,7 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from kerrspin.cli import main
@@ -366,17 +365,34 @@ class TestCli:
         assert "drive.amplitude_hz" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scenario", ["state-transfer", "iswap-fidelity"])
     def test_overflowing_integration_exit_one(self, scenario, tmp_path, monkeypatch, capsys):
         # Spectral scale ~1e36: the propagator's squarings overflow, and the
         # non-finite states must trip a diagnostic rather than crash eigvalsh.
+        # With RuntimeWarning an error, as CI runs the console script, the
+        # overflow itself must not end the run.
         monkeypatch.chdir(tmp_path)
         argv = ["run", scenario, "--from-device", "--set", "drive.amplitude_hz=1e50"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(argv) == 1
+        assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "integration diagnostics failed" in err
+        assert "integration diagnostics failed: trace deviation nan" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("amplitude", ["1e25", "1e153"])
+    @pytest.mark.parametrize("scenario", ["state-transfer", "iswap-fidelity"])
+    def test_overflowing_integration_warnings_as_errors(self, scenario, amplitude, tmp_path):
+        # The console script as CI runs it, with RuntimeWarning an error.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "kerrspin.cli", "run", scenario,
+             "--from-device", "--set", f"drive.amplitude_hz={amplitude}", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "integration diagnostics failed: trace deviation nan" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("amplitude", ["1e50", "1e100", "1e150", "1e153"])
     def test_uncharged_battery_exit_one(self, amplitude, tmp_path, monkeypatch, capsys):
