@@ -5,7 +5,7 @@ two-level spins. Drive linearization squeezes the magnon vacuum, which
 exponentially amplifies the bare magnon-spin coupling. Submodules:
 
 - ``fock``: finite Fock-space operators, states, and composite systems
-- ``device``: material and geometry parameter estimates
+- ``device``: mode and coupling rates from sphere radius, spin distance and bias field
 - ``hamiltonians``: drive linearization, frame transforms, model builders
 - ``dynamics``: unitary and Lindblad propagation, gate tomography
 - ``scenarios``: end-to-end benchmark runs with pass/fail checks
@@ -27,11 +27,6 @@ from kerrspin.fock import (
     partial_trace,
 )
 from kerrspin.device import (
-    MaterialParams,
-    SphereGeometry,
-    SpinPlacement,
-    BiasField,
-    YIG,
     kerr_coefficient,
     bare_coupling,
     magnon_frequency,
@@ -78,11 +73,6 @@ __all__ = [
     "basis_ket",
     "dm",
     "partial_trace",
-    "MaterialParams",
-    "SphereGeometry",
-    "SpinPlacement",
-    "BiasField",
-    "YIG",
     "kerr_coefficient",
     "bare_coupling",
     "magnon_frequency",

@@ -43,6 +43,14 @@ def _positive_int(key: str, value: int) -> None:
         raise ConfigError(f"{key} must be an integer >= 2, got {value}")
 
 
+MAX_SWEEP_POINTS = 1_000_000  # the sweep's grids, columns and CSVs grow with it
+
+
+def _sweep_points(key: str, value: int) -> None:
+    if not 2 <= value <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"{key} must be an integer from 2 to {MAX_SWEEP_POINTS}, got {value}")
+
+
 def _choice(options: tuple[str, ...]):
     def check(key: str, value: str) -> None:
         if value not in options:
@@ -101,10 +109,12 @@ _FIELDS = [
               "Gap-to-coupling ratios |delta_minus|/G scanned by dispersive-check", _float_list_positive),
     FieldSpec("sweep.radius_min_m", "float", 2.0e-9, "Sphere radius scan lower edge (m)", _positive),
     FieldSpec("sweep.radius_max_m", "float", 2.0e-7, "Sphere radius scan upper edge (m)", _positive),
-    FieldSpec("sweep.radius_points", "int", 81, "Points in the radius scan", _positive_int),
+    FieldSpec("sweep.radius_points", "int", 81,
+              f"Points in the radius scan (2 to {MAX_SWEEP_POINTS})", _sweep_points),
     FieldSpec("sweep.distance_min_m", "float", 1.0e-8, "Spin-surface gap scan lower edge (m)", _positive),
     FieldSpec("sweep.distance_max_m", "float", 2.0e-6, "Spin-surface gap scan upper edge (m)", _positive),
-    FieldSpec("sweep.distance_points", "int", 81, "Points in the gap scan", _positive_int),
+    FieldSpec("sweep.distance_points", "int", 81,
+              f"Points in the gap scan (2 to {MAX_SWEEP_POINTS})", _sweep_points),
     FieldSpec("sweep.distance_m", "float", 6.0e-9, "Fixed gap for the radius scan (m)", _positive),
     FieldSpec("sweep.radius_m", "float", 3.0e-8, "Fixed radius for the gap scan (m)", _positive),
     FieldSpec("device.radius_m", "float", 3.0e-8, "Sphere radius (m)", _positive),

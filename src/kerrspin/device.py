@@ -1,7 +1,7 @@
 """Device-level parameter estimates for a magnon sphere coupled to a spin.
 
-Produces three quantities from geometry and material data, all in angular
-frequency (rad/s):
+Produces three quantities from the sphere radius, the spin-to-surface
+distance and the bias field, all in angular frequency (rad/s):
 
 - ``kerr_coefficient``: self-interaction strength of the magnon mode,
   scaling inversely with sphere volume.
@@ -9,6 +9,12 @@ frequency (rad/s):
   from the sphere surface.
 - ``magnon_frequency``: mode frequency under a bias field, including the
   small anisotropy corrections.
+
+Each takes plain floats (m, T) or NumPy arrays that broadcast, and
+returns a value of the broadcast shape. Floats go through Python float
+arithmetic, where an overflowing power raises OverflowError; arrays go
+through NumPy's, where it gives inf. The material is the iron-garnet
+sphere, fixed by the module constants below.
 
 Two calibration modes exist because the closed-form expressions and the
 published reference values for this device family disagree in absolute
@@ -24,7 +30,9 @@ one. See README for the full calibration discussion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 # CODATA 2018 constants.
 VACUUM_PERMEABILITY = 1.25663706212e-6  # T m / A
@@ -32,6 +40,12 @@ BOHR_MAGNETON = 9.2740100783e-24  # J / T
 REDUCED_PLANCK = 1.054571817e-34  # J s
 ELECTRON_G_FACTOR = 2.00231930436256
 ELECTRON_GYROMAGNETIC = 1.76085963023e11  # rad / s / T
+
+# Iron-garnet sphere material, low temperature.
+SATURATION_MAGNETIZATION = 1.94e5  # A / m
+ANISOTROPY_CONSTANT = 610.0  # J / m^3, first order
+SPIN_DENSITY = 2.1e28  # m^-3, net
+SPIN_QUANTUM_NUMBER = 2.5
 
 # Anchor points for `anchored` calibration (ordinary frequency, Hz).
 KERR_ANCHOR_HZ = 128.0
@@ -43,88 +57,26 @@ COUPLING_ANCHOR_DISTANCE = 6e-9
 CALIBRATION_MODES = ("anchored", "formula")
 
 
-@dataclass(frozen=True)
-class MaterialParams:
-    """Magnetic material constants plus the SI constants they combine with.
-
-    Defaults describe the iron-garnet sphere material: low-temperature
-    saturation magnetization 1.94e5 A/m, first-order anisotropy constant
-    610 J/m^3, net spin density 2.1e28 m^-3, spin quantum number 5/2.
-    All overridable.
-    """
-
-    saturation_magnetization: float = 1.94e5  # A/m
-    anisotropy_constant: float = 610.0  # J/m^3
-    spin_density: float = 2.1e28  # m^-3
-    g_factor: float = ELECTRON_G_FACTOR
-    gyromagnetic_ratio: float = ELECTRON_GYROMAGNETIC  # rad/s/T
-    spin_quantum_number: float = 2.5
-    mu0: float = VACUUM_PERMEABILITY
-    bohr_magneton: float = BOHR_MAGNETON
-    hbar: float = REDUCED_PLANCK
-
-    def __post_init__(self) -> None:
-        if self.saturation_magnetization <= 0:
-            raise ValueError("saturation_magnetization must be > 0")
-        if self.spin_density <= 0:
-            raise ValueError("spin_density must be > 0")
-        if self.gyromagnetic_ratio == 0:
-            raise ValueError("gyromagnetic_ratio must be nonzero")
-
-
-YIG = MaterialParams()
-
-
-@dataclass(frozen=True)
-class SphereGeometry:
-    """Sphere radius; volume is derived, never stored independently."""
-
-    radius: float  # m
-
-    def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
-
-    @property
-    def volume(self) -> float:
-        return 4.0 * math.pi * self.radius**3 / 3.0
-
-
-@dataclass(frozen=True)
-class SpinPlacement:
-    """Spin-to-sphere-surface separation."""
-
-    distance: float  # m
-
-    def __post_init__(self) -> None:
-        if self.distance < 0:
-            raise ValueError(f"distance must be >= 0, got {self.distance}")
-
-
-@dataclass(frozen=True)
-class BiasField:
-    """Static bias field magnitude along z."""
-
-    b0: float  # T
-
-    def __post_init__(self) -> None:
-        if self.b0 < 0:
-            raise ValueError(f"b0 must be >= 0, got {self.b0}")
-
-
-def _check_calibration(calibration: str) -> None:
+def _check(calibration: str, radius, distance=0.0, b0=0.0) -> None:
+    """Reject an unknown calibration, and any element of `radius` that is
+    not > 0 or of `distance` or `b0` that is not >= 0 (NaN included)."""
     if calibration not in CALIBRATION_MODES:
         raise ValueError(
             f"calibration must be one of {CALIBRATION_MODES}, got {calibration!r}"
         )
+    if not np.all(radius > 0.0):
+        raise ValueError(f"radius must be > 0, got {radius}")
+    for name, value in (("distance", distance), ("b0", b0)):
+        if not np.all(value >= 0.0):
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def kerr_coefficient(
-    geometry: SphereGeometry,
-    material: MaterialParams = YIG,
-    calibration: str = "anchored",
-) -> float:
-    """Magnon self-interaction coefficient K (rad/s).
+def _volume(radius):
+    return 4.0 * math.pi * radius**3 / 3.0
+
+
+def kerr_coefficient(radius, calibration: str = "anchored"):
+    """Magnon self-interaction coefficient K (rad/s) of a sphere of `radius` (m).
 
     anchored: K(R) = K_ref * (V_ref / V), the inverse-volume law pinned
     to 128 Hz (ordinary) at R = 50 nm. The ratio K(R1)/K(R2) then equals
@@ -135,32 +87,27 @@ def kerr_coefficient(
     provided only for traceability against the printed form and is not
     used by any headline check.
     """
-    _check_calibration(calibration)
+    _check(calibration, radius)
     if calibration == "anchored":
-        ratio = (KERR_ANCHOR_RADIUS / geometry.radius) ** 3
+        ratio = (KERR_ANCHOR_RADIUS / radius) ** 3
         return 2.0 * math.pi * KERR_ANCHOR_HZ * ratio
-    m = material
     return (
         2.0
-        * m.mu0
-        * m.anisotropy_constant
-        * m.gyromagnetic_ratio**2
-        / (m.saturation_magnetization**2 * geometry.volume**2)
+        * VACUUM_PERMEABILITY
+        * ANISOTROPY_CONSTANT
+        * ELECTRON_GYROMAGNETIC**2
+        / (SATURATION_MAGNETIZATION**2 * _volume(radius) ** 2)
     )
 
 
-def _coupling_shape(radius: float, distance: float) -> float:
+def _coupling_shape(radius, distance):
     """Geometry factor R^{3/2} / (d+R)^3 shared by both coupling modes."""
     return radius**1.5 / (distance + radius) ** 3
 
 
-def bare_coupling(
-    geometry: SphereGeometry,
-    placement: SpinPlacement,
-    material: MaterialParams = YIG,
-    calibration: str = "anchored",
-) -> float:
-    """Bare magnon-spin coupling g (rad/s).
+def bare_coupling(radius, distance, calibration: str = "anchored"):
+    """Bare magnon-spin coupling g (rad/s) for a sphere of `radius` (m) and
+    a spin `distance` (m) from its surface.
 
     Both modes share the exact geometric shape g ~ R^{3/2}/(d+R)^3:
     monotonically decreasing in d, single interior maximum in R at R = d.
@@ -173,35 +120,29 @@ def bare_coupling(
     3.6e3 above the anchored scale; the enhanced-coupling magnitude quoted
     for micrometer separations matches this scale.
     """
-    _check_calibration(calibration)
+    _check(calibration, radius, distance)
     if calibration == "anchored":
-        shape = _coupling_shape(geometry.radius, placement.distance)
+        shape = _coupling_shape(radius, distance)
         ref = _coupling_shape(COUPLING_ANCHOR_RADIUS, COUPLING_ANCHOR_DISTANCE)
         return 2.0 * math.pi * COUPLING_ANCHOR_HZ * shape / ref
-    m = material
-    prefactor = math.sqrt(
-        abs(m.gyromagnetic_ratio)
-        * m.saturation_magnetization
-        * geometry.radius**3
-        / (24.0 * math.pi * m.hbar)
+    prefactor = np.sqrt(
+        ELECTRON_GYROMAGNETIC
+        * SATURATION_MAGNETIZATION
+        * radius**3
+        / (24.0 * math.pi * REDUCED_PLANCK)
     )
     g_ordinary = (
         prefactor
-        * m.g_factor
-        * m.mu0
-        * m.bohr_magneton
-        / (placement.distance + geometry.radius) ** 3
+        * ELECTRON_G_FACTOR
+        * VACUUM_PERMEABILITY
+        * BOHR_MAGNETON
+        / (distance + radius) ** 3
     )
     return 2.0 * math.pi * g_ordinary
 
 
-def magnon_frequency(
-    bias: BiasField,
-    geometry: SphereGeometry,
-    material: MaterialParams = YIG,
-    calibration: str = "anchored",
-) -> float:
-    """Magnon mode frequency omega_m (rad/s) under the bias field.
+def magnon_frequency(b0, radius, calibration: str = "anchored"):
+    """Magnon mode frequency omega_m (rad/s) under the bias field `b0` (T).
 
     Structure: gamma*B0 + K - K * rho_s * s * V^2, i.e. the Zeeman term
     plus two anisotropy corrections whose ratio is rho_s*s*V^2. The
@@ -210,11 +151,10 @@ def magnon_frequency(
     result is literally the printed closed form. For every scenario in
     this package the corrections are negligible next to gamma*B0.
     """
-    _check_calibration(calibration)
-    m = material
-    kerr = kerr_coefficient(geometry, material, calibration)
-    correction_ratio = m.spin_density * m.spin_quantum_number * geometry.volume**2
-    return m.gyromagnetic_ratio * bias.b0 + kerr * (1.0 - correction_ratio)
+    _check(calibration, radius, b0=b0)
+    kerr = kerr_coefficient(radius, calibration)
+    correction_ratio = SPIN_DENSITY * SPIN_QUANTUM_NUMBER * _volume(radius) ** 2
+    return ELECTRON_GYROMAGNETIC * b0 + kerr * (1.0 - correction_ratio)
 
 
 @dataclass(frozen=True)
@@ -228,23 +168,16 @@ class DeviceSummary:
     kerr: float  # rad/s
     coupling: float  # rad/s
     omega_m: float  # rad/s
-    extras: dict = field(default_factory=dict)
 
 
-def summarize_device(
-    geometry: SphereGeometry,
-    placement: SpinPlacement,
-    bias: BiasField,
-    material: MaterialParams = YIG,
-    calibration: str = "anchored",
-) -> DeviceSummary:
+def summarize_device(radius, distance, b0, calibration: str = "anchored") -> DeviceSummary:
     """Evaluate all three device quantities at one design point."""
     return DeviceSummary(
-        radius=geometry.radius,
-        distance=placement.distance,
-        b0=bias.b0,
+        radius=radius,
+        distance=distance,
+        b0=b0,
         calibration=calibration,
-        kerr=kerr_coefficient(geometry, material, calibration),
-        coupling=bare_coupling(geometry, placement, material, calibration),
-        omega_m=magnon_frequency(bias, geometry, material, calibration),
+        kerr=kerr_coefficient(radius, calibration),
+        coupling=bare_coupling(radius, distance, calibration),
+        omega_m=magnon_frequency(b0, radius, calibration),
     )

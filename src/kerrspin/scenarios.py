@@ -91,15 +91,11 @@ class FrameSpec:
 def _device_frame(cfg: RunConfig) -> FrameSpec:
     """Derive the frame from geometry, bias, and drive via the full chain:
     device rates -> driven steady state -> quadratic expansion -> frame."""
-    geom = device.SphereGeometry(cfg["device.radius_m"])
-    place = device.SpinPlacement(cfg["device.distance_m"])
-    bias = device.BiasField(cfg["device.bias_t"])
-    cal = {"calibration": cfg["device.calibration"]}
-    kerr = _finite("device.radius_m", device.kerr_coefficient, geom, **cal)
-    g = _finite("device.radius_m or device.distance_m", device.bare_coupling, geom, place, **cal)
-    omega_m = _finite(
-        "device.bias_t or device.radius_m", device.magnon_frequency, bias, geom, **cal
-    )
+    radius, distance, b0 = cfg["device.radius_m"], cfg["device.distance_m"], cfg["device.bias_t"]
+    cal = cfg["device.calibration"]
+    kerr = _finite("device.radius_m", device.kerr_coefficient, radius, cal)
+    g = _finite("device.radius_m or device.distance_m", device.bare_coupling, radius, distance, cal)
+    omega_m = _finite("device.bias_t or device.radius_m", device.magnon_frequency, b0, radius, cal)
     omega_q = cfg.angular("device.omega_q_hz")
     omega_d = omega_m - cfg.angular("drive.detuning_hz")
     amplitude = cfg.angular("drive.amplitude_hz")
@@ -142,15 +138,18 @@ def _device_frame(cfg: RunConfig) -> FrameSpec:
     )
 
 
-def _finite(keys: str, rate: Callable[..., float], *args, **kwargs) -> float:
-    """rate(*args, **kwargs), or a ConfigError naming `keys` if not finite: the
-    device formulas' float `**` raises OverflowError or underflows to a 0 divisor."""
+def _finite(keys: str, rate: Callable, *args):
+    """rate(*args), a float or an array, or a ConfigError naming `keys` if an
+    element is not finite or is 0, which a device rate is only when a factor
+    underflowed. Float `**` raises OverflowError or underflows to a 0 divisor;
+    array `**` gives inf or 0."""
     try:
-        value = rate(*args, **kwargs)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value = rate(*args)
     except (OverflowError, ZeroDivisionError):
         value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{keys} out of range: the derived {rate.__name__} is not finite")
+    if not np.all(np.isfinite(value) & (value != 0.0)):
+        raise ConfigError(f"{keys} out of range: the derived {rate.__name__} is 0 or not finite")
     return value
 
 
@@ -340,30 +339,30 @@ def run_coupling_sweep(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         raise ConfigError("run.from_device does not apply to coupling-sweep")
     report = ScenarioReport(scenario="coupling-sweep")
 
+    for lo, hi in (("sweep.radius_min_m", "sweep.radius_max_m"),
+                   ("sweep.distance_min_m", "sweep.distance_max_m")):
+        if not cfg[lo] < cfg[hi]:
+            raise ConfigError(f"{lo} must be below {hi}, got {cfg[lo]:g} and {cfg[hi]:g}")
     radii = np.geomspace(cfg["sweep.radius_min_m"], cfg["sweep.radius_max_m"], cfg["sweep.radius_points"])
     gaps = np.geomspace(
         cfg["sweep.distance_min_m"], cfg["sweep.distance_max_m"], cfg["sweep.distance_points"]
     )
     d_fixed = cfg["sweep.distance_m"]
     r_fixed = cfg["sweep.radius_m"]
-
-    def g_of(r: float, d: float, calibration: str) -> float:
-        return device.bare_coupling(
-            device.SphereGeometry(r), device.SpinPlacement(d), calibration=calibration
-        )
-
-    def k_of(r: float, calibration: str) -> float:
-        return device.kerr_coefficient(device.SphereGeometry(r), calibration=calibration)
+    # A scan edge past the float range makes a column inf, NaN or 0 (underflow).
+    r_keys = "sweep.radius_min_m, sweep.radius_max_m or sweep.distance_m"
+    d_keys = "sweep.distance_min_m, sweep.distance_max_m or sweep.radius_m"
+    g, k = device.bare_coupling, device.kerr_coefficient
 
     radius_cols = {
-        "coupling_anchored_hz": np.array([g_of(r, d_fixed, "anchored") for r in radii]) / TWO_PI,
-        "coupling_formula_hz": np.array([g_of(r, d_fixed, "formula") for r in radii]) / TWO_PI,
-        "kerr_anchored_hz": np.array([k_of(r, "anchored") for r in radii]) / TWO_PI,
-        "kerr_formula_hz": np.array([k_of(r, "formula") for r in radii]) / TWO_PI,
+        "coupling_anchored_hz": _finite(r_keys, g, radii, d_fixed, "anchored") / TWO_PI,
+        "coupling_formula_hz": _finite(r_keys, g, radii, d_fixed, "formula") / TWO_PI,
+        "kerr_anchored_hz": _finite(r_keys, k, radii, "anchored") / TWO_PI,
+        "kerr_formula_hz": _finite(r_keys, k, radii, "formula") / TWO_PI,
     }
-    g_formula_gap = np.array([g_of(r_fixed, d, "formula") for d in gaps]) / TWO_PI
+    g_formula_gap = _finite(d_keys, g, r_fixed, gaps, "formula") / TWO_PI
     gap_cols = {
-        "coupling_anchored_hz": np.array([g_of(r_fixed, d, "anchored") for d in gaps]) / TWO_PI,
+        "coupling_anchored_hz": _finite(d_keys, g, r_fixed, gaps, "anchored") / TWO_PI,
         "coupling_formula_hz": g_formula_gap,
         "enhanced_r0_hz": 0.5 * g_formula_gap,
         "enhanced_r10_hz": 0.5 * g_formula_gap * math.exp(10.0),
@@ -376,11 +375,11 @@ def run_coupling_sweep(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     )
 
     # Reference anchors evaluated at their exact geometries.
-    g30 = g_of(30e-9, 6e-9, "anchored") / TWO_PI
-    g50 = g_of(50e-9, 6e-9, "anchored") / TWO_PI
-    k50 = k_of(50e-9, "anchored") / TWO_PI
-    k_bulk = k_of(0.5e-3, "anchored") / TWO_PI
-    g_far_formula = g_of(30e-9, 1e-6, "formula") / TWO_PI
+    g30 = g(30e-9, 6e-9) / TWO_PI
+    g50 = g(50e-9, 6e-9) / TWO_PI
+    k50 = k(50e-9) / TWO_PI
+    k_bulk = k(0.5e-3) / TWO_PI
+    g_far_formula = g(30e-9, 1e-6, "formula") / TWO_PI
     enhanced_far = 0.5 * g_far_formula * math.exp(10.0)
 
     report.add(check_within("anchor-coupling-30nm", g30, 1.5e3, 0.20, "PAPER"))
@@ -432,7 +431,7 @@ def run_coupling_sweep(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     report.info.update(
         {
-            "calibration_gap_ratio": g_of(50e-9, 6e-9, "formula") / g_of(50e-9, 6e-9, "anchored"),
+            "calibration_gap_ratio": g(50e-9, 6e-9, "formula") / g(50e-9, 6e-9),
             "anchored_coupling_30nm_hz": g30,
             "kerr_bulk_hz": k_bulk,
             "enhanced_coupling_1um_r10_hz": enhanced_far,

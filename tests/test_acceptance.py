@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from kerrspin.config import resolve
-from kerrspin.device import SphereGeometry, SpinPlacement, bare_coupling, kerr_coefficient
+from kerrspin.device import bare_coupling, kerr_coefficient
 from kerrspin.fock import HilbertSpec, Subsystem, basis_ket
 from kerrspin.hamiltonians import (
     LinearizedParams,
@@ -37,17 +37,15 @@ def sha256(path) -> str:
 
 def test_criterion_1_device_anchors_and_kerr_scaling():
     start = time.perf_counter()
-    g30 = bare_coupling(SphereGeometry(30e-9), SpinPlacement(6e-9)) / TWO_PI
-    g50 = bare_coupling(SphereGeometry(50e-9), SpinPlacement(6e-9)) / TWO_PI
-    k50 = kerr_coefficient(SphereGeometry(50e-9)) / TWO_PI
+    g30 = bare_coupling(30e-9, 6e-9) / TWO_PI
+    g50 = bare_coupling(50e-9, 6e-9) / TWO_PI
+    k50 = kerr_coefficient(50e-9) / TWO_PI
     # Inverse mode-volume scaling, exact to 1e-12 across three decades.
     worst_scaling = 0.0
     for factor in (2.0, 10.0, 100.0):
-        ratio = kerr_coefficient(SphereGeometry(50e-9)) / kerr_coefficient(
-            SphereGeometry(50e-9 * factor)
-        )
+        ratio = kerr_coefficient(50e-9) / kerr_coefficient(50e-9 * factor)
         worst_scaling = max(worst_scaling, abs(ratio / factor**3 - 1.0))
-    k_bulk = kerr_coefficient(SphereGeometry(0.5e-3)) / TWO_PI
+    k_bulk = kerr_coefficient(0.5e-3) / TWO_PI
     elapsed = time.perf_counter() - start
 
     print(f"coupling(30nm, 6nm) = {g30:.6g} Hz (1.5 kHz +- 20%)")

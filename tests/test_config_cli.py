@@ -96,6 +96,9 @@ class TestDefaultsAndPrecedence:
             ("dissipation.gamma_q", math.inf),
             ("frame.coupling_hz", 10**400),
             ("dispersive.ratios", [1.0, -math.inf]),
+            # The sweep's grids and CSVs grow with its point counts.
+            ("sweep.radius_points", 100_000_000),
+            ("sweep.distance_points", 1_000_001),
         ):
             with pytest.raises(ConfigError):
                 resolve("rabi", set_pairs=[(key, bad)])
@@ -312,8 +315,25 @@ class TestCli:
             # A coupling or spin detuning that puts ratio * G below delta_q's ulp.
             ("dispersive-check", ["frame.delta_q_hz=1e30"], "frame.delta_q_hz"),
             ("dispersive-check", ["--from-device", "device.distance_m=1e100"], "device.distance_m"),
+            # A sweep edge past the float range makes a column inf, NaN or 0.
+            ("coupling-sweep", ["sweep.radius_m=1e200"],
+             "sweep.distance_max_m or sweep.radius_m out of range"),
+            ("coupling-sweep", ["sweep.radius_max_m=1e200"],
+             "sweep.radius_max_m or sweep.distance_m out of range"),
+            ("coupling-sweep", ["sweep.radius_min_m=1e-200"],
+             "sweep.radius_min_m, sweep.radius_max_m or sweep.distance_m out of range"),
+            ("coupling-sweep", ["sweep.distance_m=1e200"],
+             "sweep.radius_max_m or sweep.distance_m out of range"),
+            ("coupling-sweep", ["sweep.distance_max_m=1e200"],
+             "sweep.distance_min_m, sweep.distance_max_m or sweep.radius_m out of range"),
+            # A reversed or empty scan range.
+            ("coupling-sweep", ["sweep.radius_min_m=2e-7", "sweep.radius_max_m=2e-9"],
+             "sweep.radius_min_m must be below sweep.radius_max_m"),
+            ("coupling-sweep", ["sweep.distance_min_m=1e-6", "sweep.distance_max_m=1e-6"],
+             "sweep.distance_min_m must be below sweep.distance_max_m"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_gap_exit_two(self, scenario, settings, field, tmp_path, monkeypatch, capsys):
         # Each scenario divides by its gap and needs a finite time scale and
         # finite device rates; a value it cannot use (a zero gap, or one
@@ -378,6 +398,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "integration diagnostics failed: trace deviation nan" in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_tiny_gap_edge_runs(self, tmp_path, monkeypatch, capsys):
+        # A gap edge near the float floor still gives finite, nonzero columns,
+        # so the scan runs. Below an ulp of the radius d + R rounds to R and
+        # the coupling stops decreasing, which the monotonicity check reports.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "coupling-sweep", "--set", "sweep.distance_min_m=1e-300"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+        assert [line.split(":")[0] for line in failed] == ["[FAIL] distance-monotonic-decay"]
 
     @pytest.mark.parametrize("amplitude", ["1e25", "1e153"])
     @pytest.mark.parametrize("scenario", ["state-transfer", "iswap-fidelity"])

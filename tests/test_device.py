@@ -19,11 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kerrspin import device
+from kerrspin.config import resolve
 from kerrspin.device import (
-    BiasField,
-    MaterialParams,
-    SphereGeometry,
-    SpinPlacement,
     bare_coupling,
     kerr_coefficient,
     magnon_frequency,
@@ -34,14 +32,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def coupling_hz(radius, distance, calibration="anchored"):
-    return (
-        bare_coupling(SphereGeometry(radius), SpinPlacement(distance), calibration=calibration)
-        / TWO_PI
-    )
+    return bare_coupling(radius, distance, calibration) / TWO_PI
 
 
 def kerr_hz(radius, calibration="anchored"):
-    return kerr_coefficient(SphereGeometry(radius), calibration=calibration) / TWO_PI
+    return kerr_coefficient(radius, calibration) / TWO_PI
 
 
 class TestCouplingAnchored:
@@ -121,25 +116,22 @@ class TestKerr:
 
     def test_formula_mode_regression(self):
         # Literal closed form 2 mu0 K_an gamma^2 / (M^2 V^2) at R = 50 nm.
-        geom = SphereGeometry(50e-9)
-        m = MaterialParams()
+        volume = 4.0 * math.pi * (50e-9) ** 3 / 3.0
         expected = (
             2.0
-            * m.mu0
-            * m.anisotropy_constant
-            * m.gyromagnetic_ratio**2
-            / (m.saturation_magnetization**2 * geom.volume**2)
+            * device.VACUUM_PERMEABILITY
+            * device.ANISOTROPY_CONSTANT
+            * device.ELECTRON_GYROMAGNETIC**2
+            / (device.SATURATION_MAGNETIZATION**2 * volume**2)
         )
-        assert kerr_coefficient(geom, calibration="formula") == pytest.approx(
-            expected, rel=1e-15
-        )
+        assert kerr_coefficient(50e-9, "formula") == pytest.approx(expected, rel=1e-15)
 
 
 class TestMagnonFrequency:
     def test_zeeman_term_dominates(self):
         # gamma * B0 / 2pi at B0 = 0.17842 T is about 5.0000 GHz; the
         # anisotropy corrections shift it at the 1e-8 relative level.
-        freq = magnon_frequency(BiasField(0.17842), SphereGeometry(3e-8)) / TWO_PI
+        freq = magnon_frequency(0.17842, 3e-8) / TWO_PI
         zeeman = 1.76085963023e11 * 0.17842 / TWO_PI
         assert freq == pytest.approx(zeeman, rel=1e-6)
         # Correction is ~K ~ 593 Hz at 30 nm against 5 GHz.
@@ -149,35 +141,86 @@ class TestMagnonFrequency:
     def test_correction_sign_and_scale(self):
         # Corrections enter as K * (1 - rho_s s V^2); for a 30 nm sphere
         # the V^2 term is tiny so the shift is approximately +K.
-        bias = BiasField(0.17842)
-        geom = SphereGeometry(3e-8)
-        freq = magnon_frequency(bias, geom)
+        freq = magnon_frequency(0.17842, 3e-8)
         zeeman = 1.76085963023e11 * 0.17842
-        kerr = kerr_coefficient(geom)
+        kerr = kerr_coefficient(3e-8)
         assert freq - zeeman == pytest.approx(kerr, rel=1e-3)
 
 
 class TestValidationAndSummary:
-    def test_bad_inputs_rejected(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kerr_coefficient(0.0),
+            lambda: kerr_coefficient(-1e-9, "formula"),
+            lambda: kerr_coefficient(math.nan),
+            lambda: bare_coupling(3e-8, -1e-9),
+            lambda: bare_coupling(0.0, 6e-9, "formula"),
+            lambda: bare_coupling(3e-8, math.nan),
+            lambda: magnon_frequency(-0.1, 3e-8),
+            lambda: magnon_frequency(0.17842, -3e-8),
+            lambda: magnon_frequency(math.nan, 3e-8),
+            lambda: summarize_device(3e-8, -1e-9, 0.17842),
+            # One bad element rejects the whole array.
+            lambda: kerr_coefficient(np.array([1e-8, 0.0, 3e-8])),
+            lambda: bare_coupling(np.array([1e-8, 2e-8]), np.array([6e-9, -6e-9])),
+            lambda: bare_coupling(np.array([1e-8, math.nan]), 6e-9, "formula"),
+            lambda: magnon_frequency(np.array([0.1, -0.1]), 3e-8),
+        ],
+    )
+    def test_bad_inputs_rejected(self, call):
         with pytest.raises(ValueError):
-            SphereGeometry(0.0)
-        with pytest.raises(ValueError):
-            SphereGeometry(-1e-9)
-        with pytest.raises(ValueError):
-            SpinPlacement(-1e-9)
-        with pytest.raises(ValueError):
-            BiasField(-0.1)
-        with pytest.raises(ValueError):
-            MaterialParams(saturation_magnetization=0.0)
+            call()
 
     def test_unknown_calibration_rejected(self):
         with pytest.raises(ValueError):
-            kerr_coefficient(SphereGeometry(5e-8), calibration="other")
+            kerr_coefficient(5e-8, "other")
 
     def test_summary_bundles_consistently(self):
-        s = summarize_device(SphereGeometry(3e-8), SpinPlacement(6e-9), BiasField(0.17842))
-        assert s.coupling == pytest.approx(
-            bare_coupling(SphereGeometry(3e-8), SpinPlacement(6e-9))
-        )
-        assert s.kerr == pytest.approx(kerr_coefficient(SphereGeometry(3e-8)))
+        s = summarize_device(3e-8, 6e-9, 0.17842)
+        assert s.coupling == bare_coupling(3e-8, 6e-9)
+        assert s.kerr == kerr_coefficient(3e-8)
+        assert s.omega_m == magnon_frequency(0.17842, 3e-8)
         assert s.calibration == "anchored"
+
+
+class TestArraysAndAnchors:
+    @pytest.mark.parametrize("calibration", ["anchored", "formula"])
+    def test_arrays_match_scalar_calls(self, calibration):
+        # Each formula on the default sweep grids, element by element
+        # against float calls; NumPy's vector pow may differ from libm's
+        # by an ulp.
+        cfg = resolve("coupling-sweep")
+        radii = np.geomspace(
+            cfg["sweep.radius_min_m"], cfg["sweep.radius_max_m"], cfg["sweep.radius_points"]
+        )
+        gaps = np.geomspace(
+            cfg["sweep.distance_min_m"], cfg["sweep.distance_max_m"], cfg["sweep.distance_points"]
+        )
+        d, r, b0 = cfg["sweep.distance_m"], cfg["sweep.radius_m"], 0.17842
+        pairs = [
+            (kerr_coefficient(radii, calibration),
+             [kerr_coefficient(float(x), calibration) for x in radii]),
+            (bare_coupling(radii, d, calibration),
+             [bare_coupling(float(x), d, calibration) for x in radii]),
+            (bare_coupling(r, gaps, calibration),
+             [bare_coupling(r, float(x), calibration) for x in gaps]),
+            (magnon_frequency(b0, radii, calibration),
+             [magnon_frequency(b0, float(x), calibration) for x in radii]),
+            (magnon_frequency(np.linspace(0.0, 1.0, 11), r, calibration),
+             [magnon_frequency(float(x), r, calibration) for x in np.linspace(0.0, 1.0, 11)]),
+        ]
+        for array, scalars in pairs:
+            assert np.all(np.abs(array / np.array(scalars) - 1.0) <= 1e-15)
+
+    def test_arrays_broadcast(self):
+        radii = np.array([[1e-8], [3e-8]])
+        gaps = np.array([6e-9, 1e-7, 1e-6])
+        assert bare_coupling(radii, gaps).shape == (2, 3)
+        assert summarize_device(radii, gaps, 0.17842).coupling.shape == (2, 3)
+
+    def test_anchor_scalars_bitwise(self):
+        # Float inputs keep float arithmetic, so these stay bit for bit.
+        assert bare_coupling(30e-9, 6e-9) / TWO_PI == 1504.4643653850387
+        assert bare_coupling(50e-9, 6e-9) / TWO_PI == 860.0
+        assert kerr_coefficient(50e-9) / TWO_PI == 128.0

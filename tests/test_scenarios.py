@@ -321,6 +321,9 @@ class TestDeviceChain:
             1.21810886, rel=1e-6
         )
         assert fs.coupling / TWO_PI == pytest.approx(916.3007, rel=1e-6)
+        # The device rates come from float arithmetic, bit for bit.
+        assert fs.info["device"]["kerr_hz"] == 592.5925925925927
+        assert fs.info["device"]["bare_coupling_hz"] == 1504.4643653850387
 
 
 class TestConfigGuards:
