@@ -148,9 +148,8 @@ class TestMagnonFrequency:
 
 
 class TestValidationAndSummary:
-    @pytest.mark.parametrize(
-        "call",
-        [
+    def test_bad_inputs_rejected(self):
+        calls = [
             lambda: kerr_coefficient(0.0),
             lambda: kerr_coefficient(-1e-9, "formula"),
             lambda: kerr_coefficient(math.nan),
@@ -166,11 +165,10 @@ class TestValidationAndSummary:
             lambda: bare_coupling(np.array([1e-8, 2e-8]), np.array([6e-9, -6e-9])),
             lambda: bare_coupling(np.array([1e-8, math.nan]), 6e-9, "formula"),
             lambda: magnon_frequency(np.array([0.1, -0.1]), 3e-8),
-        ],
-    )
-    def test_bad_inputs_rejected(self, call):
-        with pytest.raises(ValueError):
-            call()
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
     def test_unknown_calibration_rejected(self):
         with pytest.raises(ValueError):
