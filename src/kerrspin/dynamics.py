@@ -32,7 +32,9 @@ diagonalising the block of H on S is exact; likewise every term of the
 master equation maps a density matrix supported on S x S to another
 one, so the states never leave that block. Evolving the projected
 operators is exact, not a truncation. C'C must be in the search: the
-anticommutator term can leave a set that is closed under C alone.
+anticommutator term can leave a set that is closed under C alone. The
+search reads only the columns at its frontier F and applies C'C there,
+as C' @ C[:, F], so it never forms a full-space product.
 Excitation-conserving models shrink most, and models that conserve only
 a parity halve; observables are projected onto the block. A unitary
 batch searches once from the union of its kets' supports and
@@ -285,21 +287,25 @@ def liouvillian(h: np.ndarray, collapse: list[tuple[np.ndarray, float]]) -> np.n
     return gen
 
 
-def _reachable(seed: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
+def _reachable(seed: np.ndarray, ops: list[np.ndarray], collapse: list[np.ndarray] = ()) -> np.ndarray:
     """Sorted basis indices reachable from the boolean mask `seed`.
 
-    Breadth-first search over the nonzero pattern of `ops`: index j
-    reaches i when some op[i, j] != 0. The result spans the smallest
-    coordinate subspace that contains the seed and that every op maps
-    into itself.
+    Breadth-first search over nonzero patterns: index j reaches i when
+    op[i, j] != 0 for some op in `ops` or `collapse`, or (C'C)[i, j] != 0
+    for some C in `collapse`. Each step reads only the frontier's columns
+    F, and C'C[:, F] comes as C' @ C[:, F], so a step costs O(d^2 |F|)
+    and no d x d product is ever formed. The result spans the smallest
+    coordinate subspace that contains the seed and that every op, C and
+    C'C maps into itself.
     """
-    adjacent = np.zeros((seed.size, seed.size), dtype=bool)
-    for op in ops:
-        adjacent |= op != 0
+    mats = np.stack([*ops, *collapse])
+    adjoints = mats[len(ops) :].conj().swapaxes(-1, -2)
     reached = seed.copy()
     frontier = seed
     while frontier.any():
-        frontier = adjacent[:, frontier].any(axis=1) & ~reached
+        cols = mats[:, :, frontier]
+        hit = np.any(cols != 0, axis=(0, 2)) | np.any(adjoints @ cols[len(ops) :] != 0, axis=(0, 2))
+        frontier = hit & ~reached
         reached |= frontier
     return np.flatnonzero(reached)
 
@@ -446,9 +452,7 @@ def evolve_lindblad_batch(
 
     rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
     seed = np.any(rhos0 != 0, axis=(0, 2))
-    idx = _reachable(
-        seed, [model.hamiltonian] + [op for op, _ in rates] + [op.conj().T @ op for op, _ in rates]
-    )
+    idx = _reachable(seed, [model.hamiltonian], [op for op, _ in rates])
     block = np.ix_(idx, idx)
     n = idx.size
     obs = _project_observables(observables, model.spec, d, block)

@@ -11,6 +11,7 @@ Hamiltonian ``(omega/2) * sigma_z`` puts the ground state at ``-omega/2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,16 +117,39 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def embed(op: np.ndarray, slot: int, spec: HilbertSpec) -> np.ndarray:
     """Lift a single-subsystem operator into the composite space."""
+    return embed_product({slot: op}, spec)
+
+
+def embed_product(factors: dict[int, np.ndarray], spec: HilbertSpec) -> np.ndarray:
+    """Lift a product of operators on distinct subsystems, given as
+    {slot: op}, into the composite space.
+
+    One Kronecker chain over the slots, with the identity on every slot
+    that has no factor, so no two composite-space operators are ever
+    multiplied. With two or more factors the result equals the matrix
+    product of their one-factor embeds bit for bit: each nonzero entry is
+    the same single product, and adding 0.0 turns the chain's -0.0 parts
+    into the +0.0 that the product's sums give.
+    """
     dims = spec.dims
-    if not 0 <= slot < len(dims):
-        raise IndexError(f"slot {slot} out of range for {len(dims)} subsystems")
-    if op.shape != (dims[slot], dims[slot]):
-        raise ValueError(
-            f"operator shape {op.shape} does not match subsystem dim {dims[slot]}"
-        )
-    left = np.eye(int(np.prod(dims[:slot])), dtype=complex)
-    right = np.eye(int(np.prod(dims[slot + 1 :])), dtype=complex)
-    return _kron(_kron(left, op), right)
+    if not factors:
+        raise ValueError("embed_product needs at least one factor")
+    for slot, op in factors.items():
+        if not 0 <= slot < len(dims):
+            raise IndexError(f"slot {slot} out of range for {len(dims)} subsystems")
+        if op.shape != (dims[slot], dims[slot]):
+            raise ValueError(
+                f"operator shape {op.shape} does not match subsystem dim {dims[slot]}"
+            )
+    slots = sorted(factors)
+    out = np.eye(math.prod(dims[: slots[0]]), dtype=complex)
+    for prev, slot in zip([slots[0] - 1] + slots, slots):
+        between = math.prod(dims[prev + 1 : slot])
+        if between > 1:
+            out = _kron(out, np.eye(between, dtype=complex))
+        out = _kron(out, factors[slot])
+    out = _kron(out, np.eye(math.prod(dims[slots[-1] + 1 :]), dtype=complex))
+    return out + 0.0 if len(slots) > 1 else out
 
 
 def ket(amplitudes: dict[tuple[int, ...], complex], spec: HilbertSpec) -> np.ndarray:

@@ -12,8 +12,12 @@ The chain implemented here:
 
 Builders return dense Hermitian matrices on a ``HilbertSpec``; each
 mode-plus-spin builder is a formula over ``_model_operators``, where the
-slot convention is stated and checked. Two-magnon strength: the mean
-amplitude is rotated real-positive first, so kerr2 is real.
+slot convention is stated and checked. Every term is built from its
+small per-slot factors: a product on one slot (n n, a a) is formed at
+the slot's own size and then embedded, and a product across slots
+(sp a, a' sm, sp1 sm2) is one Kronecker chain (``embed_product``), so no
+two composite-space operators are ever multiplied. Two-magnon strength:
+the mean amplitude is rotated real-positive first, so kerr2 is real.
 
 All rates and frequencies are angular (rad/s) unless a name says "_hz".
 """
@@ -25,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kerrspin.fock import HilbertSpec, annihilation, embed, number_operator, qubit_ops
+from kerrspin.fock import (
+    HilbertSpec,
+    annihilation,
+    embed,
+    embed_product,
+    number_operator,
+    qubit_ops,
+)
 
 SIGN_CONVENTIONS = ("paper", "rederived")
 
@@ -232,13 +243,14 @@ def squeeze_frame(lin: LinearizedParams, g: float) -> SqueezedFrame:
 
 
 def _model_operators(spec: HilbertSpec, builder: str, spins: tuple[int, int | None] = (1, 1)):
-    """The embedded operators every mode-plus-spin builder is a formula over.
+    """The single-slot operators every mode-plus-spin builder is a formula over.
 
     Slot convention: slot 0 is the bosonic mode and every later slot is a
     qubit; `spins` = (fewest, most) qubits the builder takes, most None
     for no limit. A spec that breaks either raises ValueError naming the
-    builder. Returns the mode's a and n (the exact number diagonal) and
-    each spin's (sp, sz), in slot order.
+    builder. Returns the mode's embedded n (the exact number diagonal)
+    and each spin's (slot, embedded sz), in slot order; couplings come
+    from `_exchange`.
     """
     qubits = spec.subsystems[1:]
     for sub in qubits:
@@ -248,21 +260,22 @@ def _model_operators(spec: HilbertSpec, builder: str, spins: tuple[int, int | No
     if not fewest <= len(qubits) <= (len(qubits) if most is None else most):
         takes = f"{fewest}" if fewest == most else f"{fewest} to {most or 'any number of'}"
         raise ValueError(f"{builder} takes {takes} spin(s) after the mode, got {len(qubits)}")
-    cutoff, ops = spec.dims[0], qubit_ops()
-    a = embed(annihilation(cutoff), 0, spec)
-    n = embed(number_operator(cutoff), 0, spec)
-    slots = range(1, len(spec.dims))
-    return a, n, [(embed(ops["sp"], s, spec), embed(ops["sz"], s, spec)) for s in slots]
+    n = embed(number_operator(spec.dims[0]), 0, spec)
+    sz = qubit_ops()["sz"]
+    return n, [(s, embed(sz, s, spec)) for s in range(1, len(spec.dims))]
 
 
-def _co_rotating(a: np.ndarray, sp: np.ndarray) -> np.ndarray:
-    """sp a + a' sm: the excitation-exchange coupling of one spin."""
-    return sp @ a + a.conj().T @ sp.conj().T
-
-
-def _counter_rotating(a: np.ndarray, sp: np.ndarray) -> np.ndarray:
-    """sp a' + a sm: the sector the rotating-wave approximation drops."""
-    return sp @ a.conj().T + a @ sp.conj().T
+def _exchange(spec: HilbertSpec, slot: int, counter: bool = False) -> np.ndarray:
+    """sp a + a' sm, the excitation-exchange coupling of the spin in
+    `slot`; with `counter`, sp a' + a sm, the sector the rotating-wave
+    approximation drops. Each product is embedded from its mode and spin
+    factors."""
+    a = annihilation(spec.dims[0])
+    with_sp, with_sm = (a.conj().T, a) if counter else (a, a.conj().T)
+    ops = qubit_ops()
+    return embed_product({0: with_sp, slot: ops["sp"]}, spec) + embed_product(
+        {0: with_sm, slot: ops["sm"]}, spec
+    )
 
 
 def nonlinear_hamiltonian(
@@ -276,8 +289,10 @@ def nonlinear_hamiltonian(
 
     H = (omega_q/2) sz + omega_m n - (K/2) n(n-1) + g (sp a + a' sm).
     """
-    a, n, [(sp, sz)] = _model_operators(spec, "nonlinear_hamiltonian")
-    return 0.5 * omega_q * sz + omega_m * n - 0.5 * kerr * (n @ n - n) + g * _co_rotating(a, sp)
+    n, [(slot, sz)] = _model_operators(spec, "nonlinear_hamiltonian")
+    n1 = number_operator(spec.dims[0])
+    kerr_term = embed(n1 @ n1 - n1, 0, spec)
+    return 0.5 * omega_q * sz + omega_m * n - 0.5 * kerr * kerr_term + g * _exchange(spec, slot)
 
 
 def linearized_hamiltonian(
@@ -290,10 +305,11 @@ def linearized_hamiltonian(
     H = delta_m n - (kerr2/2)(a^2 + a'^2) [+ (delta_q/2) sz + g(sp a + h.c.)].
     Accepts a mode-only spec when g = 0 (pure quadratic-mode spectrum).
     """
-    a, n, spins = _model_operators(spec, "linearized_hamiltonian", (0 if g == 0.0 else 1, 1))
-    h = lin.delta_m * n - 0.5 * lin.kerr2 * (a @ a + a.conj().T @ a.conj().T)
-    for sp, sz in spins:
-        h = h + 0.5 * lin.delta_q * sz + g * _co_rotating(a, sp)
+    n, spins = _model_operators(spec, "linearized_hamiltonian", (0 if g == 0.0 else 1, 1))
+    a = annihilation(spec.dims[0])
+    h = lin.delta_m * n - 0.5 * lin.kerr2 * embed(a @ a + a.conj().T @ a.conj().T, 0, spec)
+    for slot, sz in spins:
+        h = h + 0.5 * lin.delta_q * sz + g * _exchange(spec, slot)
     return h
 
 
@@ -306,8 +322,8 @@ def rabi_hamiltonian(
 
     H = (delta_q/2) sz + delta_s n + G (a + a')(sp + sm).
     """
-    a, n, [(sp, sz)] = _model_operators(spec, "rabi_hamiltonian")
-    coupling = _co_rotating(a, sp) + _counter_rotating(a, sp)
+    n, [(slot, sz)] = _model_operators(spec, "rabi_hamiltonian")
+    coupling = _exchange(spec, slot) + _exchange(spec, slot, counter=True)
     return 0.5 * delta_q * sz + frame.mode_detuning * n + frame.coupling * coupling
 
 
@@ -332,8 +348,8 @@ def squeezed_exact_hamiltonian(
     if delta_q is None:
         delta_q = lin.delta_q
     frame = squeeze_frame(lin, g)
-    a, n, [(sp, sz)] = _model_operators(spec, "squeezed_exact_hamiltonian")
-    co, counter = _co_rotating(a, sp), _counter_rotating(a, sp)
+    n, [(slot, sz)] = _model_operators(spec, "squeezed_exact_hamiltonian")
+    co, counter = _exchange(spec, slot), _exchange(spec, slot, counter=True)
     base = 0.5 * delta_q * sz + frame.mode_detuning * n + frame.coupling * (co + counter)
     return base + 0.5 * g * math.exp(-frame.squeezing) * (co - counter)
 
@@ -348,10 +364,10 @@ def tavis_cummings_hamiltonian(
     H = delta_s n + sum_i [ (delta_q/2) sz_i + G (sp_i a + a' sm_i) ].
     With a single spin this is the usual exchange (beam-splitter) model.
     """
-    a, n, spins = _model_operators(spec, "tavis_cummings_hamiltonian", (1, None))
+    n, spins = _model_operators(spec, "tavis_cummings_hamiltonian", (1, None))
     h = frame.mode_detuning * n
-    for sp, sz in spins:
-        h = h + 0.5 * delta_q * sz + frame.coupling * _co_rotating(a, sp)
+    for slot, sz in spins:
+        h = h + 0.5 * delta_q * sz + frame.coupling * _exchange(spec, slot)
     return h
 
 
@@ -381,9 +397,9 @@ def effective_spin_spin_hamiltonian(
     ops = qubit_ops()
     sz1 = embed(ops["sz"], 0, spec)
     sz2 = embed(ops["sz"], 1, spec)
-    sp1 = embed(ops["sp"], 0, spec)
-    sp2 = embed(ops["sp"], 1, spec)
-    exchange = sp1 @ sp2.conj().T + sp2 @ sp1.conj().T
+    exchange = embed_product({0: ops["sp"], 1: ops["sm"]}, spec) + embed_product(
+        {0: ops["sm"], 1: ops["sp"]}, spec
+    )
     return 0.5 * omega_eff * (sz1 + sz2) + g_eff * exchange
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 PROVENANCE_TAGS = ("PAPER", "DERIVED", "TRIVIAL")
+CSV_CHUNK_ROWS = 65536  # rows formatted per write in a CSV
 
 
 @dataclass
@@ -145,19 +146,27 @@ def _plain(obj):
 
 
 def _write_table(path: Path | str, axis_name: str, axis: np.ndarray, columns: dict[str, np.ndarray]) -> str:
-    """CSV with a leading axis column; every cell printed as "%.17g"."""
+    """CSV with a leading axis column; every cell printed as "%.17g".
+
+    Rows are formatted and written CSV_CHUNK_ROWS at a time, so the
+    writer's memory stays bounded however long the grid is; the file has
+    the same bytes as one formatted in a single piece, and a table of at
+    most CSV_CHUNK_ROWS rows (every default run) is one write.
+    """
     path = Path(path)
     n = len(axis)
     for name, col in columns.items():
         if len(col) != n:
             raise ValueError(f"column {name!r} length {len(col)} != grid length {n}")
     names = list(columns)
-    lines = [axis_name + "," + ",".join(names)]
-    row_format = ",".join(["%.17g"] * (1 + len(names)))
-    rows = np.column_stack([axis] + [columns[k] for k in names]).tolist()
-    lines.extend(row_format % tuple(row) for row in rows)
+    table = [axis] + [columns[k] for k in names]
+    row_format = ",".join(["%.17g"] * len(table)) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    with path.open("w", encoding="ascii", newline="\n") as fh:
+        fh.write(axis_name + "," + ",".join(names) + "\n")
+        for start in range(0, n, CSV_CHUNK_ROWS):
+            rows = np.column_stack([col[start : start + CSV_CHUNK_ROWS] for col in table]).tolist()
+            fh.write("".join(row_format % tuple(row) for row in rows))
     return str(path)
 
 

@@ -367,6 +367,13 @@ def run_coupling_sweep(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         "enhanced_r0_hz": 0.5 * g_formula_gap,
         "enhanced_r10_hz": 0.5 * g_formula_gap * math.exp(10.0),
     }
+    # Gaps below float64's resolution next to the radius leave d + R = R,
+    # so the scan would no longer move the spin.
+    if not np.all(np.diff(r_fixed + gaps) > 0):
+        raise ConfigError(
+            f"sweep.distance_min_m={cfg['sweep.distance_min_m']:g} is too fine for "
+            f"sweep.radius_m={r_fixed:g}: radius + gap must strictly increase in float64"
+        )
     report.outputs["sweep_radius"] = write_sweep_csv(
         out_dir / "sweep_radius.csv", "radius_m", radii, radius_cols
     )

@@ -29,7 +29,7 @@ from kerrspin.hamiltonians import (
     tavis_cummings_hamiltonian,
 )
 
-CUTOFFS = (2, 3, 6, 11)
+CUTOFFS = (2, 3, 6, 11, 40)
 FRAME = SqueezedFrame(squeezing=0.4, mode_detuning=2.7, coupling=0.37)
 DELTA_Q = 1.3
 LIN = LinearizedParams(delta_m=5.0, delta_q=1.3, mean_amplitude=0j, kerr2=math.tanh(0.8) * 5.0)

@@ -402,12 +402,17 @@ class TestCli:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_tiny_gap_edge_runs(self, tmp_path, monkeypatch, capsys):
         # A gap edge near the float floor still gives finite, nonzero columns,
-        # so the scan runs. Below an ulp of the radius d + R rounds to R and
-        # the coupling stops decreasing, which the monotonicity check reports.
+        # but below an ulp of the radius d + R rounds to R, so the scan would
+        # stop moving the spin: the gap grid is refused up front, naming its key.
         monkeypatch.chdir(tmp_path)
-        assert main(["run", "coupling-sweep", "--set", "sweep.distance_min_m=1e-300"]) == 1
-        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
-        assert [line.split(":")[0] for line in failed] == ["[FAIL] distance-monotonic-decay"]
+        assert main(["run", "coupling-sweep", "--set", "sweep.distance_min_m=1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.distance_min_m=1e-300 is too fine for sweep.radius_m" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+        # One ulp of the default radius (3e-8 m) above 0 still resolves.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "coupling-sweep", "--set", "sweep.distance_min_m=1e-20"]) == 0
 
     @pytest.mark.parametrize("amplitude", ["1e25", "1e153"])
     @pytest.mark.parametrize("scenario", ["state-transfer", "iswap-fidelity"])

@@ -908,8 +908,59 @@ def reached_indices(model: LindbladModel, rho0s: list[np.ndarray]) -> np.ndarray
     through H, every collapse operator with a nonzero rate and its C'C."""
     rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
     seed = np.any(np.stack(rho0s) != 0, axis=(0, 2))
-    ops = [model.hamiltonian] + [op for op, _ in rates] + [op.conj().T @ op for op, _ in rates]
-    return dynamics._reachable(seed, ops)
+    return dynamics._reachable(seed, [model.hamiltonian], [op for op, _ in rates])
+
+
+def former_reachable(seed: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
+    """The former search: one d x d adjacency from the nonzero patterns of
+    all `ops`, with each C'C formed in full by the caller."""
+    adjacent = np.zeros((seed.size, seed.size), dtype=bool)
+    for op in ops:
+        adjacent |= op != 0
+    reached = seed.copy()
+    frontier = seed
+    while frontier.any():
+        frontier = adjacent[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return np.flatnonzero(reached)
+
+
+class TestFrontierSearch:
+    """The search applies C'C at its frontier only; it must reach exactly
+    the indices of the former search over the full C'C products."""
+
+    @staticmethod
+    def full_product_search(model: LindbladModel, rho0s: list[np.ndarray]) -> np.ndarray:
+        cs = [op for op, rate in model.collapse if rate != 0.0]
+        seed = np.any(np.stack(rho0s) != 0, axis=(0, 2))
+        return former_reachable(seed, [model.hamiltonian] + cs + [c.conj().T @ c for c in cs])
+
+    @pytest.mark.parametrize("cutoff", [6, 11])
+    def test_state_transfer_model(self, cutoff):
+        spec, model, _ = transfer_case(cutoff)
+        rho0s = [dm(basis_ket((0, 1, 0), spec))]
+        got = reached_indices(model, rho0s)
+        assert np.array_equal(got, self.full_product_search(model, rho0s))
+        assert got.size == 4
+
+    @pytest.mark.parametrize("cutoff", [6, 11])
+    def test_iswap_model(self, cutoff):
+        model, rho0s, _ = tomography_case(cutoff)
+        got = reached_indices(model, rho0s)
+        assert np.array_equal(got, self.full_product_search(model, rho0s))
+        assert got.size == 8
+
+    def test_exactly_cancelling_c_dagger_c_entry(self):
+        # Columns 0 and 1 of C are (1, 1, 0) and column 2 is (1, -1, 0), so
+        # C'C[2, 0] = C'C[2, 1] = 1 - 1 = 0 exactly: {0, 1} is closed under
+        # H, C and C'C, though the sign-blind pattern |C|'|C| links it to 2.
+        c = np.array([[1, 1, 1], [1, 1, -1], [0, 0, 0]], dtype=complex)
+        h = np.diag([0.0, 0.4, 1.0]).astype(complex)
+        seed = np.array([True, False, False])
+        got = dynamics._reachable(seed, [h], [c])
+        assert got.tolist() == [0, 1]
+        assert np.array_equal(got, former_reachable(seed, [h, c, c.conj().T @ c]))
+        assert former_reachable(seed, [h, c, np.abs(c).T @ np.abs(c)]).tolist() == [0, 1, 2]
 
 
 def one_pass_diagnostics(states: np.ndarray, d: int) -> dict[str, np.ndarray]:

@@ -3,6 +3,8 @@ and partial traces."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from kerrspin.fock import (
     basis_ket,
     dm,
     embed,
+    embed_product,
     ket,
     number_operator,
     partial_trace,
@@ -139,6 +142,47 @@ class TestEmbedding:
             embed(qubit_ops()["sx"], 2, spec)
         with pytest.raises(ValueError):
             embed(qubit_ops()["sx"], 0, spec)
+
+    def test_embed_product_validates_inputs(self):
+        spec = HilbertSpec.mode_and_spins(3)
+        sx = qubit_ops()["sx"]
+        with pytest.raises(ValueError, match="at least one factor"):
+            embed_product({}, spec)
+        with pytest.raises(IndexError):
+            embed_product({0: annihilation(3), 2: sx}, spec)
+        with pytest.raises(ValueError, match="does not match subsystem dim 3"):
+            embed_product({0: sx, 1: sx}, spec)
+
+
+def slot_operators(dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Real, imaginary and signed operators on one slot: the ladder,
+    number and Pauli operators plus a random real matrix."""
+    if dim == 2:
+        ops = list(qubit_ops().values())
+    else:
+        a = annihilation(dim)
+        ops = [a, a.conj().T, number_operator(dim), -a]
+    return ops + [rng.normal(size=(dim, dim)).astype(complex)]
+
+
+@pytest.mark.parametrize("dims", [(6, 2, 2), (3, 2, 2, 2)])
+def test_embed_product_bitwise_equals_product_of_embeds(dims):
+    """The Kronecker chain of two factors is their one-factor embeds'
+    matrix product, byte for byte (signed zeros included), on every slot
+    pair; with one factor it is `embed` itself."""
+    spec = HilbertSpec(tuple(Subsystem(f"s{i}", d) for i, d in enumerate(dims)))
+    rng = np.random.default_rng(15)
+    ops = [slot_operators(d, rng) for d in dims]
+    for s1, s2 in itertools.combinations(range(len(dims)), 2):
+        for op1, op2 in itertools.product(ops[s1], ops[s2]):
+            want = embed(op1, s1, spec) @ embed(op2, s2, spec)
+            got = embed_product({s1: op1, s2: op2}, spec)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert embed_product({s2: op2, s1: op1}, spec).tobytes() == want.tobytes()
+    for slot, slot_ops in enumerate(ops):
+        for op in slot_ops:
+            assert embed_product({slot: op}, spec).tobytes() == embed(op, slot, spec).tobytes()
 
 
 class TestPartialTrace:

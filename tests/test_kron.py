@@ -1,21 +1,25 @@
-"""The broadcast Kronecker product behind `fock.embed`, `liouvillian` and
-the Pauli lifts, bit for bit against np.kron on every operand the six
-scenarios use.
+"""The broadcast Kronecker product behind `fock.embed`, `fock.embed_product`,
+`liouvillian` and the Pauli lifts, bit for bit against np.kron on every
+operand the six scenarios use.
 
 One module fixture runs every scenario at its default config with
-`embed` and `liouvillian` wrapped to record their arguments; the tests
-then rebuild each result with np.kron.
+`embed_product` (which `embed` calls) and `liouvillian` wrapped to record
+their arguments; the tests then rebuild each result with np.kron, a
+product of several factors as the matrix product of their one-factor
+lifts.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from kerrspin import dynamics, fock, hamiltonians, scenarios
+from kerrspin import dynamics, fock, hamiltonians
 from kerrspin.config import resolve
 from kerrspin.dynamics import liouvillian
-from kerrspin.fock import _kron, embed
+from kerrspin.fock import _kron, embed_product
 from kerrspin.scenarios import SCENARIOS, run_scenario
 
 
@@ -34,14 +38,14 @@ def kron_liouvillian(h: np.ndarray, collapse: list[tuple[np.ndarray, float]]) ->
 
 @pytest.fixture(scope="module")
 def recorded_calls(tmp_path_factory) -> dict[str, dict]:
-    """Distinct `embed` and `liouvillian` arguments of the six scenarios,
-    keyed by their bytes."""
+    """Distinct `embed_product` and `liouvillian` arguments of the six
+    scenarios, keyed by their bytes."""
     calls: dict[str, dict] = {"embed": {}, "liouvillian": {}}
 
-    def recording_embed(op, slot, spec):
-        key = (op.dtype.str, op.tobytes(), slot, spec)
-        calls["embed"].setdefault(key, (op.copy(), slot, spec))
-        return embed(op, slot, spec)
+    def recording_embed_product(factors, spec):
+        key = (tuple((slot, op.dtype.str, op.tobytes()) for slot, op in sorted(factors.items())), spec)
+        calls["embed"].setdefault(key, ({slot: op.copy() for slot, op in factors.items()}, spec))
+        return embed_product(factors, spec)
 
     def recording_liouvillian(h, collapse):
         key = (h.tobytes(), tuple((op.tobytes(), rate) for op, rate in collapse))
@@ -50,8 +54,8 @@ def recorded_calls(tmp_path_factory) -> dict[str, dict]:
 
     root = tmp_path_factory.mktemp("kron-scenarios")
     with pytest.MonkeyPatch.context() as mp:
-        for module in (fock, hamiltonians, scenarios):
-            mp.setattr(module, "embed", recording_embed)
+        for module in (fock, hamiltonians):
+            mp.setattr(module, "embed_product", recording_embed_product)
         mp.setattr(dynamics, "liouvillian", recording_liouvillian)
         for scenario_id in SCENARIOS:
             run_scenario(scenario_id, resolve(scenario_id), root / scenario_id)
@@ -60,16 +64,20 @@ def recorded_calls(tmp_path_factory) -> dict[str, dict]:
 
 def test_embed_bitwise_equals_kron(recorded_calls):
     embeds = list(recorded_calls["embed"].values())
-    # Mode operators at every cutoff the scenarios use (up to 20) and
-    # spin operators in every slot: 38 distinct calls today.
+    # Mode operators at every cutoff the scenarios use (up to 20), spin
+    # operators in every slot, and mode-spin and spin-spin products.
     assert len(embeds) >= 30
-    assert {slot for _op, slot, _spec in embeds} == {0, 1, 2}
-    for op, slot, spec in embeds:
+    assert {slot for factors, _spec in embeds for slot in factors} == {0, 1, 2}
+    assert any(len(factors) == 2 for factors, _spec in embeds)
+    for factors, spec in embeds:
         dims = spec.dims
-        left = np.eye(int(np.prod(dims[:slot])), dtype=complex)
-        right = np.eye(int(np.prod(dims[slot + 1 :])), dtype=complex)
-        want = np.kron(np.kron(left, op), right)
-        got = embed(op, slot, spec)
+        lifts = []
+        for slot, op in sorted(factors.items()):
+            left = np.eye(int(np.prod(dims[:slot])), dtype=complex)
+            right = np.eye(int(np.prod(dims[slot + 1 :])), dtype=complex)
+            lifts.append(np.kron(np.kron(left, op), right))
+        want = functools.reduce(np.matmul, lifts)
+        got = embed_product(factors, spec)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
