@@ -1,8 +1,18 @@
 """Time evolution and gate metrics.
 
 Unitary runs use one eigendecomposition of the (time-independent)
-Hamiltonian, so they carry no step error; expectation values come from
-one matrix product per observable and a row-wise conjugate dot.
+Hamiltonian, so they carry no step error. The states, norms and
+expectation values come in one pass over near-equal time blocks: per
+block, one matrix product for the states, then per observable one
+product and a row-wise conjugate dot. A block's products stay at or
+under 2^15 multiply-adds (rows x n x n on an n-state block), small
+enough that a threaded BLAS keeps them on the calling thread: above
+that, OpenBLAS wakes a worker thread that costs as much CPU as the whole
+run and saves it no time. A block has at least 64 rows (or the whole
+grid), so large blocks keep a few large products, and never a single
+row, which NumPy would hand to a matrix-vector kernel that rounds
+differently. Splitting the rows changes the order of no sum, and the
+tests pin the series bit for bit to one product over the whole grid.
 Open-system runs vectorize the density matrix row-major and build the
 generator
 
@@ -95,6 +105,8 @@ TRACE_TOL = 1e-8
 STEP_BUDGET = 0.1  # max allowed step * spectral scale
 DEFAULT_STEP_SCALE = 0.1  # default substep as a fraction of the ceiling
 TP_DEFECT_TOL = 1e-6
+BLOCK_MULADDS = 2**15  # max multiply-adds of one product in a unitary time block
+MIN_BLOCK_ROWS = 64  # floor on a unitary time block, unless the grid is shorter
 
 
 class DiagnosticsError(RuntimeError):
@@ -192,6 +204,19 @@ def _project_observables(observables: dict | None, spec: HilbertSpec | None, d: 
     return out
 
 
+def _time_block_edges(n_t: int, n: int) -> list[int]:
+    """Edges of the near-equal time blocks that a unitary run of n_t
+    points on an n-state block is evaluated in (see the module docstring).
+
+    Each block's products take rows x n x n multiply-adds, at most
+    BLOCK_MULADDS, unless that would make a block shorter than
+    MIN_BLOCK_ROWS rows (or than the whole grid, if that is shorter).
+    """
+    rows = max(1, BLOCK_MULADDS // (n * n))
+    count = min(-(-n_t // rows), max(1, n_t // MIN_BLOCK_ROWS))
+    return [i * n_t // count for i in range(count + 1)]
+
+
 def evolve_unitary_batch(
     h: np.ndarray,
     kets: list[np.ndarray],
@@ -206,7 +231,10 @@ def evolve_unitary_batch(
     One search finds the coordinate subspace reachable from the union of
     the kets' supports (see the module docstring), and only the block of
     H on it is diagonalised, once for all kets; final states and kept
-    states are zero-padded back to full size.
+    states are zero-padded back to full size. The phases exp(-i E t) are
+    computed once; each ket's states, norms and observable series then
+    come in one pass over the time blocks of `_time_block_edges`, whose
+    products stay small enough to run on the calling thread.
     """
     h = _check_hermitian(h)
     times = _validate_times(times)
@@ -223,31 +251,39 @@ def evolve_unitary_batch(
     block = np.ix_(idx, idx)
     obs = _project_observables(observables, spec, d, block)
     evals, vecs = np.linalg.eigh(h[block])
-    phases = np.exp(-1j * np.outer(evals, times))
+    n, n_t = idx.size, times.size
+    edges = _time_block_edges(n_t, n)
+    # A finite H whose phases E t overflow gives NaN states, which the
+    # norm check below reports; the warnings along the way are expected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * np.outer(evals, times))
 
     out = []
     for psi0 in kets:
         coeff = vecs.conj().T @ psi0[idx]
-        states = (vecs @ (phases * coeff[:, None])).T  # (T, n)
-        norms = np.linalg.norm(states, axis=1)
+        norms = np.empty(n_t)
+        series = {name: np.empty(n_t) for name in obs}
+        kept = np.zeros((n_t, d), dtype=complex) if keep_states else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in zip(edges[:-1], edges[1:]):
+                states = (vecs @ (phases[:, a:b] * coeff[:, None])).T  # (b - a, n)
+                norms[a:b] = np.linalg.norm(states, axis=1)
+                # <psi|O|psi> per time point: one GEMM, then a row-wise conjugate dot.
+                conj = states.conj()
+                for name, op in obs.items():
+                    series[name][a:b] = np.einsum("ti,ti->t", conj, states @ op.T).real
+                if keep_states:
+                    kept[a:b, idx] = states
         norm_drift = float(np.max(np.abs(norms - 1.0)))
         if not norm_drift <= NORM_TOL:
             raise DiagnosticsError(f"unitary norm drift {norm_drift:.3e} exceeds {NORM_TOL}")
-
-        # <psi|O|psi> per time point: one GEMM, then a row-wise conjugate dot.
-        conj = states.conj()
-        series = {name: np.einsum("ti,ti->t", conj, states @ op.T).real for name, op in obs.items()}
         diagnostics = {
             "norm_drift": norm_drift,
             "hilbert_dim": d,
-            "reduced_dim": idx.size,
+            "reduced_dim": n,
         }
         final_state = np.zeros(d, dtype=complex)
         final_state[idx] = states[-1]
-        kept = None
-        if keep_states:
-            kept = np.zeros((times.size, d), dtype=complex)
-            kept[:, idx] = states
         out.append(
             Trajectory(
                 times=times,

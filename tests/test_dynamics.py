@@ -1429,6 +1429,15 @@ class TestNonFiniteDiagnostics:
             with pytest.raises(DiagnosticsError, match="norm drift nan"):
                 evolve_unitary(1e308 * qubit_ops()["sx"], basis_ket((0,), spec), [0.0, 10.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_unitary_phase_warnings_as_errors(self):
+        # The overflow is expected, so it must not surface as a warning: the
+        # run ends on the norm diagnostic even where warnings are errors.
+        spec = HilbertSpec.spins_only(1)
+        with np.errstate(all="warn"):
+            with pytest.raises(DiagnosticsError, match="norm drift nan"):
+                evolve_unitary(1e308 * qubit_ops()["sx"], basis_ket((0,), spec), [0.0, 10.0])
+
 
 def rotated_qubit_state(lam: float) -> np.ndarray:
     """A one-qubit density matrix with eigenvalues (1 - lam, lam), its
@@ -1561,8 +1570,23 @@ class TestUnitaryBatch:
     """evolve_unitary_batch evolves several kets on the block reached from
     the union of their supports, with one search and one eigh."""
 
+    @staticmethod
+    def bitwise_cases():
+        """Default grids, the bumped cutoff, rabi's refined grid, a grid one
+        point longer than a multiple of the block length, and a block whose
+        n^2 exceeds the product budget (the 64-row floor)."""
+        spec, h, psi0, times = rabi_case(15)
+        rows = dynamics.BLOCK_MULADDS // 15**2
+        yield spec, h, psi0, times
+        yield battery_case(5)
+        yield rabi_case(20)
+        yield spec, h, psi0, np.linspace(0.0, times[-1], 2401)
+        yield spec, h, psi0, np.linspace(0.0, times[-1], 4 * rows + 1)
+        spec, h, psi0, times = rabi_case(400)
+        yield spec, h, psi0, times[:129]
+
     def test_one_ket_bitwise_equals_former_path(self):
-        for spec, h, psi0, times in (rabi_case(15), battery_case(5)):
+        for spec, h, psi0, times in self.bitwise_cases():
             observables = default_population_observables(spec)
             (traj,) = evolve_unitary_batch(h, [psi0], times, spec=spec)
             series, final = former_evolve_unitary(h, psi0, times, observables)
@@ -1572,6 +1596,19 @@ class TestUnitaryBatch:
             assert traj.final_state.tobytes() == final.tobytes()
             single = evolve_unitary(h, psi0, times, spec=spec)
             assert single.final_state.tobytes() == final.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 15, 182, 400])
+    @pytest.mark.parametrize("n_t", [2, 63, 64, 65, 129, 581, 1201, 2401])
+    def test_time_blocks(self, n, n_t):
+        edges = dynamics._time_block_edges(n_t, n)
+        sizes = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == n_t
+        assert sizes.max() - sizes.min() <= 1
+        # No 1-row block: at least MIN_BLOCK_ROWS rows, or one block.
+        assert sizes.min() >= min(n_t, dynamics.MIN_BLOCK_ROWS)
+        # Within the product budget unless the floor sets the length.
+        if sizes.max() * n * n > dynamics.BLOCK_MULADDS:
+            assert len(sizes) == max(1, n_t // dynamics.MIN_BLOCK_ROWS)
 
     @pytest.mark.parametrize("cutoff", [None, 6])
     def test_tomography_kets_match_one_ket_runs(self, monkeypatch, cutoff):
