@@ -1,18 +1,27 @@
 """Time evolution and gate metrics.
 
+Every product whose size grows with the inputs goes through one row-block
+rule (`_matmul`): it is taken in near-equal blocks of rows whose products
+stay at or under BLOCK_MULADDS = 2^15 complex multiply-adds (rows x k x n;
+a real multiply-add counts a quarter, a matrix-vector product sixteen
+times its size). That is small enough that a threaded OpenBLAS keeps
+each call on the calling thread: above it, OpenBLAS wakes a worker
+thread that spins for as much CPU as the whole run and saves it no
+time. A block has at least 2 rows, so none turns into a matrix-vector
+product, whose kernel rounds differently; a product too large for that
+is taken in one call that the threads share. Splitting the rows of a
+row-major operand changes the order of no sum. Only products of a fixed
+16 x 16 size per call, in the gate metrics, are written out directly.
+
 Unitary runs use one eigendecomposition of the (time-independent)
 Hamiltonian, so they carry no step error. The states, norms and
-expectation values come in one pass over near-equal time blocks: per
-block, one matrix product for the states, then per observable one
-product and a row-wise conjugate dot. A block's products stay at or
-under 2^15 multiply-adds (rows x n x n on an n-state block), small
-enough that a threaded BLAS keeps them on the calling thread: above
-that, OpenBLAS wakes a worker thread that costs as much CPU as the whole
-run and saves it no time. A block has at least 64 rows (or the whole
-grid), so large blocks keep a few large products, and never a single
-row, which NumPy would hand to a matrix-vector kernel that rounds
-differently. Splitting the rows changes the order of no sum, and the
-tests pin the series bit for bit to one product over the whole grid.
+expectation values come in one pass over near-equal time blocks sized by
+the same rule (rows x n x n on an n-state block), but with a floor of 64
+rows (or the whole grid), so that large blocks keep a few large
+products: per block, one matrix product for the states, then per
+observable one product and a row-wise conjugate dot. The tests pin the
+series bit for bit to one product over the whole grid.
+
 Open-system runs vectorize the density matrix row-major and build the
 generator
 
@@ -32,6 +41,17 @@ products (the same repeated squaring, over the grid). Open-system runs
 take uniform grids only: steps that differ by more than 1e-9 relative
 are refused before the generator is built.
 
+The generator splits into sectors, the connected components of its
+nonzero pattern: L is block diagonal over them, so each sector's span is
+invariant under L and under every polynomial in it, P included. The
+propagator, its squarings and the doubling products are built for each
+sector the inputs populate, on that sector alone; the others stay
+exactly 0. This is exact, not an approximation. An excitation-conserving
+model splits by the difference of the excitation numbers of the ket and
+the bra: the iswap-fidelity full model's 64 Liouville indices fall into
+sectors of 26, 15, 15, 4 and 4, so its squarings cost a tenth of the
+whole generator's.
+
 Both kinds of run work on a coordinate subspace only: the basis states
 reachable from the support of the initial state(s) through the nonzero
 pattern of H and, for open-system runs, of every collapse operator with
@@ -49,11 +69,11 @@ Excitation-conserving models shrink most, and models that conserve only
 a parity halve; observables are projected onto the block. A unitary
 batch searches once from the union of its kets' supports and
 diagonalises that block once for all of them. An open-system batch
-streams its physicality diagnostics and observable series over the
-(inputs, T, n, n) stack of block states one input at a time, so no
-temporary is the size of the stack; each input's series come from one
-matrix product. Only the final states, and the state series when kept
-on request, are zero-padded back to the full space.
+streams its physicality diagnostics over the (inputs, T, n, n) stack of
+block states one input at a time, so no temporary is the size of the
+stack; the observable series of all inputs come from one real product of
+the stored sector entries. Only the final states, and the state series
+when kept on request, are zero-padded back to the full space.
 
 Positivity (every state's eigenvalues at or above POSITIVITY_FLOOR) is
 tested on the hermitian part of each input's state series. A run that
@@ -105,7 +125,7 @@ TRACE_TOL = 1e-8
 STEP_BUDGET = 0.1  # max allowed step * spectral scale
 DEFAULT_STEP_SCALE = 0.1  # default substep as a fraction of the ceiling
 TP_DEFECT_TOL = 1e-6
-BLOCK_MULADDS = 2**15  # max multiply-adds of one product in a unitary time block
+BLOCK_MULADDS = 2**15  # max multiply-adds of one matrix product (see `_matmul`)
 MIN_BLOCK_ROWS = 64  # floor on a unitary time block, unless the grid is shorter
 
 
@@ -204,17 +224,49 @@ def _project_observables(observables: dict | None, spec: HilbertSpec | None, d: 
     return out
 
 
-def _time_block_edges(n_t: int, n: int) -> list[int]:
-    """Edges of the near-equal time blocks that a unitary run of n_t
-    points on an n-state block is evaluated in (see the module docstring).
+def _time_block_edges(n_rows: int, row_cost: float, min_rows: int) -> list[int]:
+    """Edges of the near-equal blocks of rows (of time points, in a
+    closed-system series) that a product is taken in.
 
-    Each block's products take rows x n x n multiply-adds, at most
-    BLOCK_MULADDS, unless that would make a block shorter than
-    MIN_BLOCK_ROWS rows (or than the whole grid, if that is shorter).
+    A block of r rows costs r * row_cost complex multiply-adds, at most
+    BLOCK_MULADDS, unless that would make a block shorter than `min_rows`
+    rows (or than all of them, if there are fewer).
     """
-    rows = max(1, BLOCK_MULADDS // (n * n))
-    count = min(-(-n_t // rows), max(1, n_t // MIN_BLOCK_ROWS))
-    return [i * n_t // count for i in range(count + 1)]
+    rows = max(1, int(BLOCK_MULADDS // row_cost))
+    count = min(-(-n_rows // rows), max(1, n_rows // min_rows))
+    return [i * n_rows // count for i in range(count + 1)]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, min_rows: int = 2):
+    """a @ b for a 2-D `a`, taken in row blocks of `a` (`_time_block_edges`)
+    so that a threaded BLAS keeps every call on the calling thread.
+
+    A block's product costs at most BLOCK_MULADDS complex multiply-adds,
+    but no block has fewer than `min_rows` rows: with the default of 2 no
+    block of a matrix product turns into a matrix-vector product, whose
+    kernel rounds differently. A product whose blocks of `min_rows` rows
+    would already exceed the budget wakes the worker threads however it
+    is split, so it is taken in one call that they share. Every product
+    in this module whose size grows with its inputs goes through here.
+
+    A matrix-vector product (`b` 1-D or one column) counts 16 times its
+    size, and a real product a quarter of it: OpenBLAS keeps a real
+    product on the calling thread up to 16 times the complex size (a
+    240 x 64 x 64 real product stays there, a 256 x 64 x 64 one does not).
+    """
+    k = a.shape[1]
+    n = b.shape[1] if b.ndim == 2 else 1
+    row_cost = float(k * n) if n > 1 else 16.0 * k
+    if "c" not in (a.dtype.kind, b.dtype.kind):
+        row_cost /= 4.0
+    if a.shape[0] * row_cost <= BLOCK_MULADDS or min_rows * row_cost > BLOCK_MULADDS:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    edges = _time_block_edges(a.shape[0], row_cost, min_rows)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
 
 
 def evolve_unitary_batch(
@@ -252,7 +304,7 @@ def evolve_unitary_batch(
     obs = _project_observables(observables, spec, d, block)
     evals, vecs = np.linalg.eigh(h[block])
     n, n_t = idx.size, times.size
-    edges = _time_block_edges(n_t, n)
+    edges = _time_block_edges(n_t, n * n, MIN_BLOCK_ROWS)
     # A finite H whose phases E t overflow gives NaN states, which the
     # norm check below reports; the warnings along the way are expected.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -260,18 +312,22 @@ def evolve_unitary_batch(
 
     out = []
     for psi0 in kets:
-        coeff = vecs.conj().T @ psi0[idx]
+        # Each product here is one call (min_rows is all its rows): the
+        # time blocks size the series products, with their 64-row floor,
+        # and a split would move the last bits of the coefficients.
+        coeff = _matmul(vecs.conj().T, psi0[idx], min_rows=n)
         norms = np.empty(n_t)
         series = {name: np.empty(n_t) for name in obs}
         kept = np.zeros((n_t, d), dtype=complex) if keep_states else None
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b in zip(edges[:-1], edges[1:]):
-                states = (vecs @ (phases[:, a:b] * coeff[:, None])).T  # (b - a, n)
+                states = _matmul(vecs, phases[:, a:b] * coeff[:, None], min_rows=n).T
                 norms[a:b] = np.linalg.norm(states, axis=1)
                 # <psi|O|psi> per time point: one GEMM, then a row-wise conjugate dot.
                 conj = states.conj()
                 for name, op in obs.items():
-                    series[name][a:b] = np.einsum("ti,ti->t", conj, states @ op.T).real
+                    product = _matmul(states, op.T, min_rows=b - a)
+                    series[name][a:b] = np.einsum("ti,ti->t", conj, product).real
                 if keep_states:
                     kept[a:b, idx] = states
         norm_drift = float(np.max(np.abs(norms - 1.0)))
@@ -318,7 +374,7 @@ def liouvillian(h: np.ndarray, collapse: list[tuple[np.ndarray, float]]) -> np.n
     for op, rate in collapse:
         if rate == 0.0:
             continue
-        opdop = op.conj().T @ op
+        opdop = _matmul(op.conj().T, op)
         gen += rate * (_kron(op, op.conj()) - 0.5 * (_kron(opdop, eye) + _kron(eye, opdop.T)))
     return gen
 
@@ -335,12 +391,14 @@ def _reachable(seed: np.ndarray, ops: list[np.ndarray], collapse: list[np.ndarra
     C'C maps into itself.
     """
     mats = np.stack([*ops, *collapse])
-    adjoints = mats[len(ops) :].conj().swapaxes(-1, -2)
+    adjoints = [op.conj().T for op in collapse]
     reached = seed.copy()
     frontier = seed
     while frontier.any():
         cols = mats[:, :, frontier]
-        hit = np.any(cols != 0, axis=(0, 2)) | np.any(adjoints @ cols[len(ops) :] != 0, axis=(0, 2))
+        hit = np.any(cols != 0, axis=(0, 2))
+        for adjoint, col in zip(adjoints, cols[len(ops) :]):
+            hit |= np.any(_matmul(adjoint, col) != 0, axis=1)
         frontier = hit & ~reached
         reached |= frontier
     return np.flatnonzero(reached)
@@ -355,9 +413,9 @@ def spectral_scale(model: LindbladModel) -> float:
 def _taylor4(gen_h: np.ndarray) -> np.ndarray:
     """I + X + X^2/2 + X^3/6 + X^4/24 for X = generator * substep."""
     eye = np.eye(gen_h.shape[0], dtype=complex)
-    x2 = gen_h @ gen_h
-    x3 = x2 @ gen_h
-    x4 = x3 @ gen_h
+    x2 = _matmul(gen_h, gen_h)
+    x3 = _matmul(x2, gen_h)
+    x4 = _matmul(x3, gen_h)
     return eye + gen_h + x2 / 2.0 + x3 / 6.0 + x4 / 24.0
 
 
@@ -375,7 +433,7 @@ def _interval_propagator(gen: np.ndarray, dt: float, h_req: float) -> tuple[np.n
     prop = _taylor4(gen * (dt / k))
     steps = k
     while steps > 1:
-        prop = prop @ prop
+        prop = _matmul(prop, prop)
         steps //= 2
     return prop, k
 
@@ -400,29 +458,31 @@ def _resolve_step(model: LindbladModel, step: float | None, step_scale: float) -
 
 
 def _validate_inputs(rho0_list: list[np.ndarray], d: int) -> np.ndarray:
-    """(inputs, d, d) stack of the initial density matrices, each checked.
+    """(inputs, d, d) stack of the initial density matrices, checked as one
+    stack: a wrong dimension anywhere is reported first, then the first
+    input that fails its trace or hermiticity test names the error.
 
     The tests are written as `not <=` (or `not >=`) so that a NaN entry
     fails them.
     """
-    rhos = []
-    for rho0 in rho0_list:
-        rho = dm(np.asarray(rho0, dtype=complex))
-        if rho.shape != (d, d):
-            raise ValueError("initial state dimension mismatch")
-        if not abs(np.trace(rho).real - 1.0) <= NORM_TOL:
-            raise ValueError("initial state trace deviates from 1")
-        if not np.max(np.abs(rho - rho.conj().T)) <= NORM_TOL:
-            raise ValueError("initial state is not hermitian")
-        rhos.append(rho)
+    rhos = [dm(np.asarray(rho0, dtype=complex)) for rho0 in rho0_list]
+    if any(rho.shape != (d, d) for rho in rhos):
+        raise ValueError("initial state dimension mismatch")
     rhos = np.stack(rhos)
+    trace_ok = np.abs(np.einsum("ijj->i", rhos).real - 1.0) <= NORM_TOL
+    herm_ok = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2)) <= NORM_TOL
+    if not np.all(trace_ok & herm_ok):
+        first = np.argmin(trace_ok & herm_ok)
+        raise ValueError(
+            "initial state is not hermitian" if trace_ok[first] else "initial state trace deviates from 1"
+        )
     # Positivity of all inputs from one eigvalsh on their common support.
     # Outside the rows and columns where some input is nonzero every
     # input is exactly 0, so each is block diagonal with a zero block,
     # whose eigenvalues 0 lie above POSITIVITY_FLOOR: the pass or fail is
     # that of the full d x d spectra.
-    nonzero = rhos != 0
-    support = np.flatnonzero(np.any(nonzero, axis=(0, 1)) | np.any(nonzero, axis=(0, 2)))
+    nonzero = np.any(rhos != 0, axis=0)
+    support = np.flatnonzero(np.any(nonzero, axis=0) | np.any(nonzero, axis=1))
     if not np.min(np.linalg.eigvalsh(rhos[:, support[:, None], support])) >= POSITIVITY_FLOOR:
         raise ValueError("initial state is not positive semidefinite")
     return rhos
@@ -450,6 +510,31 @@ def _certified_above_floor(sym: np.ndarray) -> bool:
     return True
 
 
+def _populated_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
+    """The sectors of the generator that meet the boolean mask `seed`, as
+    sorted index arrays, largest first (equal sizes in index order).
+
+    A sector is a connected component of gen's nonzero pattern read as an
+    undirected graph, so gen is block diagonal over its sectors: the span
+    of each is invariant under gen and every polynomial in it, and a
+    state that starts at 0 on a sector stays exactly 0 there. Each index
+    is labelled by the smallest index of its sector: labels spread along
+    the pattern's edges, with pointer jumping, until they stop changing.
+    """
+    linked = (gen != 0) | (gen != 0).T
+    label = np.arange(len(gen))
+    while True:
+        spread = np.minimum(label, np.min(np.where(linked, label, label.size), axis=1))
+        spread = spread[spread]
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    populated = np.zeros(label.size, dtype=bool)
+    populated[label[seed]] = True
+    sectors = [np.flatnonzero(label == first) for first in np.flatnonzero(populated)]
+    return sorted(sectors, key=len, reverse=True)
+
+
 def evolve_lindblad_batch(
     model: LindbladModel,
     rho0_list: list[np.ndarray],
@@ -464,10 +549,12 @@ def evolve_lindblad_batch(
 
     `times` must be a uniform grid: steps that differ by more than 1e-9
     relative raise ValueError before any generator is built. The
-    generator and interval propagator are built once and shared, so
+    generator and interval propagators are built once and shared, so
     batching the 16 tomography inputs costs little more than one run.
-    They are built on the coordinate subspace the inputs can reach (see
-    the module docstring); the substep still comes from the full model.
+    They are built on the coordinate subspace the inputs can reach, one
+    propagator per sector of the generator that the inputs populate (see
+    the module docstring; the diagnostics' `liouville_sectors` lists
+    their sizes); the substep still comes from the full model.
 
     With `record_min_eigenvalue` (the default) each input's diagnostics
     hold `min_eigenvalue`, the lowest eigvalsh eigenvalue of its state
@@ -496,25 +583,45 @@ def evolve_lindblad_batch(
 
     n_in = len(rhos0)
     n_t = times.size
-    # rows[j, i] is input i's row-major state vector at times[j]; a step
-    # is rows[j + 1] = rows[j] @ P^T.
-    rows = np.empty((n_t, n_in, n * n), dtype=complex)
-    rows[0] = rhos0[:, idx[:, None], idx].reshape(n_in, n * n)
-    flat = rows.reshape(n_t * n_in, n * n)
+    vecs0 = rhos0[:, idx[:, None], idx].reshape(n_in, n * n)
+    sectors = _populated_sectors(gen, np.any(vecs0 != 0, axis=0))
+    order = np.concatenate(sectors)
+    width = order.size
+    # rows[j, i] holds input i's row-major state vector at times[j]: its
+    # entries in `order`, sector after sector, then one 0 that stands for
+    # every entry of the sectors no input populates (`gather` maps the
+    # vector's entries onto these columns). A step of the sector in
+    # columns [lo, hi) is rows[j + 1, :, lo:hi] = rows[j, :, lo:hi] @ P^T,
+    # with P that sector's interval propagator.
+    rows = np.empty((n_t, n_in, width + 1), dtype=complex)
+    rows[0, :, :width] = vecs0[:, order]
+    rows[..., width] = 0.0
+    flat = rows.reshape(n_t * n_in, width + 1)
+    gather = np.full(n * n, width)
+    gather[order] = np.arange(width)
     # A generator too large for its squarings overflows to inf and NaN
     # here; the trace diagnostic below reports the non-finite states.
     with np.errstate(over="ignore", invalid="ignore"):
-        prop, k = _interval_propagator(gen, dt, h_req)
-        # Doubling: times [m, 2m) are times [0, m) advanced by P^m, one
-        # GEMM per block, with P^m squared between blocks.
-        m = 1
-        while m < n_t:
-            count = min(m, n_t - m)
-            np.matmul(flat[: count * n_in], prop.T, out=flat[m * n_in : (m + count) * n_in])
-            m *= 2
-            if m < n_t:
-                prop = prop @ prop
-    states = rows.reshape(n_t, n_in, n, n).swapaxes(0, 1)  # (n_in, T, n, n) view
+        lo = 0
+        for sector in sectors:
+            hi = lo + sector.size
+            prop, k = _interval_propagator(gen[np.ix_(sector, sector)], dt, h_req)
+            # Doubling: times [m, 2m) are times [0, m) advanced by P^m,
+            # with P^m squared between blocks.
+            cols = flat[:, lo:hi]
+            m = 1
+            while m < n_t:
+                count = min(m, n_t - m)
+                _matmul(cols[: count * n_in], prop.T, out=cols[m * n_in : (m + count) * n_in])
+                m *= 2
+                if m < n_t:
+                    prop = _matmul(prop, prop)
+            lo = hi
+
+    def lift(rho: np.ndarray) -> np.ndarray:
+        full = np.zeros(rho.shape[:-2] + (d, d), dtype=complex)
+        full[..., idx[:, None], idx] = rho
+        return full
 
     # Physicality diagnostics, one pass over one input's (T, n, n) series
     # at a time, so that no temporary is the size of the whole stack.
@@ -526,7 +633,11 @@ def evolve_lindblad_batch(
     trace_dev = np.empty(n_in)
     herm_dev = np.empty(n_in)
     min_eig = np.full(n_in, np.inf)
-    for i, rho_t in enumerate(states):
+    kept = []
+    for i in range(n_in):
+        rho_t = rows[:, i][:, gather].reshape(n_t, n, n)
+        if keep_states:
+            kept.append(lift(rho_t))
         adjoint = rho_t.conj().swapaxes(-1, -2)
         trace_dev[i] = np.max(np.abs(np.einsum("tjj->t", rho_t) - 1.0))
         herm_dev[i] = np.max(np.abs(rho_t - adjoint))
@@ -547,20 +658,18 @@ def evolve_lindblad_batch(
             f"state eigenvalue {np.min(min_eig):.3e} below floor {POSITIVITY_FLOOR}"
         )
 
-    # tr(O rho) = sum_ij rho[i, j] O[j, i]: every observable's series from
-    # one GEMM per input of its row-major states against the stacked O^T.
+    # Re tr(O rho) = sum_ij Re rho[i, j] Re O[j, i] - Im rho[i, j] Im O[j, i]:
+    # every observable's series for every input from one real product of
+    # the stored entries, real and imaginary parts interleaved, against the
+    # stacked parts of O^T (the unpopulated sectors' entries are 0).
     names = list(obs)
-    columns = np.stack([obs[name].T.reshape(-1) for name in names], axis=1)  # (n*n, n_obs)
+    columns = np.stack([obs[name].T.reshape(-1) for name in names], axis=1)[order]
+    parts = np.stack([columns.real, -columns.imag], axis=1).reshape(2 * width, len(names))
+    values = _matmul(flat.view(float)[:, : 2 * width], parts).reshape(n_t, n_in, len(names))
 
-    def lift(rho: np.ndarray) -> np.ndarray:
-        full = np.zeros(rho.shape[:-2] + (d, d), dtype=complex)
-        full[..., idx[:, None], idx] = rho
-        return full
-
-    finals = lift(states[:, -1])
+    finals = lift(rows[-1][:, gather].reshape(n_in, n, n))
     out = []
     for i in range(n_in):
-        values = np.ascontiguousarray((rows[:, i] @ columns).real.T)  # (n_obs, T)
         diagnostics = {
             "spectral_scale": scale,
             "substep": dt / k,
@@ -568,6 +677,7 @@ def evolve_lindblad_batch(
             "hilbert_dim": d,
             "reduced_dim": n,
             "liouville_dim": n * n,
+            "liouville_sectors": [sector.size for sector in sectors],
             "trace_deviation": float(trace_dev[i]),
             "hermiticity_deviation": float(herm_dev[i]),
         }
@@ -576,10 +686,10 @@ def evolve_lindblad_batch(
         out.append(
             Trajectory(
                 times=times,
-                observables=dict(zip(names, values)),
+                observables=dict(zip(names, np.ascontiguousarray(values[:, i].T))),
                 final_state=finals[i],
                 diagnostics=diagnostics,
-                states=lift(states[i]) if keep_states else None,
+                states=kept[i] if keep_states else None,
             )
         )
     return out
@@ -654,6 +764,7 @@ def _dual() -> np.ndarray:
 # The 16 two-qubit Paulis s_a (x) s_b over s = (I, sx, sy, sz), a-major.
 _SINGLE_PAULIS = [qubit_ops()[name] for name in ("id", "sx", "sy", "sz")]
 _PAULIS = np.stack([_kron(a, b) for a in _SINGLE_PAULIS for b in _SINGLE_PAULIS])
+_PAULI_PARTS = np.stack([_PAULIS.real, _PAULIS.imag], axis=-1).reshape(16, 32) / 4.0
 
 
 def pauli_observables(d: int) -> dict[str, np.ndarray]:
@@ -669,8 +780,10 @@ def pauli_outputs(trajs: list[Trajectory]) -> np.ndarray:
     rho) and tr(P P') = 4 delta, so the rebuild is exact without a state
     series or a partial trace."""
     values = np.array([[tr.observables[f"pauli{m}"] for tr in trajs] for m in range(16)]).T
-    # One GEMM: (T * inputs, 16) expectation values against the stacked P / 4.
-    outputs = values.reshape(-1, 16) @ (_PAULIS.reshape(16, 16) / 4.0)
+    # One real product: (T * inputs, 16) expectation values against the
+    # real and imaginary parts of the stacked P / 4, interleaved so that
+    # the result reads as the complex outputs.
+    outputs = _matmul(values.reshape(-1, 16), _PAULI_PARTS).view(complex)
     return outputs.reshape(-1, len(trajs), _GATE_DIM, _GATE_DIM)
 
 
@@ -689,10 +802,10 @@ def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
     if outputs.shape[-3:] != (16, _GATE_DIM, _GATE_DIM):
         raise ValueError("expected 16 outputs of shape (4, 4)")
     batch = outputs.shape[:-3]
-    images = _dual() @ outputs.reshape(batch + (16, _GATE_DIM**2))
+    # D / 4 is exact, so this is (D @ outputs) / 4 bit for bit.
+    images = (_dual() / _GATE_DIM) @ outputs.reshape(batch + (16, _GATE_DIM**2))
     choi = np.einsum("...jkab->...ajbk", images.reshape(batch + (_GATE_DIM,) * 4))
     choi = choi.reshape(batch + (_GATE_DIM**2, _GATE_DIM**2))
-    choi /= _GATE_DIM
 
     reduced = np.einsum("...aiaj->...ij", choi.reshape(batch + (_GATE_DIM,) * 4))
     defect = np.max(np.abs(_GATE_DIM * reduced - np.eye(_GATE_DIM)), axis=(-2, -1))
@@ -719,7 +832,8 @@ def process_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float | np
     single Choi matrix.
     """
     vec = _ideal_choi_vector(np.asarray(target_unitary, dtype=complex))
-    overlap = np.real(vec.conj() @ np.asarray(choi, dtype=complex) @ vec)
+    row = vec.conj() @ np.asarray(choi, dtype=complex)  # (..., 16)
+    overlap = np.real(_matmul(row.reshape(-1, _GATE_DIM**2), vec)).reshape(row.shape[:-1])
     return float(overlap) if overlap.ndim == 0 else overlap
 
 
@@ -757,14 +871,14 @@ def _fourier_kernel(vec: np.ndarray) -> np.ndarray:
 
 
 def _trig_poly(coeff: np.ndarray, phi: np.ndarray, value_only: bool = False):
-    """Value, gradient and Hessian of F at phi (..., 2) from coefficients
-    (..., 5), or the value alone when `value_only`."""
-    terms = coeff[..., 1:] * np.exp(1j * (phi @ _HARMONICS.T))
+    """Value, gradient and Hessian of F at phi (N, 2) from coefficients
+    (N, 5), or the value alone when `value_only`."""
+    terms = coeff[..., 1:] * np.exp(1j * _matmul(phi, _HARMONICS.T))
     value = coeff[..., 0].real + 2.0 * terms.real.sum(axis=-1)
     if value_only:
         return value
-    grad = -2.0 * terms.imag @ _HARMONICS
-    hess = -2.0 * (terms.real @ _HARMONIC_OUTER).reshape(terms.shape[:-1] + (2, 2))
+    grad = -2.0 * _matmul(terms.imag, _HARMONICS)
+    hess = -2.0 * _matmul(terms.real, _HARMONIC_OUTER).reshape(terms.shape[:-1] + (2, 2))
     return value, grad, hess
 
 
@@ -786,11 +900,15 @@ def strip_local_phases(
     batch = choi.shape[:-2]
     flat = choi.reshape(-1, _GATE_DIM**2, _GATE_DIM**2)
     vec = _ideal_choi_vector(np.asarray(target_unitary, dtype=complex))
-    # F = Re <w|J|w> only sees the hermitian part of J, formed in one buffer.
-    herm = np.conjugate(flat.swapaxes(-1, -2), out=np.empty_like(flat))
-    herm += flat
-    herm *= 0.5
-    coeff = herm.reshape(-1, _GATE_DIM**4) @ _fourier_kernel(vec).reshape(-1, _GATE_DIM**4).T
+    kernel = _fourier_kernel(vec).reshape(-1, _GATE_DIM**4)
+    # Only the entries of J that the kernel reads: 16 of 256 for the
+    # excitation swap, whose |U>> has 4 nonzero entries. F = Re <w|J|w>
+    # only sees the hermitian part of J, (J[r, c] + conj(J[c, r])) / 2.
+    used = np.flatnonzero(np.any(kernel != 0, axis=0))
+    row, col = np.divmod(used, _GATE_DIM**2)
+    entries = flat.reshape(-1, _GATE_DIM**4)
+    herm = 0.5 * (entries[:, used] + entries[:, col * _GATE_DIM**2 + row].conj())
+    coeff = _matmul(herm, kernel[:, used].T)
 
     # At fixed phi1, F = A + 2 Re(B e^{i phi2}) with A = c0 + 2 Re(c1 e^{i phi1})
     # and B = c2 + c3 e^{i phi1} + conj(c4) e^{-i phi1}, so its maximum over
@@ -829,7 +947,7 @@ def strip_local_phases(
     best = np.where((refined >= best_val)[:, None], phi, best)
     # Direct evaluation at the located maximum (the polynomial is exact,
     # but report the physically evaluated value).
-    s = np.exp(1j * (best @ (_LEVELS - 0.5).T))
+    s = np.exp(1j * _matmul(best, (_LEVELS - 0.5).T))
     w = (s.conj()[:, :, None] * vec.reshape(_GATE_DIM, _GATE_DIM)).reshape(-1, 1, _GATE_DIM**2)
     final = np.real(w.conj() @ flat @ w.swapaxes(-1, -2))[:, 0, 0]
     if not batch:
@@ -852,4 +970,4 @@ def state_fidelity(state: np.ndarray, target: np.ndarray) -> float:
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         return float(np.abs(np.vdot(target, state)) ** 2)
-    return float(np.real(target.conj() @ state @ target))
+    return float(np.real(np.vdot(target, _matmul(state, target))))

@@ -280,6 +280,7 @@ _INTEGRATOR_KEYS = (
     "hilbert_dim",
     "reduced_dim",
     "liouville_dim",
+    "liouville_sectors",
 )
 
 

@@ -15,7 +15,9 @@ Analytic oracles used here, all closed-form:
 
 from __future__ import annotations
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -977,12 +979,16 @@ def one_pass_diagnostics(states: np.ndarray, d: int) -> dict[str, np.ndarray]:
     }
 
 
-def leaky_propagator(gen, dt, h_req):
-    """A faulty one-qubit propagator that amplifies the excited population
-    by 1 + 1e-6 per interval."""
-    prop = np.eye(4, dtype=complex)
-    prop[3, 3] = 1.0 + 1e-6  # the |e><e| entry of the row-major vector
-    return prop, 1
+def leaky_liouvillian(h, collapse):
+    """A faulty one-qubit generator that amplifies the excited population
+    by 1 + 1e-6 per interval of the grid np.linspace(0, 1, 3).
+
+    The leak sits on the |e><e| entry of the row-major vector, which it
+    makes a sector of its own, so it reaches the solver through its
+    generator whichever sectors the solver propagates."""
+    gen = liouvillian(h, collapse)
+    gen[3, 3] += np.log1p(1e-6) / 0.5
+    return gen
 
 
 class TestBatchedDiagnostics:
@@ -1065,7 +1071,7 @@ class TestBatchedDiagnostics:
     def test_worst_input_named_in_error(self, monkeypatch):
         # After two leaky intervals |e><e| has gained 2.000001e-6 in trace
         # and |+><+| half of that.
-        monkeypatch.setattr(dynamics, "_interval_propagator", leaky_propagator)
+        monkeypatch.setattr(dynamics, "liouvillian", leaky_liouvillian)
         spec = HilbertSpec.spins_only(1)
         model = LindbladModel(np.zeros((2, 2), dtype=complex), [], spec)
         ground, excited = dm(basis_ket((0,), spec)), dm(basis_ket((1,), spec))
@@ -1075,7 +1081,7 @@ class TestBatchedDiagnostics:
 
     @pytest.mark.parametrize("record", [True, False])
     def test_failed_inputs_skip_positivity(self, monkeypatch, record):
-        # The leaky propagator fails the excited input's trace test, and a
+        # The leaky generator fails the excited input's trace test, and a
         # NaN input, let past the input checks, fails trace and
         # hermiticity. Neither may reach a positivity test; the ground
         # input passes and gets its own. The batch then raises the trace
@@ -1085,7 +1091,7 @@ class TestBatchedDiagnostics:
         def with_nan_input(rho0_list, d):
             return np.concatenate([validate(rho0_list, d), np.full((1, d, d), np.nan)])
 
-        monkeypatch.setattr(dynamics, "_interval_propagator", leaky_propagator)
+        monkeypatch.setattr(dynamics, "liouvillian", leaky_liouvillian)
         monkeypatch.setattr(dynamics, "_validate_inputs", with_nan_input)
         seen = {
             name: spied_calls(monkeypatch, np.linalg, name) for name in ("eigvalsh", "cholesky")
@@ -1600,7 +1606,7 @@ class TestUnitaryBatch:
     @pytest.mark.parametrize("n", [2, 15, 182, 400])
     @pytest.mark.parametrize("n_t", [2, 63, 64, 65, 129, 581, 1201, 2401])
     def test_time_blocks(self, n, n_t):
-        edges = dynamics._time_block_edges(n_t, n)
+        edges = dynamics._time_block_edges(n_t, n * n, dynamics.MIN_BLOCK_ROWS)
         sizes = np.diff(edges)
         assert edges[0] == 0 and edges[-1] == n_t
         assert sizes.max() - sizes.min() <= 1
@@ -1649,3 +1655,238 @@ class TestUnitaryBatch:
             evolve_unitary_batch(h, [good, np.ones(3) / np.sqrt(3.0)], [0.0, 1.0])
         with pytest.raises(ValueError, match="initial state norm 2.0 deviates from 1"):
             evolve_unitary_batch(h, [good, 2.0 * good], [0.0, 1.0])
+
+
+def former_evolve_lindblad_batch(
+    model: LindbladModel, rho0s: list[np.ndarray], times: np.ndarray, observables: dict | None
+):
+    """The former dense-generator path: one interval propagator of the
+    whole block generator, the doubled stepping over the whole row-major
+    state vector and the one-pass diagnostics. Returns the per-input
+    observables, final states, kept states (zero-padded) and diagnostics."""
+    d = model.spec.dim
+    dt = float(times[1] - times[0])
+    rhos0 = dynamics._validate_inputs(rho0s, d)
+    h_req, scale = dynamics._resolve_step(model, None, DEFAULT_STEP_SCALE)
+    rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
+    idx = reached_indices(model, rho0s)
+    block = np.ix_(idx, idx)
+    n, n_in, n_t = idx.size, len(rho0s), times.size
+    obs = dynamics._project_observables(observables, model.spec, d, block)
+    gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
+    rows = np.empty((n_t, n_in, n * n), dtype=complex)
+    rows[0] = rhos0[:, idx[:, None], idx].reshape(n_in, n * n)
+    flat = rows.reshape(n_t * n_in, n * n)
+    prop, k = _interval_propagator(gen, dt, h_req)
+    m = 1
+    while m < n_t:
+        count = min(m, n_t - m)
+        flat[m * n_in : (m + count) * n_in] = flat[: count * n_in] @ prop.T
+        m *= 2
+        if m < n_t:
+            prop = prop @ prop
+    block_states = rows.reshape(n_t, n_in, n, n).swapaxes(0, 1)
+    diagnostics = one_pass_diagnostics(block_states, d)
+    states = np.zeros((n_in, n_t, d, d), dtype=complex)
+    states[..., idx[:, None], idx] = block_states
+    columns = np.stack([op.T.reshape(-1) for op in obs.values()], axis=1)
+    out = []
+    for i in range(n_in):
+        values = (rows[:, i] @ columns).real.T
+        diag = {
+            "spectral_scale": scale,
+            "substep": dt / k,
+            "max_substeps_per_interval": k,
+            "hilbert_dim": d,
+            "reduced_dim": n,
+            "liouville_dim": n * n,
+            **{key: float(value[i]) for key, value in diagnostics.items()},
+        }
+        out.append((dict(zip(obs, values)), states[i, -1], states[i], diag))
+    return out
+
+
+def sector_case(name: str):
+    """Model and inputs of one solver batch, the grid, and the sizes of the
+    sectors the inputs populate."""
+    if name.startswith("transfer"):
+        spec, model, times = transfer_case(int(name.split("-")[1]))
+        return model, [dm(basis_ket((0, 1, 0), spec))], times, [10]
+    if name == "single-sector":
+        # sx mixes every entry of the qubit's density matrix: one sector.
+        spec = HilbertSpec.spins_only(1)
+        model = LindbladModel(qubit_ops()["sx"], [(qubit_ops()["sm"], 0.3)], spec)
+        return model, [dm(basis_ket((0,), spec))], np.linspace(0.0, 5.0, 41), [4]
+    if name == "diagonal-inputs":
+        # The 4 computational inputs populate only the diagonal sector.
+        model, rho0s, times = tomography_case(6)
+        return model, rho0s[:4], times, [26]
+    model, rho0s, times = tomography_case(None if name == "written" else int(name.split("-")[1]))
+    return model, rho0s, times, [6, 4, 4, 1, 1] if name == "written" else [26, 15, 15, 4, 4]
+
+
+def assert_close(got, want, rel: float = 1e-12):
+    """|got - want| <= rel * max(1, |want|) elementwise: states and
+    populations are O(1), and roundoff-sized diagnostics compare against
+    the same unit scale."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
+
+
+class TestLiouvilleSectors:
+    """The solver propagates each sector of the block generator (a
+    connected component of its nonzero pattern) that the inputs populate;
+    it must match the former dense-generator path."""
+
+    CASES = [
+        "transfer-6",
+        "transfer-11",
+        "written",
+        "full-6",
+        "full-11",
+        "single-sector",
+        "diagonal-inputs",
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense_generator_path(self, case):
+        model, rho0s, times, sizes = sector_case(case)
+        # The Pauli observables read every sector of the two-spin block.
+        observables = pauli_observables(model.spec.dim) if len(rho0s) > 1 else None
+        trajs = evolve_lindblad_batch(
+            model, rho0s, times, observables=observables, keep_states=True
+        )
+        want = former_evolve_lindblad_batch(model, rho0s, times, observables)
+        assert len(trajs) == len(want)
+        for traj, (observables, final, states, diag) in zip(trajs, want):
+            assert list(traj.observables) == list(observables)
+            for name, series in observables.items():
+                assert_close(traj.observables[name], series)
+            assert_close(traj.final_state, final)
+            assert_close(traj.states, states)
+            got = dict(traj.diagnostics)
+            assert got.pop("liouville_sectors") == sizes
+            assert got.keys() == diag.keys()
+            for key, value in diag.items():
+                if isinstance(value, int):
+                    assert got[key] == value
+                else:
+                    assert_close(got[key], value)
+
+    @pytest.mark.parametrize("case", ["transfer-6", "diagonal-inputs"])
+    def test_unpopulated_sectors_stay_exactly_zero(self, case):
+        model, rho0s, times, _sizes = sector_case(case)
+        idx = reached_indices(model, rho0s)
+        n = idx.size
+        block = np.ix_(idx, idx)
+        gen = liouvillian(
+            model.hamiltonian[block], [(op[block], rate) for op, rate in model.collapse if rate]
+        )
+        populated = dynamics._populated_sectors(gen, np.ones(n * n, dtype=bool))
+        assert len(populated) > 1
+        seed = np.any(np.stack([rho[block].reshape(-1) for rho in rho0s]) != 0, axis=0)
+        used = np.concatenate(dynamics._populated_sectors(gen, seed))
+        empty = np.setdiff1d(np.arange(n * n), used)
+        assert empty.size > 0
+        for traj in evolve_lindblad_batch(model, rho0s, times, keep_states=True):
+            entries = traj.states[:, idx[:, None], idx].reshape(times.size, n * n)
+            assert not np.any(entries[:, empty])
+            assert np.ptp(np.abs(entries[:, used])) > 0.1  # the populated sectors move
+
+    def test_sectors_are_the_connected_components(self):
+        # Two chains 0-1-2 and 3-4 linked one way only, and an isolated 5.
+        gen = np.zeros((6, 6), dtype=complex)
+        gen[1, 0] = gen[2, 1] = gen[4, 3] = 1.0
+        gen[5, 5] = -1.0
+        sectors = dynamics._populated_sectors(gen, np.ones(6, dtype=bool))
+        assert [s.tolist() for s in sectors] == [[0, 1, 2], [3, 4], [5]]
+        seed = np.zeros(6, dtype=bool)
+        seed[4] = True
+        assert [s.tolist() for s in dynamics._populated_sectors(gen, seed)] == [[3, 4]]
+
+    def test_sector_sizes_reach_the_report(self, tmp_path):
+        report = run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path).as_dict()
+        integrator = report["info"]["integrator"]
+        assert integrator["effective"]["liouville_sectors"] == [6, 4, 4, 1, 1]
+        assert integrator["full"]["liouville_sectors"] == [26, 15, 15, 4, 4]
+
+
+def blas_products(node: ast.AST) -> list[ast.AST]:
+    """Every `a @ b`, np.matmul(...) and np.dot(...) under `node`."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
+            found.append(sub)
+        elif (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in ("matmul", "dot")
+            and isinstance(sub.func.value, ast.Name)
+            and sub.func.value.id == "np"
+        ):
+            found.append(sub)
+    return found
+
+
+class _NumpySpy:
+    """numpy, with every np.matmul call's operand shapes and kinds recorded."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        self.calls.append((a.shape, b.shape, a.dtype.kind, b.dtype.kind))
+        return np.matmul(a, b, out=out)
+
+
+class TestProductBudget:
+    """Every product in dynamics whose size grows with its inputs goes
+    through the row-block helper `_matmul`, and each BLAS call it makes
+    stays within BLOCK_MULADDS, so a threaded OpenBLAS never wakes its
+    worker threads for it."""
+
+    # Products whose every BLAS call has a fixed 16 x 16 size, whatever the
+    # batch: numpy loops a stacked product over its (16, 16) slices.
+    FIXED_16 = {
+        "(_dual() / _GATE_DIM) @ outputs.reshape(batch + (16, _GATE_DIM**2))",
+        "_kron(u, eye) @ (eye.reshape(-1) / np.sqrt(_GATE_DIM))",
+        "vec.conj() @ np.asarray(choi, dtype=complex)",
+        "w.conj() @ flat",
+        "w.conj() @ flat @ w.swapaxes(-1, -2)",
+    }
+
+    def test_products_go_through_the_helper(self):
+        source = Path(dynamics.__file__).read_text()
+        tree = ast.parse(source)
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_matmul":
+                inside = {id(sub) for sub in blas_products(node)}
+        assert inside, "the helper makes no product"
+        outside = {
+            ast.get_source_segment(source, node)
+            for node in blas_products(tree)
+            if id(node) not in inside
+        }
+        assert outside == self.FIXED_16
+
+    def test_iswap_fidelity_calls_within_budget(self, tmp_path, monkeypatch):
+        spy = _NumpySpy()
+        monkeypatch.setattr(dynamics, "np", spy)
+        run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path)
+        assert len(spy.calls) > 1000
+        over = []
+        for a_shape, b_shape, a_kind, b_kind in spy.calls:
+            rows, k = a_shape
+            n = b_shape[1] if len(b_shape) == 2 else 1
+            cost = rows * k * n * (16 if n == 1 else 1)
+            if "c" not in (a_kind, b_kind):
+                cost /= 4  # a real multiply-add is a quarter of a complex one
+            # Past the budget only where even two of its rows would be.
+            if cost > dynamics.BLOCK_MULADDS and 2 * cost / rows <= dynamics.BLOCK_MULADDS:
+                over.append((a_shape, b_shape, a_kind, b_kind))
+        assert over == []
