@@ -15,12 +15,16 @@ row-major operand changes the order of no sum. Only products of a fixed
 
 Unitary runs use one eigendecomposition of the (time-independent)
 Hamiltonian, so they carry no step error. The states, norms and
-expectation values come in one pass over near-equal time blocks sized by
-the same rule (rows x n x n on an n-state block), but with a floor of 64
-rows (or the whole grid), so that large blocks keep a few large
-products: per block, one matrix product for the states, then per
-observable one product and a row-wise conjugate dot. The tests pin the
-series bit for bit to one product over the whole grid.
+expectation values of all kets of a batch come in one pass over
+near-equal time blocks: a block of m time points stacks the kets' m rows
+each, and the kets share its products, one matrix product for the
+states, then per observable one product and a row-wise conjugate dot.
+The blocks are sized by the same rule (stacked rows x n x n on an
+n-state block), with a floor of 64 stacked rows (or the whole grid), so
+that large blocks keep a few large products. A one-ket batch makes the
+products it made before kets were stacked; the tests pin its series bit
+for bit to one product over the whole grid, and the 16 tomography kets'
+series bit for bit to one pass per ket.
 
 Open-system runs vectorize the density matrix row-major and build the
 generator
@@ -68,11 +72,17 @@ as C' @ C[:, F], so it never forms a full-space product.
 Excitation-conserving models shrink most, and models that conserve only
 a parity halve; observables are projected onto the block. A unitary
 batch searches once from the union of its kets' supports and
-diagonalises that block once for all of them. An open-system batch
-streams its physicality diagnostics over the (inputs, T, n, n) stack of
-block states one input at a time, so no temporary is the size of the
-stack; the observable series of all inputs come from one real product of
-the stored sector entries. Only the final states, and the state series
+diagonalises that block once for all of them.
+
+An open-system batch holds at most one state series, the (T, inputs,
+populated entries) stack it steps, and releases each array once its last
+reader is done: the full-space input stack once its block is cut, each
+input's diagnostic temporaries (its (T, n, n) series, adjoint and
+hermitian part) when its tests end, and the state series once the
+observable series are read off it and the final states are taken. The
+observable series of all inputs come from one real product of the stored
+sector entries into one (inputs, observables, T) array, and each input's
+series are views into it. Only the final states, and the state series
 when kept on request, are zero-padded back to the full space.
 
 Positivity (every state's eigenvalues at or above POSITIVITY_FLOOR) is
@@ -284,9 +294,11 @@ def evolve_unitary_batch(
     the kets' supports (see the module docstring), and only the block of
     H on it is diagonalised, once for all kets; final states and kept
     states are zero-padded back to full size. The phases exp(-i E t) are
-    computed once; each ket's states, norms and observable series then
-    come in one pass over the time blocks of `_time_block_edges`, whose
-    products stay small enough to run on the calling thread.
+    computed once; the states, norms and observable series of all kets
+    then come in one pass over the time blocks of `_time_block_edges`,
+    each block's products shared by the kets (its rows stacked ket after
+    ket) and small enough to run on the calling thread. Each ket's series
+    are views into one array.
     """
     h = _check_hermitian(h)
     times = _validate_times(times)
@@ -298,58 +310,58 @@ def evolve_unitary_batch(
         norm0 = np.linalg.norm(psi0)
         if not abs(norm0 - 1.0) <= NORM_TOL:  # `not <=`: a NaN norm fails too
             raise ValueError(f"initial state norm {norm0} deviates from 1")
+    kets = np.stack(kets)
 
-    idx = _reachable(np.any(np.stack(kets) != 0, axis=0), [h])
+    idx = _reachable(np.any(kets != 0, axis=0), [h])
     block = np.ix_(idx, idx)
     obs = _project_observables(observables, spec, d, block)
     evals, vecs = np.linalg.eigh(h[block])
-    n, n_t = idx.size, times.size
-    edges = _time_block_edges(n_t, n * n, MIN_BLOCK_ROWS)
+    n, n_t, n_k = idx.size, times.size, len(kets)
+    # A time block of m points stacks n_k * m rows (ket-major), and the
+    # floor counts those rows.
+    edges = _time_block_edges(n_t, n_k * n * n, -(-MIN_BLOCK_ROWS // n_k))
     # A finite H whose phases E t overflow gives NaN states, which the
     # norm check below reports; the warnings along the way are expected.
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-1j * np.outer(evals, times))
 
-    out = []
-    for psi0 in kets:
-        # Each product here is one call (min_rows is all its rows): the
-        # time blocks size the series products, with their 64-row floor,
-        # and a split would move the last bits of the coefficients.
-        coeff = _matmul(vecs.conj().T, psi0[idx], min_rows=n)
-        norms = np.empty(n_t)
-        series = {name: np.empty(n_t) for name in obs}
-        kept = np.zeros((n_t, d), dtype=complex) if keep_states else None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a, b in zip(edges[:-1], edges[1:]):
-                states = _matmul(vecs, phases[:, a:b] * coeff[:, None], min_rows=n).T
-                norms[a:b] = np.linalg.norm(states, axis=1)
-                # <psi|O|psi> per time point: one GEMM, then a row-wise conjugate dot.
-                conj = states.conj()
-                for name, op in obs.items():
-                    product = _matmul(states, op.T, min_rows=b - a)
-                    series[name][a:b] = np.einsum("ti,ti->t", conj, product).real
-                if keep_states:
-                    kept[a:b, idx] = states
-        norm_drift = float(np.max(np.abs(norms - 1.0)))
-        if not norm_drift <= NORM_TOL:
-            raise DiagnosticsError(f"unitary norm drift {norm_drift:.3e} exceeds {NORM_TOL}")
-        diagnostics = {
-            "norm_drift": norm_drift,
-            "hilbert_dim": d,
-            "reduced_dim": n,
-        }
-        final_state = np.zeros(d, dtype=complex)
-        final_state[idx] = states[-1]
-        out.append(
-            Trajectory(
-                times=times,
-                observables=series,
-                final_state=final_state,
-                diagnostics=diagnostics,
-                states=kept,
-            )
+    # Each product here is one call (min_rows is all its rows): the time
+    # blocks size the series products, with their floor, and a split would
+    # move the last bits of the coefficients.
+    coeff = _matmul(vecs.conj().T, kets[:, idx].T, min_rows=n)  # (n, kets)
+    norms = np.empty((n_k, n_t))
+    series = np.empty((len(obs), n_k, n_t))
+    kept = np.zeros((n_k, n_t, d), dtype=complex) if keep_states else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(edges[:-1], edges[1:]):
+            rows = n_k * (b - a)
+            amplitudes = (phases[:, None, a:b] * coeff[:, :, None]).reshape(n, rows)
+            states = _matmul(vecs, amplitudes, min_rows=n).T  # (rows, n)
+            norms[:, a:b] = np.linalg.norm(states, axis=1).reshape(n_k, b - a)
+            # <psi|O|psi> per row: one GEMM, then a row-wise conjugate dot.
+            conj = states.conj()
+            for values, op in zip(series, obs.values()):
+                product = _matmul(states, op.T, min_rows=rows)
+                values[:, a:b] = np.einsum("ti,ti->t", conj, product).real.reshape(n_k, b - a)
+            if keep_states:
+                kept[:, a:b, idx] = states.reshape(n_k, b - a, n)
+    drift = np.max(np.abs(norms - 1.0), axis=1)
+    failed = ~(drift <= NORM_TOL)  # a NaN drift fails too
+    if failed.any():
+        first = drift[np.argmax(failed)]
+        raise DiagnosticsError(f"unitary norm drift {first:.3e} exceeds {NORM_TOL}")
+    final_states = np.zeros((n_k, d), dtype=complex)
+    final_states[:, idx] = states.reshape(n_k, b - a, n)[:, -1]
+    return [
+        Trajectory(
+            times=times,
+            observables=dict(zip(obs, series[:, i])),
+            final_state=final_states[i],
+            diagnostics={"norm_drift": float(drift[i]), "hilbert_dim": d, "reduced_dim": n},
+            states=kept[i] if keep_states else None,
         )
-    return out
+        for i in range(n_k)
+    ]
 
 
 def evolve_unitary(
@@ -510,6 +522,28 @@ def _certified_above_floor(sym: np.ndarray) -> bool:
     return True
 
 
+def _series_diagnostics(rho_t: np.ndarray, record_min_eigenvalue: bool) -> tuple[float, float, float]:
+    """Trace deviation, hermiticity deviation and lowest eigenvalue of one
+    input's (T, n, n) block state series; its temporaries end with the call.
+
+    Each test is written as `not <=` so that a non-finite state (an
+    overflowing propagator) fails it; a series that fails its trace or
+    hermiticity test skips positivity, since eigvalsh cannot take such a
+    state. The lowest eigenvalue is inf where positivity is skipped, or
+    where it goes unreported and the Cholesky certificate holds.
+    """
+    adjoint = rho_t.conj().swapaxes(-1, -2)
+    trace_dev = float(np.max(np.abs(np.einsum("tjj->t", rho_t) - 1.0)))
+    herm_dev = float(np.max(np.abs(rho_t - adjoint)))
+    if not (trace_dev <= TRACE_TOL and herm_dev <= 1e-10):
+        return trace_dev, herm_dev, np.inf
+    sym = 0.5 * (rho_t + adjoint)
+    del adjoint
+    if record_min_eigenvalue or not _certified_above_floor(sym):
+        return trace_dev, herm_dev, float(np.min(np.linalg.eigvalsh(sym)))
+    return trace_dev, herm_dev, np.inf
+
+
 def _populated_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
     """The sectors of the generator that meet the boolean mask `seed`, as
     sorted index arrays, largest first (equal sizes in index order).
@@ -584,6 +618,7 @@ def evolve_lindblad_batch(
     n_in = len(rhos0)
     n_t = times.size
     vecs0 = rhos0[:, idx[:, None], idx].reshape(n_in, n * n)
+    del rhos0  # the full-space stack: only its block is read from here on
     sectors = _populated_sectors(gen, np.any(vecs0 != 0, axis=0))
     order = np.concatenate(sectors)
     width = order.size
@@ -608,11 +643,12 @@ def evolve_lindblad_batch(
             prop, k = _interval_propagator(gen[np.ix_(sector, sector)], dt, h_req)
             # Doubling: times [m, 2m) are times [0, m) advanced by P^m,
             # with P^m squared between blocks.
-            cols = flat[:, lo:hi]
             m = 1
             while m < n_t:
                 count = min(m, n_t - m)
-                _matmul(cols[: count * n_in], prop.T, out=cols[m * n_in : (m + count) * n_in])
+                _matmul(
+                    flat[: count * n_in, lo:hi], prop.T, out=flat[m * n_in : (m + count) * n_in, lo:hi]
+                )
                 m *= 2
                 if m < n_t:
                     prop = _matmul(prop, prop)
@@ -623,13 +659,8 @@ def evolve_lindblad_batch(
         full[..., idx[:, None], idx] = rho
         return full
 
-    # Physicality diagnostics, one pass over one input's (T, n, n) series
-    # at a time, so that no temporary is the size of the whole stack.
-    # Each test is written as `not <=` (or `not >=`) so that a non-finite
-    # state (an overflowing propagator) fails it; an input that fails its
-    # trace or hermiticity test skips positivity, since eigvalsh cannot
-    # take such a state. An input whose minimum goes unreported and whose
-    # Cholesky certificate holds keeps min_eig inf, as does a skipped one.
+    # Physicality diagnostics, one input's (T, n, n) series at a time, so
+    # that no temporary is the size of the whole stack.
     trace_dev = np.empty(n_in)
     herm_dev = np.empty(n_in)
     min_eig = np.full(n_in, np.inf)
@@ -638,14 +669,8 @@ def evolve_lindblad_batch(
         rho_t = rows[:, i][:, gather].reshape(n_t, n, n)
         if keep_states:
             kept.append(lift(rho_t))
-        adjoint = rho_t.conj().swapaxes(-1, -2)
-        trace_dev[i] = np.max(np.abs(np.einsum("tjj->t", rho_t) - 1.0))
-        herm_dev[i] = np.max(np.abs(rho_t - adjoint))
-        if not (trace_dev[i] <= TRACE_TOL and herm_dev[i] <= 1e-10):
-            continue
-        sym = 0.5 * (rho_t + adjoint)
-        if record_min_eigenvalue or not _certified_above_floor(sym):
-            min_eig[i] = np.min(np.linalg.eigvalsh(sym))
+        trace_dev[i], herm_dev[i], min_eig[i] = _series_diagnostics(rho_t, record_min_eigenvalue)
+        del rho_t
     if not np.max(trace_dev) <= TRACE_TOL:
         raise DiagnosticsError(f"trace deviation {np.max(trace_dev):.3e} exceeds {TRACE_TOL}")
     if not np.max(herm_dev) <= 1e-10:
@@ -661,13 +686,19 @@ def evolve_lindblad_batch(
     # Re tr(O rho) = sum_ij Re rho[i, j] Re O[j, i] - Im rho[i, j] Im O[j, i]:
     # every observable's series for every input from one real product of
     # the stored entries, real and imaginary parts interleaved, against the
-    # stacked parts of O^T (the unpopulated sectors' entries are 0).
+    # stacked parts of O^T (the unpopulated sectors' entries are 0). The
+    # (inputs, observables, T) series are one array; each input's series
+    # are views into it.
     names = list(obs)
     columns = np.stack([obs[name].T.reshape(-1) for name in names], axis=1)[order]
     parts = np.stack([columns.real, -columns.imag], axis=1).reshape(2 * width, len(names))
     values = _matmul(flat.view(float)[:, : 2 * width], parts).reshape(n_t, n_in, len(names))
-
-    finals = lift(rows[-1][:, gather].reshape(n_in, n, n))
+    series = np.ascontiguousarray(values.transpose(1, 2, 0))
+    del values
+    # The final states are all that is read of the state series from here.
+    finals = rows[-1][:, gather].reshape(n_in, n, n)
+    del rows, flat
+    finals = lift(finals)
     out = []
     for i in range(n_in):
         diagnostics = {
@@ -686,7 +717,7 @@ def evolve_lindblad_batch(
         out.append(
             Trajectory(
                 times=times,
-                observables=dict(zip(names, np.ascontiguousarray(values[:, i].T))),
+                observables=dict(zip(names, series[i])),
                 final_state=finals[i],
                 diagnostics=diagnostics,
                 states=kept[i] if keep_states else None,

@@ -382,17 +382,17 @@ def effective_spin_spin_hamiltonian(
     delta_q: float,
     delta_minus: float,
     coupling: float,
-    mode_occupation: float = 0.0,
 ) -> np.ndarray:
     """Two-spin model after adiabatic elimination of the mode.
 
     H = (omega_eff/2)(sz1 + sz2) + G_eff (sp1 sm2 + sm1 sp2) with
-    G_eff = G^2/delta_minus and omega_eff = (1 + 2*n_mode) delta_q^2/delta_minus
-    (the printed mode-occupation-dependent spin frequency, kept verbatim).
+    G_eff = G^2/delta_minus and omega_eff = delta_q^2/delta_minus (the
+    printed spin frequency (1 + 2 n_mode) delta_q^2/delta_minus with the
+    mode empty, n_mode = 0, as in every scenario).
     Basis order: (spin1, spin2), indices g=0, e=1.
     """
     g_eff = effective_coupling(coupling, delta_minus)
-    omega_eff = (1.0 + 2.0 * mode_occupation) * delta_q**2 / delta_minus
+    omega_eff = delta_q**2 / delta_minus
     spec = HilbertSpec.spins_only(2)
     ops = qubit_ops()
     sz1 = embed(ops["sz"], 0, spec)

@@ -148,10 +148,11 @@ def _plain(obj):
 def _write_table(path: Path | str, axis_name: str, axis: np.ndarray, columns: dict[str, np.ndarray]) -> str:
     """CSV with a leading axis column; every cell printed as "%.17g".
 
-    Rows are formatted and written CSV_CHUNK_ROWS at a time, so the
-    writer's memory stays bounded however long the grid is; the file has
-    the same bytes as one formatted in a single piece, and a table of at
-    most CSV_CHUNK_ROWS rows (every default run) is one write.
+    Rows are formatted (one `%` over all the cells of a chunk) and written
+    CSV_CHUNK_ROWS at a time, so the writer's memory stays bounded however
+    long the grid is; the file has the same bytes as one formatted in a
+    single piece, and a table of at most CSV_CHUNK_ROWS rows (every
+    default run) is one write.
     """
     path = Path(path)
     n = len(axis)
@@ -165,8 +166,8 @@ def _write_table(path: Path | str, axis_name: str, axis: np.ndarray, columns: di
     with path.open("w", encoding="ascii", newline="\n") as fh:
         fh.write(axis_name + "," + ",".join(names) + "\n")
         for start in range(0, n, CSV_CHUNK_ROWS):
-            rows = np.column_stack([col[start : start + CSV_CHUNK_ROWS] for col in table]).tolist()
-            fh.write("".join(row_format % tuple(row) for row in rows))
+            cells = np.column_stack([col[start : start + CSV_CHUNK_ROWS] for col in table])
+            fh.write((row_format * len(cells)) % tuple(cells.ravel().tolist()))
     return str(path)
 
 

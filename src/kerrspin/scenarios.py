@@ -794,9 +794,11 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     kappa = cfg["dissipation.kappa_m"]
     gamma = cfg["dissipation.gamma_q"]
     target = dyn.iswap_unitary()
+    gate_idx = 200  # t_star lands exactly on this grid index
 
     def tomography(model: dyn.LindbladModel, suffix: str, halved: bool, record: bool = True):
-        """The channel's run record, its output series and strip phases;
+        """The channel's run record, its strip phases and its output for
+        input |e g> (index 2) at the gate time, the one output read later;
         the record holds the batch's lowest state eigenvalue if `record`."""
         d = model.spec.dim
         kets, observables = dyn.process_basis_kets(d), dyn.pauli_observables(d)
@@ -812,7 +814,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         raw, stripped, phases = dyn.fidelities_from_outputs(outputs, target)
         cols = {f"favg_raw_{suffix}": raw, f"favg_stripped_{suffix}": stripped}
         drift = max(tr.diagnostics["trace_deviation"] for tr in trajs)
-        return _Run(cols, drift, _integrator_info(trajs)), outputs, phases
+        return _Run(cols, drift, _integrator_info(trajs)), phases, outputs[gate_idx, 2].copy()
 
     def channel(model: dyn.LindbladModel, suffix: str, halved: bool) -> _Run:
         """A rerun: only its columns and drift are read, so its positivity
@@ -821,8 +823,8 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     written = _written_model(fs, gamma)
     full = _full_model(fs, cutoff, kappa, gamma)
-    eff, outputs_eff, phases_eff = tomography(written, "eff", False)
-    full_run, outputs_full, _ = tomography(full, "full", False)
+    eff, phases_eff, gate_out_eff = tomography(written, "eff", False)
+    full_run, _, gate_out_full = tomography(full, "full", False)
     main = _merge({"effective": eff, "full": full_run})
     stripped_eff = eff.cols["favg_stripped_eff"]
     peak_full = float(np.max(full_run.cols["favg_stripped_full"]))
@@ -871,10 +873,9 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     # Single-input transfer fidelity: input |e g> (index 2), ideal output
     # |g e> (index 1) up to the gate's local phase, evaluated at t_star.
-    gate_idx = 200  # t_star lands exactly on this grid index
     ideal = dyn.process_basis_kets()[1]
-    transfer_fid_eff = dyn.state_fidelity(outputs_eff[gate_idx, 2], ideal)
-    transfer_fid_full = dyn.state_fidelity(outputs_full[gate_idx, 2], ideal)
+    transfer_fid_eff = dyn.state_fidelity(gate_out_eff, ideal)
+    transfer_fid_full = dyn.state_fidelity(gate_out_full, ideal)
 
     report.checks.extend(_gate_checks(main, fine, bumped, "trace-preservation"))
 

@@ -121,9 +121,9 @@ def old_tavis_cummings(spec, frame, delta_q):
     return h
 
 
-def old_effective(delta_q, delta_minus, coupling, mode_occupation=0.0):
+def old_effective(delta_q, delta_minus, coupling):
     g_eff = effective_coupling(coupling, delta_minus)
-    omega_eff = (1.0 + 2.0 * mode_occupation) * delta_q**2 / delta_minus
+    omega_eff = delta_q**2 / delta_minus  # the printed (1 + 2n) factor at mode occupation n = 0
     spec = HilbertSpec.spins_only(2)
     ops = qubit_ops()
     sz1 = embed(ops["sz"], 0, spec)
@@ -164,8 +164,8 @@ class TestBitIdentical:
         assert np.array_equal(new, old_squeezed_exact(spec, LIN, 0.61, delta_q))
 
     def test_effective_spin_spin(self, cutoff):
-        # No mode: the cutoff only varies the occupation fed to the builder.
-        args = (DELTA_Q, 7.3, 0.37, 0.1 * cutoff)
+        # No mode: the cutoff only varies the coupling fed to the builder.
+        args = (DELTA_Q, 7.3, 0.037 * cutoff)
         assert np.array_equal(effective_spin_spin_hamiltonian(*args), old_effective(*args))
 
 

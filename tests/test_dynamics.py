@@ -1150,6 +1150,16 @@ class TestBoundedMemory:
         assert choi.shape == (281, 16, 16)
         assert traced_peak(strip_local_phases, choi, iswap_unitary()) <= 2.0 * choi.nbytes
 
+    def test_iswap_fidelity_peak(self, tmp_path):
+        # One tomography batch is the most the scenario holds. The traced
+        # peak was 10.61 MiB while each batch kept its full-space input
+        # stack, per-input diagnostic temporaries and 4.7 MB state series
+        # past their last reader and the scenario kept both main channels'
+        # (281, 16, 4, 4) output series through six reruns; it is 6.59 MiB
+        # once they are released (numpy 2.4, Python 3.11).
+        peak = traced_peak(run_scenario, "iswap-fidelity", resolve("iswap-fidelity"), tmp_path)
+        assert peak <= 9 * 2**20
+
 
 class TestBatchedGateMetrics:
     """The time-batched gate metrics against the per-time-point oracle."""
@@ -1572,6 +1582,28 @@ def former_evolve_unitary(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, ob
     return series, final
 
 
+def former_unitary_kets(h: np.ndarray, kets: np.ndarray, times: np.ndarray, observables: dict):
+    """The former batch loop over one time block: the union block's eigh,
+    then each ket's observable series, norms and zero-padded final state
+    from products of its own."""
+    idx = dynamics._reachable(np.any(kets != 0, axis=0), [h])
+    block = np.ix_(idx, idx)
+    evals, vecs = np.linalg.eigh(h[block])
+    phases = np.exp(-1j * np.outer(evals, times))
+    out = []
+    for psi0 in kets:
+        coeff = vecs.conj().T @ psi0[idx]
+        states = (vecs @ (phases * coeff[:, None])).T
+        series = {
+            name: np.einsum("ti,ti->t", states.conj(), states @ op[block].T).real
+            for name, op in observables.items()
+        }
+        final = np.zeros(h.shape[0], dtype=complex)
+        final[idx] = states[-1]
+        out.append((series, np.linalg.norm(states, axis=1), final))
+    return out
+
+
 class TestUnitaryBatch:
     """evolve_unitary_batch evolves several kets on the block reached from
     the union of their supports, with one search and one eigh."""
@@ -1633,6 +1665,51 @@ class TestUnitaryBatch:
         for psi, traj in zip(kets, trajs):
             one = evolve_unitary(h, psi, times, observables=observables, keep_states=True)
             assert traj.diagnostics["reduced_dim"] == union
+            assert np.max(np.abs(traj.states - one.states)) <= 1e-12
+            for name, values in one.observables.items():
+                assert np.max(np.abs(traj.observables[name] - values)) <= 1e-12
+
+    @pytest.mark.parametrize("cutoff", [None, 6])
+    def test_kets_in_one_pass_match_one_ket_passes(self, cutoff):
+        # The 16 tomography kets at [0, t*], as the dissipationless
+        # fidelity evolves them, against one pass per ket on the same block.
+        model, _rho0s, times = tomography_case(cutoff)
+        h, d = model.hamiltonian, model.spec.dim
+        kets, observables = process_basis_kets(d), pauli_observables(d)
+        grid = times[[0, 200]]
+        trajs = evolve_unitary_batch(h, kets, grid, observables=observables)
+        want = former_unitary_kets(h, kets, grid, observables)
+        assert len(trajs) == len(want) == 16
+        for traj, (series, norms, final) in zip(trajs, want):
+            assert list(traj.observables) == list(series)
+            for name, values in series.items():
+                assert traj.observables[name].tobytes() == values.tobytes()
+            assert traj.diagnostics["norm_drift"] == float(np.max(np.abs(norms - 1.0)))
+            # Bit for bit but for the sign of a zero amplitude: OpenBLAS
+            # takes another kernel for a product of under 4 columns (one
+            # ket at 2 times), which can return -0.0 where 32 give +0.0.
+            assert np.array_equal(traj.final_state, final)
+            assert (traj.final_state + 0.0).tobytes() == (final + 0.0).tobytes()
+
+    @pytest.mark.parametrize("cutoff", [None, 6])
+    def test_kets_share_each_blocks_products(self, monkeypatch, cutoff):
+        model, _rho0s, times = tomography_case(cutoff)
+        h, d = model.hamiltonian, model.spec.dim
+        kets, observables = process_basis_kets(d), pauli_observables(d)
+        spy = _NumpySpy()
+        monkeypatch.setattr(dynamics, "np", spy)
+        trajs = evolve_unitary_batch(h, kets, times, observables=observables, keep_states=True)
+        monkeypatch.setattr(dynamics, "np", np)
+        n = trajs[0].diagnostics["reduced_dim"]
+        # Time blocks of m points stack 16 m rows, 16 m n^2 <= BLOCK_MULADDS.
+        points = dynamics.BLOCK_MULADDS // (16 * n * n)
+        blocks = -(-times.size // points)
+        # The coefficients, then per block the states and one product per observable.
+        assert len(spy.calls) == 1 + blocks * (1 + len(observables))
+        for a_shape, b_shape, _, _ in spy.calls[1:]:
+            assert a_shape[0] * a_shape[1] * b_shape[1] <= dynamics.BLOCK_MULADDS
+        for psi0, traj in zip(kets, trajs):
+            one = evolve_unitary(h, psi0, times, observables=observables, keep_states=True)
             assert np.max(np.abs(traj.states - one.states)) <= 1e-12
             for name, values in one.observables.items():
                 assert np.max(np.abs(traj.observables[name] - values)) <= 1e-12

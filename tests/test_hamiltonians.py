@@ -324,13 +324,6 @@ class TestEffectiveSpinSpin:
         expected[1, 2] = expected[2, 1] = g_eff
         assert np.allclose(h, expected, atol=1e-15)
 
-    def test_mode_occupation_scales_spin_frequency(self):
-        h0 = effective_spin_spin_hamiltonian(3.0, 10.0, 1.0, mode_occupation=0.0)
-        h1 = effective_spin_spin_hamiltonian(3.0, 10.0, 1.0, mode_occupation=0.5)
-        # (1 + 2*0.5) doubles the diagonal, leaves the exchange alone.
-        assert h1[0, 0] == pytest.approx(2.0 * h0[0, 0])
-        assert h1[1, 2] == pytest.approx(h0[1, 2])
-
     def test_effective_coupling_guard(self):
         assert effective_coupling(2.0, 8.0) == pytest.approx(0.5)
         with pytest.raises(ZeroDivisionError):
