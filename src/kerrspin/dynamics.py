@@ -82,8 +82,10 @@ hermitian part) when its tests end, and the state series once the
 observable series are read off it and the final states are taken. The
 observable series of all inputs come from one real product of the stored
 sector entries into one (inputs, observables, T) array, and each input's
-series are views into it. Only the final states, and the state series
-when kept on request, are zero-padded back to the full space.
+series are views into it. Only the final states are zero-padded back to
+the full space. No run returns a state series: a state is read through
+observables, as the scenarios read it (the tests rebuild a series entry
+by entry from observables on the reached block).
 
 Positivity (every state's eigenvalues at or above POSITIVITY_FLOOR) is
 tested on the hermitian part of each input's state series. A run that
@@ -193,7 +195,6 @@ class Trajectory:
     observables: dict[str, np.ndarray]
     final_state: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    states: np.ndarray | None = None
 
 
 def default_population_observables(spec: HilbertSpec) -> dict[str, np.ndarray]:
@@ -247,17 +248,17 @@ def _time_block_edges(n_rows: int, row_cost: float, min_rows: int) -> list[int]:
     return [i * n_rows // count for i in range(count + 1)]
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, min_rows: int = 2):
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
     """a @ b for a 2-D `a`, taken in row blocks of `a` (`_time_block_edges`)
     so that a threaded BLAS keeps every call on the calling thread.
 
     A block's product costs at most BLOCK_MULADDS complex multiply-adds,
-    but no block has fewer than `min_rows` rows: with the default of 2 no
-    block of a matrix product turns into a matrix-vector product, whose
-    kernel rounds differently. A product whose blocks of `min_rows` rows
-    would already exceed the budget wakes the worker threads however it
-    is split, so it is taken in one call that they share. Every product
-    in this module whose size grows with its inputs goes through here.
+    but no block has fewer than 2 rows, so no block of a matrix product
+    turns into a matrix-vector product, whose kernel rounds differently.
+    A product whose blocks of 2 rows would already exceed the budget
+    wakes the worker threads however it is split, so it is taken in one
+    call that they share. Every product in this module whose size grows
+    with its inputs goes through here.
 
     A matrix-vector product (`b` 1-D or one column) counts 16 times its
     size, and a real product a quarter of it: OpenBLAS keeps a real
@@ -269,11 +270,11 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, min_row
     row_cost = float(k * n) if n > 1 else 16.0 * k
     if "c" not in (a.dtype.kind, b.dtype.kind):
         row_cost /= 4.0
-    if a.shape[0] * row_cost <= BLOCK_MULADDS or min_rows * row_cost > BLOCK_MULADDS:
+    if a.shape[0] * row_cost <= BLOCK_MULADDS or 2 * row_cost > BLOCK_MULADDS:
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
-    edges = _time_block_edges(a.shape[0], row_cost, min_rows)
+    edges = _time_block_edges(a.shape[0], row_cost, 2)
     for lo, hi in zip(edges[:-1], edges[1:]):
         np.matmul(a[lo:hi], b, out=out[lo:hi])
     return out
@@ -285,20 +286,19 @@ def evolve_unitary_batch(
     times: np.ndarray,
     spec: HilbertSpec | None = None,
     observables: dict[str, np.ndarray] | None = None,
-    keep_states: bool = False,
 ) -> list[Trajectory]:
     """Closed-system evolution of several initial kets under one H, by
     eigendecomposition (no step error).
 
     One search finds the coordinate subspace reachable from the union of
     the kets' supports (see the module docstring), and only the block of
-    H on it is diagonalised, once for all kets; final states and kept
-    states are zero-padded back to full size. The phases exp(-i E t) are
+    H on it is diagonalised, once for all kets; final states are
+    zero-padded back to full size. The phases exp(-i E t) are
     computed once; the states, norms and observable series of all kets
     then come in one pass over the time blocks of `_time_block_edges`,
     each block's products shared by the kets (its rows stacked ket after
     ket) and small enough to run on the calling thread. Each ket's series
-    are views into one array.
+    are views into one array; no state series is returned.
     """
     h = _check_hermitian(h)
     times = _validate_times(times)
@@ -325,26 +325,20 @@ def evolve_unitary_batch(
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-1j * np.outer(evals, times))
 
-    # Each product here is one call (min_rows is all its rows): the time
-    # blocks size the series products, with their floor, and a split would
-    # move the last bits of the coefficients.
-    coeff = _matmul(vecs.conj().T, kets[:, idx].T, min_rows=n)  # (n, kets)
+    coeff = _matmul(vecs.conj().T, kets[:, idx].T)  # (n, kets)
     norms = np.empty((n_k, n_t))
     series = np.empty((len(obs), n_k, n_t))
-    kept = np.zeros((n_k, n_t, d), dtype=complex) if keep_states else None
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(edges[:-1], edges[1:]):
             rows = n_k * (b - a)
             amplitudes = (phases[:, None, a:b] * coeff[:, :, None]).reshape(n, rows)
-            states = _matmul(vecs, amplitudes, min_rows=n).T  # (rows, n)
+            states = _matmul(vecs, amplitudes).T  # (rows, n)
             norms[:, a:b] = np.linalg.norm(states, axis=1).reshape(n_k, b - a)
             # <psi|O|psi> per row: one GEMM, then a row-wise conjugate dot.
             conj = states.conj()
             for values, op in zip(series, obs.values()):
-                product = _matmul(states, op.T, min_rows=rows)
+                product = _matmul(states, op.T)
                 values[:, a:b] = np.einsum("ti,ti->t", conj, product).real.reshape(n_k, b - a)
-            if keep_states:
-                kept[:, a:b, idx] = states.reshape(n_k, b - a, n)
     drift = np.max(np.abs(norms - 1.0), axis=1)
     failed = ~(drift <= NORM_TOL)  # a NaN drift fails too
     if failed.any():
@@ -358,7 +352,6 @@ def evolve_unitary_batch(
             observables=dict(zip(obs, series[:, i])),
             final_state=final_states[i],
             diagnostics={"norm_drift": float(drift[i]), "hilbert_dim": d, "reduced_dim": n},
-            states=kept[i] if keep_states else None,
         )
         for i in range(n_k)
     ]
@@ -370,12 +363,9 @@ def evolve_unitary(
     times: np.ndarray,
     spec: HilbertSpec | None = None,
     observables: dict[str, np.ndarray] | None = None,
-    keep_states: bool = False,
 ) -> Trajectory:
     """Closed-system evolution of one initial ket (see the batch form)."""
-    return evolve_unitary_batch(
-        h, [psi0], times, spec=spec, observables=observables, keep_states=keep_states
-    )[0]
+    return evolve_unitary_batch(h, [psi0], times, spec=spec, observables=observables)[0]
 
 
 def liouvillian(h: np.ndarray, collapse: list[tuple[np.ndarray, float]]) -> np.ndarray:
@@ -576,7 +566,6 @@ def evolve_lindblad_batch(
     observables: dict[str, np.ndarray] | None = None,
     step: float | None = None,
     step_scale: float = DEFAULT_STEP_SCALE,
-    keep_states: bool = False,
     record_min_eigenvalue: bool = True,
 ) -> list[Trajectory]:
     """Open-system evolution of several initial states under one model.
@@ -598,6 +587,10 @@ def evolve_lindblad_batch(
     and only an input whose factorisation fails gets the eigvalsh test.
     Either way the same inputs pass, and a failure raises the same
     DiagnosticsError naming the lowest eigenvalue.
+
+    Each trajectory holds the observable series, the final state
+    (zero-padded to the full space) and the diagnostics, but no state
+    series.
     """
     times = _validate_times(times)
     dt = float(times[1] - times[0])
@@ -654,21 +647,13 @@ def evolve_lindblad_batch(
                     prop = _matmul(prop, prop)
             lo = hi
 
-    def lift(rho: np.ndarray) -> np.ndarray:
-        full = np.zeros(rho.shape[:-2] + (d, d), dtype=complex)
-        full[..., idx[:, None], idx] = rho
-        return full
-
     # Physicality diagnostics, one input's (T, n, n) series at a time, so
     # that no temporary is the size of the whole stack.
     trace_dev = np.empty(n_in)
     herm_dev = np.empty(n_in)
     min_eig = np.full(n_in, np.inf)
-    kept = []
     for i in range(n_in):
         rho_t = rows[:, i][:, gather].reshape(n_t, n, n)
-        if keep_states:
-            kept.append(lift(rho_t))
         trace_dev[i], herm_dev[i], min_eig[i] = _series_diagnostics(rho_t, record_min_eigenvalue)
         del rho_t
     if not np.max(trace_dev) <= TRACE_TOL:
@@ -676,7 +661,7 @@ def evolve_lindblad_batch(
     if not np.max(herm_dev) <= 1e-10:
         raise DiagnosticsError(f"hermiticity deviation {np.max(herm_dev):.3e} exceeds 1e-10")
     if n < d:
-        # The lifted state's zero block contributes eigenvalue 0.
+        # The full-space state's zero block contributes eigenvalue 0.
         min_eig = np.minimum(min_eig, 0.0)
     if not np.min(min_eig) >= POSITIVITY_FLOOR:
         raise DiagnosticsError(
@@ -696,9 +681,10 @@ def evolve_lindblad_batch(
     series = np.ascontiguousarray(values.transpose(1, 2, 0))
     del values
     # The final states are all that is read of the state series from here.
-    finals = rows[-1][:, gather].reshape(n_in, n, n)
+    block_finals = rows[-1][:, gather].reshape(n_in, n, n)
     del rows, flat
-    finals = lift(finals)
+    finals = np.zeros((n_in, d, d), dtype=complex)
+    finals[:, idx[:, None], idx] = block_finals
     out = []
     for i in range(n_in):
         diagnostics = {
@@ -720,7 +706,6 @@ def evolve_lindblad_batch(
                 observables=dict(zip(names, series[i])),
                 final_state=finals[i],
                 diagnostics=diagnostics,
-                states=kept[i] if keep_states else None,
             )
         )
     return out
@@ -733,7 +718,6 @@ def evolve_lindblad(
     observables: dict[str, np.ndarray] | None = None,
     step: float | None = None,
     step_scale: float = DEFAULT_STEP_SCALE,
-    keep_states: bool = False,
     record_min_eigenvalue: bool = True,
 ) -> Trajectory:
     """Open-system evolution of one initial state (see the batch form)."""
@@ -744,7 +728,6 @@ def evolve_lindblad(
         observables=observables,
         step=step,
         step_scale=step_scale,
-        keep_states=keep_states,
         record_min_eigenvalue=record_min_eigenvalue,
     )[0]
 

@@ -538,6 +538,10 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     pi/(2 sqrt(m) G), a sqrt(m) speedup, with peak power growing with m."""
     fs = _resolve_frame(cfg, 4.0e6, 10.0, delta_s_factor=10.0)
     levels = sorted(cfg["battery.fock_levels"])
+    # Each level names a CSV; the speedup and power checks compare the
+    # lowest level with the highest.
+    if len(set(levels)) < max(len(levels), 2):
+        raise ConfigError(f"battery.fock_levels needs 2 or more distinct entries, got {levels}")
     coupling = fs.coupling
     window = 2.0 * _time_scale(coupling, fs.keys)  # pi / G
     base_points = 1600

@@ -332,6 +332,10 @@ class TestCli:
              "sweep.radius_min_m must be below sweep.radius_max_m"),
             ("coupling-sweep", ["sweep.distance_min_m=1e-6", "sweep.distance_max_m=1e-6"],
              "sweep.distance_min_m must be below sweep.distance_max_m"),
+            # Fock levels with fewer than two distinct entries, or a repeat.
+            ("battery", ["battery.fock_levels=[1]"], "battery.fock_levels"),
+            ("battery", ["battery.fock_levels=[1,1]"], "battery.fock_levels"),
+            ("battery", ["battery.fock_levels=[1,5,5]"], "battery.fock_levels"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
