@@ -22,9 +22,7 @@ states, then per observable one product and a row-wise conjugate dot.
 The blocks are sized by the same rule (stacked rows x n x n on an
 n-state block), with a floor of 64 stacked rows (or the whole grid), so
 that large blocks keep a few large products. A one-ket batch makes the
-products it made before kets were stacked; the tests pin its series bit
-for bit to one product over the whole grid, and the 16 tomography kets'
-series bit for bit to one pass per ket.
+products it made before kets were stacked.
 
 Open-system runs vectorize the density matrix row-major and build the
 generator
@@ -76,38 +74,28 @@ diagonalises that block once for all of them.
 
 An open-system batch holds at most one state series, the (T, inputs,
 populated entries) stack it steps, and releases each array once its last
-reader is done: the full-space input stack once its block is cut, each
-input's diagnostic temporaries (its (T, n, n) series, adjoint and
-hermitian part) when its tests end, and the state series once the
-observable series are read off it and the final states are taken. The
-observable series of all inputs come from one real product of the stored
-sector entries into one (inputs, observables, T) array, and each input's
-series are views into it. Only the final states are zero-padded back to
-the full space. No run returns a state series: a state is read through
-observables, as the scenarios read it (the tests rebuild a series entry
-by entry from observables on the reached block).
+reader is done; the observable series of all inputs come from it by one
+real product. No run returns a state series.
 
-Positivity (every state's eigenvalues at or above POSITIVITY_FLOOR) is
-tested on the hermitian part of each input's state series. A run that
-reports its lowest eigenvalue (`min_eigenvalue`, the default) takes it
-from eigvalsh. A run that does not proves positivity by a Cholesky
-factorisation of the hermitian part shifted by half the floor: its
-backward error lies far below that margin, so it succeeds only on states
-that the eigvalsh test passes. Where it fails, that input gets the
-eigvalsh test, so the pass or fail and the error message are those of
-the reporting run.
+A two-qubit gate channel E_t (a mode, if any, starting empty) comes as
+its Choi series from the 16 matrix units (`evolve_channel`): by
+linearity the unit |0><0| (x) |j><k| evolves into an operator whose
+partial trace over the mode is E_t(|j><k|), and J[a*4 + j, b*4 + k] =
+E_t(|j><k|)[a, b] / 4 (Choi-Jamiolkowski; Nielsen and Chuang, sec. 8.2).
+Each unit is one entry of the state vector, so it lies in one sector,
+stepped for its own units only: 6, 4, 4, 1 and 1 units in the full
+model's sectors.
 
-The two-qubit gate metrics hold the whole tomography protocol: the 16
-physical inputs (4 computational states, 6 real and 6 imaginary
-two-state superpositions; a mode, if any, in its ground state), the
-Pauli observables each output is rebuilt from, and one fidelity path
-that assembles the Choi matrix and scores it against the ideal
-excitation-swap gate, raw and maximized over the two local z-phases.
-All of them accept leading batch axes, so a whole time series of
-channels is scored in one call. The Choi matrix comes by linear
-inversion: one fixed 16 x 16 matrix, the inverse of the inputs' stacked
-vec(|psi><psi|), maps the 16 outputs to the images E(|j><k|) of the
-matrix units, so only `process_basis_kets` knows the input order. The
+Positivity (eigenvalues at or above POSITIVITY_FLOOR) is tested on the
+hermitian part of each input's state series, and of a channel's Choi
+series: J is a trace-1 state, and its positivity is complete positivity,
+which no set of inputs can test. A run that does not report its lowest
+eigenvalue (`min_eigenvalue`) certifies it by a Cholesky factorisation
+instead (`_certified_above_floor`), with the same pass or fail.
+
+The gate metrics score Choi matrices against the ideal excitation-swap
+gate, raw and maximized over the two local z-phases, over leading batch
+axes, so a whole time series of channels is scored in one call. The
 phase-stripped fidelity is a trigonometric polynomial in the two phases
 whose five independent Fourier coefficients are linear in the Choi
 matrix; they come from one contraction with a fixed kernel. At fixed
@@ -118,7 +106,6 @@ phi1 the maximum over phi2 is closed-form, so the maximum comes from a
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +117,6 @@ from kerrspin.fock import (
     HilbertSpec,
     _kron,
     dm,
-    qubit_ops,
 )
 
 TRACE_TOL = 1e-8
@@ -559,6 +545,61 @@ def _populated_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
     return sorted(sectors, key=len, reverse=True)
 
 
+def _sector_setup(model: LindbladModel, times, populated: np.ndarray, step, step_scale):
+    """What an open-system run builds before it steps, from the (d, d) mask
+    `populated` of its inputs' nonzero entries: the checked uniform grid,
+    its interval, the substep ceiling, the reached block's indices, its
+    generator, the populated sectors and their diagnostics but the substep.
+    """
+    times = _validate_times(times)
+    dt = float(times[1] - times[0])
+    if not np.all(np.abs(np.diff(times) - dt) <= 1e-9 * dt):
+        raise ValueError("times must be a uniform grid (steps equal to 1e-9 relative)")
+    h_req, scale = _resolve_step(model, step, step_scale)
+    rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
+    idx = _reachable(np.any(populated, axis=1), [model.hamiltonian], [op for op, _ in rates])
+    block = np.ix_(idx, idx)
+    gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
+    sectors = _populated_sectors(gen, populated[block].reshape(-1))
+    diagnostics = {
+        "spectral_scale": scale,
+        "hilbert_dim": model.spec.dim,
+        "reduced_dim": idx.size,
+        "liouville_dim": idx.size**2,
+        "liouville_sectors": [sector.size for sector in sectors],
+    }
+    return times, dt, h_req, idx, gen, sectors, diagnostics
+
+
+def _fill_sector(gen: np.ndarray, flat: np.ndarray, width: int, dt: float, h_req: float) -> int:
+    """Step one sector across a uniform grid by doubling, in place, and
+    return the substeps per interval. `flat` holds `width` rows per time
+    point, time after time, each a vector's entries in the sector; the
+    first time point's rows are set."""
+    prop, k = _interval_propagator(gen, dt, h_req)
+    n_t = flat.shape[0] // width
+    m = 1
+    while m < n_t:
+        count = min(m, n_t - m)
+        _matmul(flat[: count * width], prop.T, out=flat[m * width : (m + count) * width])
+        m *= 2
+        if m < n_t:
+            prop = _matmul(prop, prop)
+    return k
+
+
+def _check_physical(trace_dev: float, herm_dev: float = 0.0, min_eig: float = 0.0, what: str = "state"):
+    """Raise DiagnosticsError on the first of the trace, hermiticity and
+    positivity tests that fails; each is written `not <=` (or `not >=`) so
+    that a NaN fails it."""
+    if not trace_dev <= TRACE_TOL:
+        raise DiagnosticsError(f"trace deviation {trace_dev:.3e} exceeds {TRACE_TOL}")
+    if not herm_dev <= 1e-10:
+        raise DiagnosticsError(f"hermiticity deviation {herm_dev:.3e} exceeds 1e-10")
+    if not min_eig >= POSITIVITY_FLOOR:
+        raise DiagnosticsError(f"{what} eigenvalue {min_eig:.3e} below floor {POSITIVITY_FLOOR}")
+
+
 def evolve_lindblad_batch(
     model: LindbladModel,
     rho0_list: list[np.ndarray],
@@ -570,57 +611,40 @@ def evolve_lindblad_batch(
 ) -> list[Trajectory]:
     """Open-system evolution of several initial states under one model.
 
-    `times` must be a uniform grid: steps that differ by more than 1e-9
-    relative raise ValueError before any generator is built. The
-    generator and interval propagators are built once and shared, so
-    batching the 16 tomography inputs costs little more than one run.
-    They are built on the coordinate subspace the inputs can reach, one
-    propagator per sector of the generator that the inputs populate (see
-    the module docstring; the diagnostics' `liouville_sectors` lists
-    their sizes); the substep still comes from the full model.
+    `times` must be a uniform grid. The generator and interval
+    propagators are built once, on the block the inputs can reach, one
+    per sector they populate (see the module docstring; the diagnostics'
+    `liouville_sectors` lists their sizes), and shared by the inputs.
 
     With `record_min_eigenvalue` (the default) each input's diagnostics
-    hold `min_eigenvalue`, the lowest eigvalsh eigenvalue of its state
-    series. Without it they hold no such key: each input's positivity is
-    certified by a Cholesky factorisation of its hermitian part minus
-    POSITIVITY_FLOOR / 2 times the identity (see `_certified_above_floor`),
-    and only an input whose factorisation fails gets the eigvalsh test.
-    Either way the same inputs pass, and a failure raises the same
-    DiagnosticsError naming the lowest eigenvalue.
+    hold `min_eigenvalue`, the lowest eigenvalue of its state series;
+    without it, positivity is certified (`_certified_above_floor`) and the
+    key is absent. Either way the same inputs pass, and a failure raises
+    the same DiagnosticsError naming the lowest eigenvalue.
 
     Each trajectory holds the observable series, the final state
     (zero-padded to the full space) and the diagnostics, but no state
     series.
     """
-    times = _validate_times(times)
-    dt = float(times[1] - times[0])
-    if not np.all(np.abs(np.diff(times) - dt) <= 1e-9 * dt):
-        raise ValueError("times must be a uniform grid (steps equal to 1e-9 relative)")
     d = model.spec.dim
     rhos0 = _validate_inputs(rho0_list, d)
-    h_req, scale = _resolve_step(model, step, step_scale)
-
-    rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
-    seed = np.any(rhos0 != 0, axis=(0, 2))
-    idx = _reachable(seed, [model.hamiltonian], [op for op, _ in rates])
-    block = np.ix_(idx, idx)
+    times, dt, h_req, idx, gen, sectors, shared = _sector_setup(
+        model, times, np.any(rhos0 != 0, axis=0), step, step_scale
+    )
     n = idx.size
-    obs = _project_observables(observables, model.spec, d, block)
-    gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
+    obs = _project_observables(observables, model.spec, d, np.ix_(idx, idx))
 
     n_in = len(rhos0)
     n_t = times.size
     vecs0 = rhos0[:, idx[:, None], idx].reshape(n_in, n * n)
     del rhos0  # the full-space stack: only its block is read from here on
-    sectors = _populated_sectors(gen, np.any(vecs0 != 0, axis=0))
     order = np.concatenate(sectors)
     width = order.size
     # rows[j, i] holds input i's row-major state vector at times[j]: its
     # entries in `order`, sector after sector, then one 0 that stands for
     # every entry of the sectors no input populates (`gather` maps the
-    # vector's entries onto these columns). A step of the sector in
-    # columns [lo, hi) is rows[j + 1, :, lo:hi] = rows[j, :, lo:hi] @ P^T,
-    # with P that sector's interval propagator.
+    # vector's entries onto these columns). Each sector's columns are
+    # stepped on their own (`_fill_sector`).
     rows = np.empty((n_t, n_in, width + 1), dtype=complex)
     rows[0, :, :width] = vecs0[:, order]
     rows[..., width] = 0.0
@@ -633,19 +657,9 @@ def evolve_lindblad_batch(
         lo = 0
         for sector in sectors:
             hi = lo + sector.size
-            prop, k = _interval_propagator(gen[np.ix_(sector, sector)], dt, h_req)
-            # Doubling: times [m, 2m) are times [0, m) advanced by P^m,
-            # with P^m squared between blocks.
-            m = 1
-            while m < n_t:
-                count = min(m, n_t - m)
-                _matmul(
-                    flat[: count * n_in, lo:hi], prop.T, out=flat[m * n_in : (m + count) * n_in, lo:hi]
-                )
-                m *= 2
-                if m < n_t:
-                    prop = _matmul(prop, prop)
+            k = _fill_sector(gen[np.ix_(sector, sector)], flat[:, lo:hi], n_in, dt, h_req)
             lo = hi
+    shared.update(substep=dt / k, max_substeps_per_interval=k)
 
     # Physicality diagnostics, one input's (T, n, n) series at a time, so
     # that no temporary is the size of the whole stack.
@@ -656,17 +670,10 @@ def evolve_lindblad_batch(
         rho_t = rows[:, i][:, gather].reshape(n_t, n, n)
         trace_dev[i], herm_dev[i], min_eig[i] = _series_diagnostics(rho_t, record_min_eigenvalue)
         del rho_t
-    if not np.max(trace_dev) <= TRACE_TOL:
-        raise DiagnosticsError(f"trace deviation {np.max(trace_dev):.3e} exceeds {TRACE_TOL}")
-    if not np.max(herm_dev) <= 1e-10:
-        raise DiagnosticsError(f"hermiticity deviation {np.max(herm_dev):.3e} exceeds 1e-10")
     if n < d:
         # The full-space state's zero block contributes eigenvalue 0.
         min_eig = np.minimum(min_eig, 0.0)
-    if not np.min(min_eig) >= POSITIVITY_FLOOR:
-        raise DiagnosticsError(
-            f"state eigenvalue {np.min(min_eig):.3e} below floor {POSITIVITY_FLOOR}"
-        )
+    _check_physical(np.max(trace_dev), np.max(herm_dev), np.min(min_eig))
 
     # Re tr(O rho) = sum_ij Re rho[i, j] Re O[j, i] - Im rho[i, j] Im O[j, i]:
     # every observable's series for every input from one real product of
@@ -688,13 +695,7 @@ def evolve_lindblad_batch(
     out = []
     for i in range(n_in):
         diagnostics = {
-            "spectral_scale": scale,
-            "substep": dt / k,
-            "max_substeps_per_interval": k,
-            "hilbert_dim": d,
-            "reduced_dim": n,
-            "liouville_dim": n * n,
-            "liouville_sectors": [sector.size for sector in sectors],
+            **shared,
             "trace_deviation": float(trace_dev[i]),
             "hermiticity_deviation": float(herm_dev[i]),
         }
@@ -747,79 +748,22 @@ def iswap_unitary() -> np.ndarray:
     return u
 
 
-def process_basis_kets(d: int = _GATE_DIM) -> np.ndarray:
-    """(16, d) tomography inputs: the leading d/4 levels (the mode, if any)
-    in their ground state times each two-qubit ket, the spins last.
-
-    Kets: computational |0..3>, then (|j>+|k>)/sqrt2 over the pair list
-    ((0,1),(0,2),(0,3),(1,2),(1,3),(2,3)), then (|j>+i|k>)/sqrt2 over the
-    same pairs.
-    """
-    eye = np.eye(_GATE_DIM, dtype=complex)
-    j, k = np.triu_indices(_GATE_DIM, 1)
-    kets = np.zeros((16, d), dtype=complex)
-    kets[:, :_GATE_DIM] = np.concatenate(
-        [eye, (eye[j] + eye[k]) / np.sqrt(2.0), (eye[j] + 1j * eye[k]) / np.sqrt(2.0)]
-    )
-    return kets
-
-
-@functools.cache
-def _dual() -> np.ndarray:
-    """D = inv(V) for linear-inversion tomography. Row m of V is the
-    row-major vec(|psi_m><psi_m|) of the 16 inputs, so row j*4 + k of D
-    holds the coefficients of |j><k| over the input states, and
-    D @ (stacked outputs) is E(|j><k|). Formed on first use, so runs that
-    do no tomography never page in the LAPACK inverse."""
-    rhos = [np.outer(psi, psi.conj()).ravel() for psi in process_basis_kets()]
-    return np.linalg.inv(np.stack(rhos))
-
-
-# The 16 two-qubit Paulis s_a (x) s_b over s = (I, sx, sy, sz), a-major.
-_SINGLE_PAULIS = [qubit_ops()[name] for name in ("id", "sx", "sy", "sz")]
-_PAULIS = np.stack([_kron(a, b) for a in _SINGLE_PAULIS for b in _SINGLE_PAULIS])
-_PAULI_PARTS = np.stack([_PAULIS.real, _PAULIS.imag], axis=-1).reshape(16, 32) / 4.0
-
-
-def pauli_observables(d: int) -> dict[str, np.ndarray]:
-    """The two-qubit Paulis P lifted to I_{d/4} (x) P, the spins last, as
-    named observables; one broadcast of the products np.kron forms."""
-    lifts = _kron(np.eye(d // _GATE_DIM, dtype=complex), _PAULIS)
-    return {f"pauli{m}": lift for m, lift in enumerate(lifts)}
-
-
-def pauli_outputs(trajs: list[Trajectory]) -> np.ndarray:
-    """(T, inputs, 4, 4) two-spin outputs 1/4 sum_P <P> P from trajectories
-    that recorded the `pauli_observables`. <I_rest (x) P> is tr(P Tr_rest
-    rho) and tr(P P') = 4 delta, so the rebuild is exact without a state
-    series or a partial trace."""
-    values = np.array([[tr.observables[f"pauli{m}"] for tr in trajs] for m in range(16)]).T
-    # One real product: (T * inputs, 16) expectation values against the
-    # real and imaginary parts of the stacked P / 4, interleaved so that
-    # the result reads as the complex outputs.
-    outputs = _matmul(values.reshape(-1, 16), _PAULI_PARTS).view(complex)
-    return outputs.reshape(-1, len(trajs), _GATE_DIM, _GATE_DIM)
-
-
 def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
-    """Choi matrices from the 16 channel outputs (in process_basis_kets order).
+    """Choi matrices from the images E(|j><k|) of the 16 matrix units.
 
-    `outputs` has shape (..., 16, 4, 4) and the result (..., 16, 16): one
-    Choi matrix per leading index. By linear inversion, E(|j><k|) is row
-    j*4 + k of D @ outputs, with D the inverse of the matrix whose rows
-    are the inputs' vec(|psi><psi|), and J[a*4 + j, b*4 + k] =
-    E(|j><k|)[a, b] / 4. The Choi normalization is tr J = 1 for a
-    trace-preserving channel, with the channel output on the first tensor
-    factor. Every slice must pass the trace-preservation check.
+    `outputs` has shape (..., 16, 4, 4), the image of |j><k| at index
+    j*4 + k, and the result (..., 16, 16): one Choi matrix per leading
+    index, J[a*4 + j, b*4 + k] = E(|j><k|)[a, b] / 4. The Choi
+    normalization is tr J = 1 for a trace-preserving channel, with the
+    channel output on the first tensor factor. Every slice must pass the
+    trace-preservation check.
     """
     outputs = np.asarray(outputs, dtype=complex)
     if outputs.shape[-3:] != (16, _GATE_DIM, _GATE_DIM):
         raise ValueError("expected 16 outputs of shape (4, 4)")
     batch = outputs.shape[:-3]
-    # D / 4 is exact, so this is (D @ outputs) / 4 bit for bit.
-    images = (_dual() / _GATE_DIM) @ outputs.reshape(batch + (16, _GATE_DIM**2))
-    choi = np.einsum("...jkab->...ajbk", images.reshape(batch + (_GATE_DIM,) * 4))
-    choi = choi.reshape(batch + (_GATE_DIM**2, _GATE_DIM**2))
+    choi = np.einsum("...jkab->...ajbk", outputs.reshape(batch + (_GATE_DIM,) * 4))
+    choi = choi.reshape(batch + (_GATE_DIM**2, _GATE_DIM**2)) / _GATE_DIM
 
     reduced = np.einsum("...aiaj->...ij", choi.reshape(batch + (_GATE_DIM,) * 4))
     defect = np.max(np.abs(_GATE_DIM * reduced - np.eye(_GATE_DIM)), axis=(-2, -1))
@@ -831,6 +775,71 @@ def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
             f"{where} exceeds {TP_DEFECT_TOL}"
         )
     return choi
+
+
+def evolve_channel(
+    model: LindbladModel,
+    times: np.ndarray,
+    step: float | None = None,
+    step_scale: float = DEFAULT_STEP_SCALE,
+    record_min_eigenvalue: bool = True,
+) -> tuple[np.ndarray, dict]:
+    """The (T, 16, 16) Choi series of the two-spin channel
+    E_t(rho) = Tr_mode e^{Lt}(|0><0| (x) rho), from the 16 matrix units
+    (see the module docstring), and its diagnostics.
+
+    The spins are the model's last two subsystems, so the full index of
+    mode level m and spin state a is m*4 + a; the mode is traced out by
+    one product per sector with the 0/1 matrix that adds each entry whose
+    ket and bra share a mode level to its spin entry. The tests, with the
+    step, grid and certificate rules of evolve_lindblad_batch: the trace
+    deviation max |tr E_t(|j><k|) - delta_jk|, J's hermiticity and J's
+    lowest eigenvalue (`min_eigenvalue`).
+    """
+    d = model.spec.dim
+    if model.spec.dims[-2:] != (2, 2):
+        raise ValueError("a gate channel needs two spins as the last subsystems")
+    populated = np.zeros((d, d), dtype=bool)
+    populated[:_GATE_DIM, :_GATE_DIM] = True
+    times, dt, h_req, idx, gen, sectors, diagnostics = _sector_setup(
+        model, times, populated, step, step_scale
+    )
+    n, n_t = idx.size, times.size
+    mode, spin = np.divmod(idx, _GATE_DIM)
+    # The seed puts the full indices 0..3 first in the block, so unit
+    # j*4 + k is the block's entry j*n + k.
+    units = (np.arange(_GATE_DIM)[:, None] * n + np.arange(_GATE_DIM)).reshape(-1)
+    images = np.empty((n_t, 16, _GATE_DIM, _GATE_DIM), dtype=complex)
+    # A generator too large for its squarings overflows to inf and NaN
+    # here; the trace deviation below reports the non-finite images.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sector in sectors:
+            mine = np.flatnonzero(np.isin(units, sector))
+            flat = np.zeros((n_t * mine.size, sector.size), dtype=complex)
+            flat[np.arange(mine.size), np.searchsorted(sector, units[mine])] = 1.0
+            k = _fill_sector(gen[np.ix_(sector, sector)], flat, mine.size, dt, h_req)
+            ket, bra = np.divmod(sector, n)
+            same = np.flatnonzero(mode[ket] == mode[bra])
+            trace = np.zeros((sector.size, _GATE_DIM**2), dtype=complex)
+            trace[same, spin[ket[same]] * _GATE_DIM + spin[bra[same]]] = 1.0
+            images[:, mine] = _matmul(flat, trace).reshape(n_t, mine.size, _GATE_DIM, _GATE_DIM)
+        traces = np.einsum("tuaa->tu", images)
+        trace_dev = float(np.max(np.abs(traces - np.eye(_GATE_DIM).reshape(-1))))
+    # Before J is formed: choi_from_outputs' own test is looser.
+    _check_physical(trace_dev)
+    choi = choi_from_outputs(images)
+    del images
+    _, herm_dev, min_eig = _series_diagnostics(choi, record_min_eigenvalue)
+    _check_physical(trace_dev, herm_dev, min_eig, "Choi")
+    diagnostics.update(
+        substep=dt / k,
+        max_substeps_per_interval=k,
+        trace_deviation=trace_dev,
+        hermiticity_deviation=herm_dev,
+    )
+    if record_min_eigenvalue:
+        diagnostics["min_eigenvalue"] = min_eig
+    return choi, diagnostics
 
 
 def _ideal_choi_vector(u: np.ndarray) -> np.ndarray:
@@ -969,11 +978,10 @@ def strip_local_phases(
     return final.reshape(batch), best.reshape(batch + (2,))
 
 
-def fidelities_from_outputs(outputs: np.ndarray, target_unitary: np.ndarray):
+def gate_fidelities(choi: np.ndarray, target_unitary: np.ndarray):
     """Raw and phase-stripped average gate fidelity, and the strip phases,
-    of the channel(s) with these 16 outputs (..., 16, 4, 4); a single
+    of the channel(s) with these Choi matrices (..., 16, 16); a single
     channel gives floats and a (phi1, phi2) tuple."""
-    choi = choi_from_outputs(outputs)
     f_pro, phases = strip_local_phases(choi, target_unitary)
     return average_gate_fidelity(choi, target_unitary), _average_from_process(f_pro), phases
 

@@ -31,20 +31,17 @@ from kerrspin.dynamics import (
     LindbladModel,
     StepSizeError,
     _interval_propagator,
-    _PAULIS,
     average_gate_fidelity,
     choi_from_outputs,
     default_population_observables,
+    evolve_channel,
     evolve_lindblad,
     evolve_lindblad_batch,
     evolve_unitary,
     evolve_unitary_batch,
-    fidelities_from_outputs,
+    gate_fidelities,
     iswap_unitary,
     liouvillian,
-    pauli_observables,
-    pauli_outputs,
-    process_basis_kets,
     process_fidelity,
     spectral_scale,
     state_fidelity,
@@ -54,6 +51,7 @@ from kerrspin.fock import (
     POSITIVITY_FLOOR,
     HilbertSpec,
     Subsystem,
+    _kron,
     annihilation,
     basis_ket,
     dm,
@@ -79,6 +77,75 @@ from kerrspin.scenarios import (
 
 def mode_only_spec(cutoff: int) -> HilbertSpec:
     return HilbertSpec((Subsystem("mode", cutoff),))
+
+
+# The 16-input tomography protocol, the oracle of the matrix-unit channel
+# path (`evolve_channel`): 16 physical inputs, each output rebuilt from its
+# 16 two-qubit Pauli expectation values, and a linear inversion that maps
+# the outputs to the images E(|j><k|) of the matrix units.
+
+
+def process_basis_kets(d: int = 4) -> np.ndarray:
+    """(16, d) tomography inputs: the leading d/4 levels (the mode, if any)
+    in their ground state times each two-qubit ket, the spins last.
+
+    Kets: computational |0..3>, then (|j>+|k>)/sqrt2 over the pair list
+    ((0,1),(0,2),(0,3),(1,2),(1,3),(2,3)), then (|j>+i|k>)/sqrt2 over the
+    same pairs.
+    """
+    eye = np.eye(4, dtype=complex)
+    j, k = np.triu_indices(4, 1)
+    kets = np.zeros((16, d), dtype=complex)
+    kets[:, :4] = np.concatenate(
+        [eye, (eye[j] + eye[k]) / np.sqrt(2.0), (eye[j] + 1j * eye[k]) / np.sqrt(2.0)]
+    )
+    return kets
+
+
+def dual() -> np.ndarray:
+    """D = inv(V): row m of V is the row-major vec(|psi_m><psi_m|) of the 16
+    inputs, so row j*4 + k of D holds the coefficients of |j><k| over the
+    input states, and D @ (stacked outputs) is E(|j><k|)."""
+    rhos = [np.outer(psi, psi.conj()).ravel() for psi in process_basis_kets()]
+    return np.linalg.inv(np.stack(rhos))
+
+
+def unit_images(outputs: np.ndarray) -> np.ndarray:
+    """(..., 16, 4, 4) images of the matrix units from the 16 inputs'
+    outputs (..., 16, 4, 4), by linear inversion."""
+    outputs = np.asarray(outputs, dtype=complex)
+    return (dual() @ outputs.reshape(outputs.shape[:-2] + (16,))).reshape(outputs.shape)
+
+
+# The 16 two-qubit Paulis s_a (x) s_b over s = (I, sx, sy, sz), a-major.
+SINGLE_PAULIS = [qubit_ops()[name] for name in ("id", "sx", "sy", "sz")]
+PAULIS = np.stack([_kron(a, b) for a in SINGLE_PAULIS for b in SINGLE_PAULIS])
+PAULI_PARTS = np.stack([PAULIS.real, PAULIS.imag], axis=-1).reshape(16, 32) / 4.0
+
+
+def pauli_observables(d: int) -> dict[str, np.ndarray]:
+    """The two-qubit Paulis P lifted to I_{d/4} (x) P, the spins last, as
+    named observables; one broadcast of the products np.kron forms."""
+    lifts = _kron(np.eye(d // 4, dtype=complex), PAULIS)
+    return {f"pauli{m}": lift for m, lift in enumerate(lifts)}
+
+
+def pauli_outputs(trajs) -> np.ndarray:
+    """(T, inputs, 4, 4) two-spin outputs 1/4 sum_P <P> P from trajectories
+    that recorded the `pauli_observables`. <I_rest (x) P> is tr(P Tr_rest
+    rho) and tr(P P') = 4 delta, so the rebuild is exact."""
+    values = np.array([[tr.observables[f"pauli{m}"] for tr in trajs] for m in range(16)]).T
+    # One real product against the interleaved parts of P / 4, read as complex.
+    outputs = (values.reshape(-1, 16) @ PAULI_PARTS).view(complex)
+    return outputs.reshape(-1, len(trajs), 4, 4)
+
+
+def sixteen_input_choi(model: LindbladModel, times: np.ndarray):
+    """The (T, 16, 16) Choi series by the 16-input protocol, and the batch."""
+    d = model.spec.dim
+    rho0s = [dm(k) for k in process_basis_kets(d)]
+    trajs = evolve_lindblad_batch(model, rho0s, times, observables=pauli_observables(d))
+    return choi_from_outputs(unit_images(pauli_outputs(trajs))), trajs
 
 
 def spied_calls(monkeypatch, owner, name: str) -> list:
@@ -501,9 +568,13 @@ def iswap_ideal_map(rho: np.ndarray) -> np.ndarray:
     return u @ rho @ u.conj().T
 
 
+# The 16 matrix units |j><k|, in order j*4 + k.
+UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
+
+
 def reconstruct_choi(apply_channel) -> np.ndarray:
-    outputs = np.array([apply_channel(dm(k)) for k in process_basis_kets()])
-    return choi_from_outputs(outputs)
+    """The Choi matrix of a linear map from its images of the matrix units."""
+    return choi_from_outputs(np.array([apply_channel(unit) for unit in UNITS]))
 
 
 class TestGateMetrics:
@@ -539,10 +610,15 @@ class TestGateMetrics:
         # Row j*4 + k of the dual matrix combines the 16 input states into
         # |j><k|, which is row j*4 + k of the 16 x 16 identity.
         inputs = np.array([dm(k) for k in process_basis_kets()]).reshape(16, 16)
-        assert np.max(np.abs(dynamics._dual() @ inputs - np.eye(16))) <= 1e-15
+        assert np.max(np.abs(dual() @ inputs - np.eye(16))) <= 1e-15
+        # So the images rebuilt from a map's outputs on the inputs are its
+        # images of the units.
+        outputs = np.array([iswap_ideal_map(dm(k)) for k in process_basis_kets()])
+        want = np.array([iswap_ideal_map(unit) for unit in UNITS])
+        assert np.max(np.abs(unit_images(outputs) - want)) <= 1e-15
 
     def test_trace_preservation_defect_raises(self):
-        outputs = np.array([0.9 * iswap_ideal_map(dm(k)) for k in process_basis_kets()])
+        outputs = np.array([0.9 * iswap_ideal_map(unit) for unit in UNITS])
         with pytest.raises(DiagnosticsError):
             choi_from_outputs(outputs)
 
@@ -870,8 +946,111 @@ class TestPauliChannelOutputs:
         assert list(observables) == [f"pauli{m}" for m in range(16)]
         lifts = np.stack(list(observables.values()))
         assert lifts.shape == (16, d, d)
-        for lift, pauli in zip(lifts, _PAULIS):
+        for lift, pauli in zip(lifts, PAULIS):
             assert lift.tobytes() == np.kron(np.eye(d // 4, dtype=complex), pauli).tobytes()
+
+
+def taylor3(gen_h: np.ndarray) -> np.ndarray:
+    """`_taylor4` without its X^4 / 24 term: a third-order substep."""
+    x2 = gen_h @ gen_h
+    return np.eye(gen_h.shape[0], dtype=complex) + gen_h + x2 / 2.0 + (x2 @ gen_h) / 6.0
+
+
+def hermitian_min_eigenvalue(choi: np.ndarray) -> float:
+    """Lowest eigenvalue of the hermitian part, as the solver takes it."""
+    return float(np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().swapaxes(-1, -2)))))
+
+
+class TestChannel:
+    """evolve_channel steps the 16 matrix units, each through the one sector
+    that holds it, and traces the mode out by the block's labels; the
+    16-input protocol (physical inputs, Pauli rebuild, inversion) is its
+    oracle."""
+
+    @pytest.mark.parametrize("cutoff", [None, 6, 11], ids=["written", "full-6", "full-11"])
+    def test_matches_sixteen_input_oracle(self, cutoff):
+        model, _rho0s, times = tomography_case(cutoff)
+        choi, diagnostics = evolve_channel(model, times)
+        want, trajs = sixteen_input_choi(model, times)
+        assert choi.shape == want.shape == (281, 16, 16)
+        assert np.max(np.abs(choi - want)) <= 1e-12
+        checks = ("trace_deviation", "hermiticity_deviation", "min_eigenvalue")
+        shared = {key: value for key, value in trajs[0].diagnostics.items() if key not in checks}
+        assert {key: value for key, value in diagnostics.items() if key not in checks} == shared
+        # The checks are taken on the channel: its trace-preservation
+        # defect and J's hermiticity and spectrum, as the oracle's J has them.
+        defect = np.abs(4.0 * np.einsum("tajak->tjk", want.reshape(281, 4, 4, 4, 4)) - np.eye(4))
+        assert diagnostics["trace_deviation"] == pytest.approx(np.max(defect), abs=1e-12)
+        skew = np.max(np.abs(want - want.conj().swapaxes(-1, -2)))
+        assert diagnostics["hermiticity_deviation"] == pytest.approx(skew, abs=1e-12)
+        assert diagnostics["min_eigenvalue"] == pytest.approx(
+            hermitian_min_eigenvalue(want), abs=1e-12
+        )
+
+    def test_units_step_only_their_own_sector(self, monkeypatch):
+        model, _rho0s, times = tomography_case(6)
+        calls = spied_calls(monkeypatch, dynamics, "_fill_sector")
+        evolve_channel(model, times)
+        # 6, 4, 4, 1 and 1 of the 16 units in sectors of 26, 15, 15, 4 and 4.
+        got = [(gen.shape[0], flat.shape, width) for gen, flat, width, _dt, _h in calls]
+        sizes, units = [26, 15, 15, 4, 4], [6, 4, 4, 1, 1]
+        assert got == [(s, (281 * u, s), u) for s, u in zip(sizes, units)]
+
+    @pytest.mark.parametrize("cutoff", [None, 6], ids=["written", "full-6"])
+    def test_certified_run_bitwise_equal(self, cutoff):
+        model, _rho0s, times = tomography_case(cutoff)
+        choi, reported = evolve_channel(model, times)
+        certified_choi, certified = evolve_channel(model, times, record_min_eigenvalue=False)
+        assert choi.tobytes() == certified_choi.tobytes()
+        assert reported.pop("min_eigenvalue") == hermitian_min_eigenvalue(choi)
+        assert certified == reported
+
+    def test_default_channels_pass_the_choi_floor(self, tmp_path, monkeypatch):
+        chois = []
+        channel = dynamics.evolve_channel
+
+        def recording(*args, **kwargs):
+            choi, diagnostics = channel(*args, **kwargs)
+            chois.append(choi)
+            return choi, diagnostics
+
+        monkeypatch.setattr(dynamics, "evolve_channel", recording)
+        report = run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path).as_dict()
+        # Main, refined and bumped runs, and the three sensitivity reruns.
+        assert len(chois) == 8
+        lowest = [hermitian_min_eigenvalue(choi) for choi in chois]
+        assert min(lowest) >= POSITIVITY_FLOOR
+        # The report names the main channels' lowest Choi eigenvalues.
+        integrator = report["info"]["integrator"]
+        assert [integrator[key]["min_eigenvalue"] for key in ("effective", "full")] == lowest[:2]
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_third_order_substep_fails_the_choi_floor(self, monkeypatch, record):
+        # Without its X^4 term the written channel's J reaches -2.33e-7,
+        # while the same run's 16 physical-input states stay at -7.7e-15:
+        # only the channel's test sees that it is not completely positive.
+        monkeypatch.setattr(dynamics, "_taylor4", taylor3)
+        model, rho0s, times = tomography_case(None)
+        with pytest.raises(DiagnosticsError, match=r"^Choi eigenvalue -2\.3\d\de-07 below floor"):
+            evolve_channel(model, times, record_min_eigenvalue=record)
+        trajs = evolve_lindblad_batch(model, rho0s, times)
+        assert min(traj.diagnostics["min_eigenvalue"] for traj in trajs) >= -1e-13
+
+    def test_overflowing_channel_fails_trace_check(self):
+        # The squared-up propagator overflows and the images turn NaN; the
+        # trace check names them before J is formed.
+        spec = HilbertSpec.spins_only(2)
+        q = qubit_ops()
+        decay = [(embed(q["sm"], 1, spec), 1.0)]
+        model = LindbladModel(1e100 * embed(q["sx"], 0, spec), decay, spec)
+        with pytest.raises(DiagnosticsError, match=r"^trace deviation nan exceeds 1e-08$"):
+            evolve_channel(model, np.linspace(0.0, 1.0, 3))
+
+    def test_needs_two_spins_last(self):
+        for spec in (HilbertSpec.spins_only(1), mode_only_spec(4)):
+            model = LindbladModel(np.zeros((spec.dim,) * 2, dtype=complex), [], spec)
+            with pytest.raises(ValueError, match="two spins"):
+                evolve_channel(model, np.linspace(0.0, 1.0, 3))
 
 
 class TestEntryObservables:
@@ -914,7 +1093,7 @@ def full_space_stripped_at(h: np.ndarray, reduce_spec: HilbertSpec | None, t: fl
     outs = u_t @ rho0s @ u_t.conj().T
     if reduce_spec is not None:
         outs = partial_trace(outs, (1, 2), reduce_spec)
-    f_pro, _ = strip_local_phases(choi_from_outputs(outs), iswap_unitary())
+    f_pro, _ = strip_local_phases(choi_from_outputs(unit_images(outs)), iswap_unitary())
     return (4.0 * f_pro + 1.0) / 5.0
 
 
@@ -931,9 +1110,10 @@ def former_process_kets() -> list[np.ndarray]:
 
 
 class TestDissipationlessFidelity:
-    """The closed-system gate reference evolves the 16 input kets and
-    rebuilds each output from its Pauli expectations; the former
-    full-space propagator with a partial trace is the oracle."""
+    """The closed-system gate reference evolves the 4 kets |0, j> and takes
+    the images Tr_mode |psi_j><psi_k| from their final states; the former
+    full-space propagator on the 16 inputs, with a partial trace and the
+    linear inversion, is the oracle."""
 
     @pytest.mark.parametrize("cutoff", [None, 6, 11], ids=["written", "full-6", "full-11"])
     @pytest.mark.parametrize("fraction", [1.0, 0.6])
@@ -1197,23 +1377,30 @@ class TestBoundedMemory:
         assert peak <= 2.0 * stack
 
     def test_choi_from_outputs_peak(self, channel_output_series):
-        outputs = channel_output_series["full"]
-        assert traced_peak(choi_from_outputs, outputs) <= 2.75 * outputs.nbytes
+        images = unit_images(channel_output_series["full"])
+        assert traced_peak(choi_from_outputs, images) <= 2.75 * images.nbytes
 
     def test_strip_local_phases_peak(self, channel_output_series):
-        choi = choi_from_outputs(channel_output_series["full"])
+        choi = choi_from_outputs(unit_images(channel_output_series["full"]))
         assert choi.shape == (281, 16, 16)
         assert traced_peak(strip_local_phases, choi, iswap_unitary()) <= 2.0 * choi.nbytes
 
+    def test_channel_peak(self):
+        # The images, J and its diagnostic temporaries; one sector's unit
+        # series at a time. The 16-input batch of the same channel held a
+        # (T, 16, 8, 8) state series, 4.2 times the Choi series, by itself.
+        model, _rho0s, times = tomography_case(6)
+        choi_bytes = times.size * 16 * 16 * np.dtype(complex).itemsize
+        assert traced_peak(evolve_channel, model, times) <= 4.0 * choi_bytes
+
     def test_iswap_fidelity_peak(self, tmp_path):
-        # One tomography batch is the most the scenario holds. The traced
-        # peak was 10.61 MiB while each batch kept its full-space input
+        # One channel is the most the scenario holds. The traced peak was
+        # 10.61 MiB while each 16-input batch kept its full-space input
         # stack, per-input diagnostic temporaries and 4.7 MB state series
-        # past their last reader and the scenario kept both main channels'
-        # (281, 16, 4, 4) output series through six reruns; it is 6.59 MiB
-        # once they are released (numpy 2.4, Python 3.11).
+        # past their last reader, and 6.59 MiB once they were released; the
+        # matrix-unit channels take it to 4.81 MiB (numpy 2.4, Python 3.11).
         peak = traced_peak(run_scenario, "iswap-fidelity", resolve("iswap-fidelity"), tmp_path)
-        assert peak <= 9 * 2**20
+        assert peak <= 6 * 2**20
 
 
 class TestBatchedGateMetrics:
@@ -1223,7 +1410,7 @@ class TestBatchedGateMetrics:
     def test_matches_per_time_point_oracle(self, channel_output_series, channel):
         outputs = channel_output_series[channel]
         u = iswap_unitary()
-        choi = choi_from_outputs(outputs)
+        choi = choi_from_outputs(unit_images(outputs))
         raw = average_gate_fidelity(choi, u)
         stripped, phases = strip_local_phases(choi, u)
         assert choi.shape == (281, 16, 16)
@@ -1275,37 +1462,35 @@ class TestBatchedGateMetrics:
         raw = channel_output_series[channel]
         outputs = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
         want = block_scatter(outputs)
-        assert np.max(np.abs(choi_from_outputs(outputs) - want)) <= 1e-15
-        assert np.max(np.abs(choi_from_outputs(outputs[200]) - want[200])) <= 1e-15
+        assert np.max(np.abs(choi_from_outputs(unit_images(outputs)) - want)) <= 1e-15
+        assert np.max(np.abs(choi_from_outputs(unit_images(outputs[200])) - want[200])) <= 1e-15
         # These outputs are partial traces of the solver's states, whose
         # anti-hermitian roundoff the former construction dropped; the two
         # differ by no more than its size.
         skew = np.max(np.abs(raw - raw.conj().swapaxes(-1, -2)))
         assert 0.0 < skew <= 1e-13
-        assert np.max(np.abs(choi_from_outputs(raw) - block_scatter(raw))) <= skew
+        assert np.max(np.abs(choi_from_outputs(unit_images(raw)) - block_scatter(raw))) <= skew
 
     @pytest.mark.parametrize("channel", ["written", "full"])
     def test_fidelities_bitwise_equal_former_series(self, channel_output_series, channel):
-        # The former scenario-side fidelity series: Choi, raw F_avg, then
-        # the stripped maxima mapped to (4 F + 1)/5.
-        outputs = channel_output_series[channel]
+        # The former scenario-side fidelity series: raw F_avg, then the
+        # stripped maxima mapped to (4 F + 1)/5.
         u = iswap_unitary()
-        choi = choi_from_outputs(outputs)
+        choi = choi_from_outputs(unit_images(channel_output_series[channel]))
         f_pro, want_phases = strip_local_phases(choi, u)
         want = (average_gate_fidelity(choi, u), (4.0 * f_pro + 1.0) / 5.0, want_phases)
-        got = fidelities_from_outputs(outputs, u)
+        got = gate_fidelities(choi, u)
         for value, ref in zip(got, want):
             assert value.shape == ref.shape and value.tobytes() == ref.tobytes()
         # One time point gives floats and a phase tuple, as before.
-        choi = choi_from_outputs(outputs[200])
-        f_pro, want_phases = strip_local_phases(choi, u)
-        want = (average_gate_fidelity(choi, u), (4.0 * f_pro + 1.0) / 5.0, want_phases)
-        assert fidelities_from_outputs(outputs[200], u) == want
-        assert type(fidelities_from_outputs(outputs[200], u)[1]) is float
+        f_pro, want_phases = strip_local_phases(choi[200], u)
+        want = (average_gate_fidelity(choi[200], u), (4.0 * f_pro + 1.0) / 5.0, want_phases)
+        assert gate_fidelities(choi[200], u) == want
+        assert type(gate_fidelities(choi[200], u)[1]) is float
 
     def test_unbatched_inputs_keep_scalar_types(self, channel_output_series):
         u = iswap_unitary()
-        choi = choi_from_outputs(channel_output_series["written"][200])
+        choi = choi_from_outputs(unit_images(channel_output_series["written"][200]))
         assert choi.shape == (16, 16)
         assert type(process_fidelity(choi, u)) is float
         assert type(average_gate_fidelity(choi, u)) is float
@@ -1328,10 +1513,10 @@ class TestBatchedGateMetrics:
         assert best[1] == strip_local_phases(rotated, u)[0]
 
     def test_one_defective_slice_raises(self, channel_output_series):
-        outputs = channel_output_series["written"].copy()
-        outputs[137] *= 0.9
+        images = unit_images(channel_output_series["written"])
+        images[137] *= 0.9
         with pytest.raises(DiagnosticsError, match=r"at index \(137,\)"):
-            choi_from_outputs(outputs)
+            choi_from_outputs(images)
 
     def test_batched_output_shape_validated(self):
         with pytest.raises(ValueError):
@@ -1610,14 +1795,14 @@ class TestPositivityCertificate:
     def test_iswap_fidelity_diagonalises_only_its_reported_batches(self, tmp_path, monkeypatch):
         shapes = recorded_eigvalsh_shapes(monkeypatch)
         run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path)
-        n_t, n_in, batches = 281, 16, 8
-        # Only the 2 main batches (written and full) report min_eigenvalue,
-        # so only their per-input state series are diagonalised. Each of
-        # the 8 batches also checks its inputs in one call and takes its
-        # spectral scale from the full H.
-        assert sum(1 for shape in shapes if shape[0] == n_t) == 2 * n_in
+        n_t, channels = 281, 8
+        # Only the 2 main channels (written and full) report min_eigenvalue,
+        # so only their (T, 16, 16) Choi series are diagonalised; the reruns
+        # are certified. Each of the 8 channels also takes its spectral
+        # scale from the full H. No physical input is checked.
+        assert [shape for shape in shapes if shape[0] == n_t] == [(n_t, 16, 16)] * 2
         matrices = sum(int(np.prod(shape[:-2])) for shape in shapes)
-        assert matrices == 2 * n_in * n_t + batches * (n_in + 1)
+        assert matrices == 2 * n_t + channels
 
 
 def former_evolve_unitary(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, observables: dict):
@@ -1731,8 +1916,8 @@ class TestUnitaryBatch:
 
     @pytest.mark.parametrize("cutoff", [None, 6])
     def test_kets_in_one_pass_match_one_ket_passes(self, cutoff):
-        # The 16 tomography kets at [0, t*], as the dissipationless
-        # fidelity evolves them, against one pass per ket on the same block.
+        # The 16 tomography kets at [0, t*] against one pass per ket on
+        # the same block.
         model, _rho0s, times = tomography_case(cutoff)
         h, d = model.hamiltonian, model.spec.dim
         kets, observables = process_basis_kets(d), pauli_observables(d)
@@ -1996,7 +2181,6 @@ class TestProductBudget:
     # Products whose every BLAS call has a fixed 16 x 16 size, whatever the
     # batch: numpy loops a stacked product over its (16, 16) slices.
     FIXED_16 = {
-        "(_dual() / _GATE_DIM) @ outputs.reshape(batch + (16, _GATE_DIM**2))",
         "_kron(u, eye) @ (eye.reshape(-1) / np.sqrt(_GATE_DIM))",
         "vec.conj() @ np.asarray(choi, dtype=complex)",
         "w.conj() @ flat",
@@ -2025,7 +2209,7 @@ class TestProductBudget:
         spy = _NumpySpy()
         monkeypatch.setattr(dynamics, "np", spy)
         run_scenario(scenario, resolve(scenario), tmp_path)
-        # The spy sees the run: iswap-fidelity makes 2497 calls, the others 24 to 196.
+        # The spy sees the run: iswap-fidelity makes 1683 calls, the others 24 to 196.
         assert len(spy.calls) > (1000 if scenario == "iswap-fidelity" else 20)
         over = []
         for a_shape, b_shape, a_kind, b_kind in spy.calls:
