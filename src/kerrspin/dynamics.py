@@ -47,17 +47,18 @@ The generator splits into sectors, the connected components of its
 nonzero pattern: L is block diagonal over them, so each sector's span is
 invariant under L and under every polynomial in it, P included. The
 propagator, its squarings and the doubling products are built for each
-sector the inputs populate, on that sector alone; the others stay
-exactly 0. This is exact, not an approximation. An excitation-conserving
-model splits by the difference of the excitation numbers of the ket and
-the bra: the iswap-fidelity full model's 64 Liouville indices fall into
-sectors of 26, 15, 15, 4 and 4, so its squarings cost a tenth of the
-whole generator's.
+sector that the initial state (or a channel's matrix units) populates,
+on that sector alone; the others stay exactly 0. This is exact, not an
+approximation. An excitation-conserving model splits by the difference
+of the excitation numbers of the ket and the bra: the iswap-fidelity
+full model's 64 Liouville indices fall into sectors of 26, 15, 15, 4
+and 4, so its squarings cost a tenth of the whole generator's.
 
 Both kinds of run work on a coordinate subspace only: the basis states
-reachable from the support of the initial state(s) through the nonzero
-pattern of H and, for open-system runs, of every collapse operator with
-a nonzero rate and of each such C'C. Each of these operators A maps the
+reachable from the initial support (one state's, a unitary batch's kets'
+together, or a gate channel's spin states) through the nonzero pattern
+of H and, for open-system runs, of every collapse operator with a
+nonzero rate and of each such C'C. Each of these operators A maps the
 span S of the reached states into itself (AP = PAP for the projector P
 onto S, so also PA' = PA'P). A unitary run therefore stays in S, and
 diagonalising the block of H on S is exact; likewise every term of the
@@ -72,10 +73,11 @@ a parity halve; observables are projected onto the block. A unitary
 batch searches once from the union of its kets' supports and
 diagonalises that block once for all of them.
 
-An open-system batch holds at most one state series, the (T, inputs,
-populated entries) stack it steps, and releases each array once its last
-reader is done; the observable series of all inputs come from it by one
-real product. No run returns a state series.
+An open-system batch solves its states one at a time, each on its own
+block and sectors, so it holds one state's series at a time: the (T,
+populated entries) rows it steps, and the (T, n, n) series they scatter
+into for the diagnostics. The observable series come from the rows by
+one real product. No run returns a state series.
 
 A two-qubit gate channel E_t (a mode, if any, starting empty) comes as
 its Choi series from the 16 matrix units (`evolve_channel`): by
@@ -87,7 +89,7 @@ stepped for its own units only: 6, 4, 4, 1 and 1 units in the full
 model's sectors.
 
 Positivity (eigenvalues at or above POSITIVITY_FLOOR) is tested on the
-hermitian part of each input's state series, and of a channel's Choi
+hermitian part of each state's series, and of a channel's Choi
 series: J is a trace-1 state, and its positivity is complete positivity,
 which no set of inputs can test. A run that does not report its lowest
 eigenvalue (`min_eigenvalue`) certifies it by a Cholesky factorisation
@@ -445,37 +447,6 @@ def _resolve_step(model: LindbladModel, step: float | None, step_scale: float) -
     return step_scale * ceiling, scale
 
 
-def _validate_inputs(rho0_list: list[np.ndarray], d: int) -> np.ndarray:
-    """(inputs, d, d) stack of the initial density matrices, checked as one
-    stack: a wrong dimension anywhere is reported first, then the first
-    input that fails its trace or hermiticity test names the error.
-
-    The tests are written as `not <=` (or `not >=`) so that a NaN entry
-    fails them.
-    """
-    rhos = [dm(np.asarray(rho0, dtype=complex)) for rho0 in rho0_list]
-    if any(rho.shape != (d, d) for rho in rhos):
-        raise ValueError("initial state dimension mismatch")
-    rhos = np.stack(rhos)
-    trace_ok = np.abs(np.einsum("ijj->i", rhos).real - 1.0) <= NORM_TOL
-    herm_ok = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2)) <= NORM_TOL
-    if not np.all(trace_ok & herm_ok):
-        first = np.argmin(trace_ok & herm_ok)
-        raise ValueError(
-            "initial state is not hermitian" if trace_ok[first] else "initial state trace deviates from 1"
-        )
-    # Positivity of all inputs from one eigvalsh on their common support.
-    # Outside the rows and columns where some input is nonzero every
-    # input is exactly 0, so each is block diagonal with a zero block,
-    # whose eigenvalues 0 lie above POSITIVITY_FLOOR: the pass or fail is
-    # that of the full d x d spectra.
-    nonzero = np.any(rhos != 0, axis=0)
-    support = np.flatnonzero(np.any(nonzero, axis=0) | np.any(nonzero, axis=1))
-    if not np.min(np.linalg.eigvalsh(rhos[:, support[:, None], support])) >= POSITIVITY_FLOOR:
-        raise ValueError("initial state is not positive semidefinite")
-    return rhos
-
-
 def _certified_above_floor(sym: np.ndarray) -> bool:
     """Whether a Cholesky factorisation proves that every matrix of the
     (..., n, n) hermitian stack `sym` has its eigenvalues at or above
@@ -499,8 +470,9 @@ def _certified_above_floor(sym: np.ndarray) -> bool:
 
 
 def _series_diagnostics(rho_t: np.ndarray, record_min_eigenvalue: bool) -> tuple[float, float, float]:
-    """Trace deviation, hermiticity deviation and lowest eigenvalue of one
-    input's (T, n, n) block state series; its temporaries end with the call.
+    """Trace deviation, hermiticity deviation and lowest eigenvalue of a
+    (T, n, n) series, a state's on its block or a channel's Choi series;
+    its temporaries end with the call.
 
     Each test is written as `not <=` so that a non-finite state (an
     overflowing propagator) fails it; a series that fails its trace or
@@ -547,7 +519,7 @@ def _populated_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
 
 def _sector_setup(model: LindbladModel, times, populated: np.ndarray, step, step_scale):
     """What an open-system run builds before it steps, from the (d, d) mask
-    `populated` of its inputs' nonzero entries: the checked uniform grid,
+    `populated` of its initial nonzero entries: the checked uniform grid,
     its interval, the substep ceiling, the reached block's indices, its
     generator, the populated sectors and their diagnostics but the substep.
     """
@@ -609,17 +581,20 @@ def evolve_lindblad_batch(
     step_scale: float = DEFAULT_STEP_SCALE,
     record_min_eigenvalue: bool = True,
 ) -> list[Trajectory]:
-    """Open-system evolution of several initial states under one model.
+    """Open-system evolution of several initial states under one model,
+    each solved on its own.
 
-    `times` must be a uniform grid. The generator and interval
-    propagators are built once, on the block the inputs can reach, one
-    per sector they populate (see the module docstring; the diagnostics'
-    `liouville_sectors` lists their sizes), and shared by the inputs.
+    `times` must be a uniform grid. Each state is checked in turn (its
+    dimension, trace and hermiticity, then its positivity on its support)
+    and solved before the next is checked, so the first state that fails
+    raises. Each gets its own reached block, generator and interval
+    propagators, one per sector it populates (see the module docstring;
+    its diagnostics' `reduced_dim` and `liouville_sectors` are its own).
 
-    With `record_min_eigenvalue` (the default) each input's diagnostics
+    With `record_min_eigenvalue` (the default) each state's diagnostics
     hold `min_eigenvalue`, the lowest eigenvalue of its state series;
     without it, positivity is certified (`_certified_above_floor`) and the
-    key is absent. Either way the same inputs pass, and a failure raises
+    key is absent. Either way the same states pass, and a failure raises
     the same DiagnosticsError naming the lowest eigenvalue.
 
     Each trajectory holds the observable series, the final state
@@ -627,88 +602,73 @@ def evolve_lindblad_batch(
     series.
     """
     d = model.spec.dim
-    rhos0 = _validate_inputs(rho0_list, d)
-    times, dt, h_req, idx, gen, sectors, shared = _sector_setup(
-        model, times, np.any(rhos0 != 0, axis=0), step, step_scale
-    )
-    n = idx.size
-    obs = _project_observables(observables, model.spec, d, np.ix_(idx, idx))
-
-    n_in = len(rhos0)
-    n_t = times.size
-    vecs0 = rhos0[:, idx[:, None], idx].reshape(n_in, n * n)
-    del rhos0  # the full-space stack: only its block is read from here on
-    order = np.concatenate(sectors)
-    width = order.size
-    # rows[j, i] holds input i's row-major state vector at times[j]: its
-    # entries in `order`, sector after sector, then one 0 that stands for
-    # every entry of the sectors no input populates (`gather` maps the
-    # vector's entries onto these columns). Each sector's columns are
-    # stepped on their own (`_fill_sector`).
-    rows = np.empty((n_t, n_in, width + 1), dtype=complex)
-    rows[0, :, :width] = vecs0[:, order]
-    rows[..., width] = 0.0
-    flat = rows.reshape(n_t * n_in, width + 1)
-    gather = np.full(n * n, width)
-    gather[order] = np.arange(width)
-    # A generator too large for its squarings overflows to inf and NaN
-    # here; the trace diagnostic below reports the non-finite states.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo = 0
-        for sector in sectors:
-            hi = lo + sector.size
-            k = _fill_sector(gen[np.ix_(sector, sector)], flat[:, lo:hi], n_in, dt, h_req)
-            lo = hi
-    shared.update(substep=dt / k, max_substeps_per_interval=k)
-
-    # Physicality diagnostics, one input's (T, n, n) series at a time, so
-    # that no temporary is the size of the whole stack.
-    trace_dev = np.empty(n_in)
-    herm_dev = np.empty(n_in)
-    min_eig = np.full(n_in, np.inf)
-    for i in range(n_in):
-        rho_t = rows[:, i][:, gather].reshape(n_t, n, n)
-        trace_dev[i], herm_dev[i], min_eig[i] = _series_diagnostics(rho_t, record_min_eigenvalue)
-        del rho_t
-    if n < d:
-        # The full-space state's zero block contributes eigenvalue 0.
-        min_eig = np.minimum(min_eig, 0.0)
-    _check_physical(np.max(trace_dev), np.max(herm_dev), np.min(min_eig))
-
-    # Re tr(O rho) = sum_ij Re rho[i, j] Re O[j, i] - Im rho[i, j] Im O[j, i]:
-    # every observable's series for every input from one real product of
-    # the stored entries, real and imaginary parts interleaved, against the
-    # stacked parts of O^T (the unpopulated sectors' entries are 0). The
-    # (inputs, observables, T) series are one array; each input's series
-    # are views into it.
-    names = list(obs)
-    columns = np.stack([obs[name].T.reshape(-1) for name in names], axis=1)[order]
-    parts = np.stack([columns.real, -columns.imag], axis=1).reshape(2 * width, len(names))
-    values = _matmul(flat.view(float)[:, : 2 * width], parts).reshape(n_t, n_in, len(names))
-    series = np.ascontiguousarray(values.transpose(1, 2, 0))
-    del values
-    # The final states are all that is read of the state series from here.
-    block_finals = rows[-1][:, gather].reshape(n_in, n, n)
-    del rows, flat
-    finals = np.zeros((n_in, d, d), dtype=complex)
-    finals[:, idx[:, None], idx] = block_finals
     out = []
-    for i in range(n_in):
-        diagnostics = {
-            **shared,
-            "trace_deviation": float(trace_dev[i]),
-            "hermiticity_deviation": float(herm_dev[i]),
-        }
-        if record_min_eigenvalue:
-            diagnostics["min_eigenvalue"] = float(min_eig[i])
-        out.append(
-            Trajectory(
-                times=times,
-                observables=dict(zip(names, series[i])),
-                final_state=finals[i],
-                diagnostics=diagnostics,
-            )
+    for rho0 in rho0_list:
+        # Each test is written `not <=` (or `not >=`) so that a NaN fails it.
+        rho0 = dm(np.asarray(rho0, dtype=complex))
+        if rho0.shape != (d, d):
+            raise ValueError("initial state dimension mismatch")
+        if not abs(np.trace(rho0).real - 1.0) <= NORM_TOL:
+            raise ValueError("initial state trace deviates from 1")
+        if not np.max(np.abs(rho0 - rho0.conj().T)) <= NORM_TOL:
+            raise ValueError("initial state is not hermitian")
+        # Off its support the state is 0, whose eigenvalues 0 pass the floor.
+        populated = rho0 != 0
+        support = np.flatnonzero(np.any(populated, axis=0) | np.any(populated, axis=1))
+        if not np.min(np.linalg.eigvalsh(rho0[np.ix_(support, support)])) >= POSITIVITY_FLOOR:
+            raise ValueError("initial state is not positive semidefinite")
+
+        times, dt, h_req, idx, gen, sectors, diagnostics = _sector_setup(
+            model, times, populated, step, step_scale
         )
+        n, n_t = idx.size, times.size
+        block = np.ix_(idx, idx)
+        obs = _project_observables(observables, model.spec, d, block)
+        order = np.concatenate(sectors)
+        # rows[j] holds the row-major state vector at times[j], its entries
+        # in `order`, sector after sector; the sectors the state does not
+        # populate stay 0 and are not stored. Each sector's columns are
+        # stepped on their own (`_fill_sector`).
+        rows = np.empty((n_t, order.size), dtype=complex)
+        rows[0] = rho0[block].reshape(-1)[order]
+        # A generator too large for its squarings overflows to inf and NaN
+        # here; the trace diagnostic below reports the non-finite states.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = 0
+            for sector in sectors:
+                hi = lo + sector.size
+                k = _fill_sector(gen[np.ix_(sector, sector)], rows[:, lo:hi], 1, dt, h_req)
+                lo = hi
+
+        series = np.zeros((n_t, n * n), dtype=complex)
+        series[:, order] = rows
+        series = series.reshape(n_t, n, n)
+        trace_dev, herm_dev, min_eig = _series_diagnostics(series, record_min_eigenvalue)
+        if n < d:
+            # The full-space state's zero block contributes eigenvalue 0.
+            min_eig = np.minimum(min_eig, 0.0)
+        _check_physical(trace_dev, herm_dev, min_eig)
+
+        # Re tr(O rho) = sum_ij Re rho[i, j] Re O[j, i] - Im rho[i, j] Im O[j, i]:
+        # every observable's series from one real product of the stored
+        # entries, real and imaginary parts interleaved, against the stacked
+        # parts of O^T (the unpopulated sectors' entries are 0).
+        names = list(obs)
+        columns = np.stack([obs[name].T.reshape(-1) for name in names], axis=1)[order]
+        parts = np.stack([columns.real, -columns.imag], axis=1).reshape(2 * order.size, len(names))
+        values = np.ascontiguousarray(_matmul(rows.view(float), parts).T)
+        final = np.zeros((d, d), dtype=complex)
+        final[block] = series[-1]
+        del rows, series  # before the next state's arrays are made
+        diagnostics.update(
+            substep=dt / k,
+            max_substeps_per_interval=k,
+            trace_deviation=trace_dev,
+            hermiticity_deviation=herm_dev,
+        )
+        if record_min_eigenvalue:
+            diagnostics["min_eigenvalue"] = float(min_eig)
+        out.append(Trajectory(times, dict(zip(names, values)), final, diagnostics))
     return out
 
 
