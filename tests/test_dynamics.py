@@ -2053,14 +2053,43 @@ class TestUnitaryBatch:
             evolve_unitary_batch(h, [good, 2.0 * good], [0.0, 1.0])
 
 
+def ordered_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """a @ b for 2-D operands, each entry summed over the inner index in
+    increasing order, every real product and sum rounded on its own.
+
+    A BLAS kernel rounds a product differently with the operands' sizes:
+    the 10 x 10 sector of an input's 16 x 16 block generator and the whole
+    block, zeros included, square to results that differ in the last bit,
+    and the propagator's 9 squarings and the grid's 8 more double that.
+    Here a sector's product and the whole block's take the same terms in
+    the same order (the block's others are exact zeros), so they agree
+    bit for bit.
+    """
+    shape = a.shape[:1] + b.shape[1:]
+    re, im = np.zeros(shape), np.zeros(shape)
+    for j in range(a.shape[1]):
+        x, y = a[:, j, None], b[j]
+        re += x.real * y.real
+        re -= x.imag * y.imag
+        im += x.real * y.imag
+        im += x.imag * y.real
+    total = re if np.result_type(a, b).kind == "f" else re + 1j * im
+    if out is None:
+        return total
+    out[...] = total
+    return out
+
+
 def former_evolve_lindblad_batch(
     model: LindbladModel, rho0s: list[np.ndarray], times: np.ndarray, observables: dict | None
 ):
     """The former dense-generator path, each input on its own reached
     block: one interval propagator of the whole block generator, the
     doubled stepping over the whole row-major state vector and the
-    one-pass diagnostics. Returns the per-input observables, final states,
-    state series (zero-padded) and diagnostics."""
+    one-pass diagnostics, with every product an `ordered_matmul` (the
+    propagator's through `dynamics._matmul`, which the caller replaces).
+    Returns the per-input observables, final states, state series
+    (zero-padded) and diagnostics."""
     d = model.spec.dim
     dt = float(times[1] - times[0])
     h_req, scale = dynamics._resolve_step(model, None, DEFAULT_STEP_SCALE)
@@ -2079,16 +2108,16 @@ def former_evolve_lindblad_batch(
         m = 1
         while m < n_t:
             count = min(m, n_t - m)
-            rows[m : m + count] = rows[:count] @ prop.T
+            rows[m : m + count] = ordered_matmul(rows[:count], prop.T)
             m *= 2
             if m < n_t:
-                prop = prop @ prop
+                prop = ordered_matmul(prop, prop)
         block_states = rows.reshape(1, n_t, n, n)
         diagnostics = one_pass_diagnostics(block_states, d)
         states = np.zeros((n_t, d, d), dtype=complex)
         states[:, idx[:, None], idx] = block_states[0]
         columns = np.stack([op.T.reshape(-1) for op in obs.values()], axis=1)
-        values = (rows @ columns).real.T
+        values = ordered_matmul(rows, columns).real.T
         diag = {
             "spectral_scale": scale,
             "substep": dt / k,
@@ -2157,30 +2186,27 @@ class TestLiouvilleSectors:
     ]
 
     @pytest.mark.parametrize("case", CASES)
-    def test_matches_dense_generator_path(self, case):
+    def test_matches_dense_generator_path(self, case, monkeypatch):
         model, rho0s, times, sizes = sector_case(case)
+        # Both paths take every product in one summation order, so that
+        # they differ by the sector split alone, not by how a BLAS kernel
+        # rounds a 10 x 10 product and a 16 x 16 one (`ordered_matmul`).
+        monkeypatch.setattr(dynamics, "_matmul", ordered_matmul)
         # The Pauli observables read every sector of the two-spin block.
         observables = pauli_observables(model.spec.dim) if len(rho0s) > 1 else None
         trajs, states = evolve_with_states(
             evolve_lindblad_batch, model, rho0s, times, observables=observables
         )
         want = former_evolve_lindblad_batch(model, rho0s, times, observables)
-        # The sector path and the dense path round the propagator's
-        # squarings differently, by up to 3e-14 on an input's own full-model
-        # block, and 280 intervals grow that to 2.1e-12 in its series.
-        # Either path lies up to 2.6e-11 from a long-double evaluation of
-        # the same Taylor-4 steps. They agreed to 1e-12 while the 16 inputs
-        # shared one block and its 15-entry sectors.
-        rel = 1e-11 if case.startswith("full") else 1e-12
         assert len(trajs) == len(want)
         for traj, rebuilt, (series, final, former_states, diag), sectors in zip(
             trajs, states, want, sizes, strict=True
         ):
             assert list(traj.observables) == list(series)
             for name, values in series.items():
-                assert_close(traj.observables[name], values, rel)
-            assert_close(traj.final_state, final, rel)
-            assert_close(rebuilt, former_states, rel)
+                assert_close(traj.observables[name], values)
+            assert_close(traj.final_state, final)
+            assert_close(rebuilt, former_states)
             got = dict(traj.diagnostics)
             assert got.pop("liouville_sectors") == sectors
             assert got.keys() == diag.keys()
@@ -2193,23 +2219,22 @@ class TestLiouvilleSectors:
     @pytest.mark.parametrize("case", ["transfer-6", "diagonal-inputs"])
     def test_unpopulated_sectors_stay_exactly_zero(self, case):
         model, rho0s, times, _sizes = sector_case(case)
-        idx = reached_indices(model, rho0s)
-        n = idx.size
-        block = np.ix_(idx, idx)
-        gen = liouvillian(
-            model.hamiltonian[block], [(op[block], rate) for op, rate in model.collapse if rate]
-        )
-        populated = dynamics._populated_sectors(gen, np.ones(n * n, dtype=bool))
-        assert len(populated) > 1
-        seed = np.any(np.stack([rho[block].reshape(-1) for rho in rho0s]) != 0, axis=0)
-        used = np.concatenate(dynamics._populated_sectors(gen, seed))
-        empty = np.setdiff1d(np.arange(n * n), used)
-        assert empty.size > 0
         _, states = evolve_with_states(evolve_lindblad_batch, model, rho0s, times)
-        for rho_t in states:
+        rates = [(op, rate) for op, rate in model.collapse if rate]
+        for rho0, rho_t in zip(rho0s, states, strict=True):
+            # The input's own block and the sectors it populates there.
+            idx = reached_indices(model, [rho0])
+            n = idx.size
+            block = np.ix_(idx, idx)
+            gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
+            used = np.concatenate(dynamics._populated_sectors(gen, rho0[block].reshape(-1) != 0))
+            empty = np.setdiff1d(np.arange(n * n), used)
             entries = rho_t[:, idx[:, None], idx].reshape(times.size, n * n)
             assert not np.any(entries[:, empty])
-            assert np.ptp(np.abs(entries[:, used])) > 0.1  # the populated sectors move
+            if n > 1:  # but the ground state, a one-entry block that stays put
+                assert len(dynamics._populated_sectors(gen, np.ones(n * n, dtype=bool))) > 1
+                assert empty.size > 0
+                assert np.ptp(np.abs(entries[:, used])) > 0.1  # the populated sectors move
 
     def test_sectors_are_the_connected_components(self):
         # Two chains 0-1-2 and 3-4 linked one way only, and an isolated 5.
