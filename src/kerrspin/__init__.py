@@ -54,7 +54,6 @@ from kerrspin.dynamics import (
     iswap_unitary,
     process_fidelity,
     average_gate_fidelity,
-    state_fidelity,
 )
 from kerrspin.config import ConfigError, RunConfig, resolve
 from kerrspin.reporting import CheckResult, ScenarioReport
@@ -96,7 +95,6 @@ __all__ = [
     "iswap_unitary",
     "process_fidelity",
     "average_gate_fidelity",
-    "state_fidelity",
     "ConfigError",
     "RunConfig",
     "resolve",

@@ -14,15 +14,13 @@ row-major operand changes the order of no sum. Only products of a fixed
 16 x 16 size per call, in the gate metrics, are written out directly.
 
 Unitary runs use one eigendecomposition of the (time-independent)
-Hamiltonian, so they carry no step error. The states, norms and
-expectation values of all kets of a batch come in one pass over
-near-equal time blocks: a block of m time points stacks the kets' m rows
-each, and the kets share its products, one matrix product for the
-states, then per observable one product and a row-wise conjugate dot.
-The blocks are sized by the same rule (stacked rows x n x n on an
-n-state block), with a floor of 64 stacked rows (or the whole grid), so
-that large blocks keep a few large products. A one-ket batch makes the
-products it made before kets were stacked.
+Hamiltonian, so they carry no step error. One ket is evolved per call.
+Its states, norms and expectation values come in one pass over
+near-equal time blocks: a block of m time points takes one matrix
+product for the m states, then per observable one product and a
+row-wise conjugate dot. The blocks are sized by the same rule (m x n x n
+on an n-state block), with a floor of 64 time points (or the whole
+grid), so that large blocks keep a few large products.
 
 Open-system runs vectorize the density matrix row-major and build the
 generator
@@ -55,23 +53,21 @@ full model's 64 Liouville indices fall into sectors of 26, 15, 15, 4
 and 4, so its squarings cost a tenth of the whole generator's.
 
 Both kinds of run work on a coordinate subspace only: the basis states
-reachable from the initial support (one state's, a unitary batch's kets'
-together, or a gate channel's spin states) through the nonzero pattern
-of H and, for open-system runs, of every collapse operator with a
-nonzero rate and of each such C'C. Each of these operators A maps the
-span S of the reached states into itself (AP = PAP for the projector P
-onto S, so also PA' = PA'P). A unitary run therefore stays in S, and
-diagonalising the block of H on S is exact; likewise every term of the
-master equation maps a density matrix supported on S x S to another
-one, so the states never leave that block. Evolving the projected
-operators is exact, not a truncation. C'C must be in the search: the
-anticommutator term can leave a set that is closed under C alone. The
-search reads only the columns at its frontier F and applies C'C there,
-as C' @ C[:, F], so it never forms a full-space product.
-Excitation-conserving models shrink most, and models that conserve only
-a parity halve; observables are projected onto the block. A unitary
-batch searches once from the union of its kets' supports and
-diagonalises that block once for all of them.
+reachable from the initial support (one ket's or density matrix's, or
+a gate channel's spin states) through the nonzero pattern of H and, for
+open-system runs, of every collapse operator with a nonzero rate and of
+each such C'C. Each of these operators A maps the span S of the reached
+states into itself (AP = PAP for the projector P onto S, so also PA' =
+PA'P). A unitary run therefore stays in S, and diagonalising the block
+of H on S is exact; likewise every term of the master equation maps a
+density matrix supported on S x S to another one, so the states never
+leave that block. Evolving the projected operators is exact, not a
+truncation. C'C must be in the search: the anticommutator term can
+leave a set that is closed under C alone. The search reads only the
+columns at its frontier F and applies C'C there, as C' @ C[:, F], so it
+never forms a full-space product. Excitation-conserving models shrink
+most, and models that conserve only a parity halve; observables are
+projected onto the block.
 
 An open-system batch solves its states one at a time, each on its own
 block and sectors, so it holds one state's series at a time: the (T,
@@ -165,8 +161,8 @@ class LindbladModel:
             op = np.asarray(op, dtype=complex)
             if op.shape != (d, d):
                 raise ValueError("collapse operator shape mismatch")
-            if rate < 0:
-                raise ValueError("collapse rates must be >= 0")
+            if not 0.0 <= rate < np.inf:  # a NaN rate fails too
+                raise ValueError(f"collapse rate {rate} is not finite and >= 0")
             ops.append((op, float(rate)))
         self.collapse = ops
 
@@ -268,83 +264,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
     return out
 
 
-def evolve_unitary_batch(
-    h: np.ndarray,
-    kets: list[np.ndarray],
-    times: np.ndarray,
-    spec: HilbertSpec | None = None,
-    observables: dict[str, np.ndarray] | None = None,
-) -> list[Trajectory]:
-    """Closed-system evolution of several initial kets under one H, by
-    eigendecomposition (no step error).
-
-    One search finds the coordinate subspace reachable from the union of
-    the kets' supports (see the module docstring), and only the block of
-    H on it is diagonalised, once for all kets; final states are
-    zero-padded back to full size. The phases exp(-i E t) are
-    computed once; the states, norms and observable series of all kets
-    then come in one pass over the time blocks of `_time_block_edges`,
-    each block's products shared by the kets (its rows stacked ket after
-    ket) and small enough to run on the calling thread. Each ket's series
-    are views into one array; no state series is returned.
-    """
-    h = _check_hermitian(h)
-    times = _validate_times(times)
-    d = h.shape[0]
-    kets = [np.asarray(psi0, dtype=complex).reshape(-1) for psi0 in kets]
-    for psi0 in kets:
-        if psi0.shape[0] != d:
-            raise ValueError("state dimension does not match hamiltonian")
-        norm0 = np.linalg.norm(psi0)
-        if not abs(norm0 - 1.0) <= NORM_TOL:  # `not <=`: a NaN norm fails too
-            raise ValueError(f"initial state norm {norm0} deviates from 1")
-    kets = np.stack(kets)
-
-    idx = _reachable(np.any(kets != 0, axis=0), [h])
-    block = np.ix_(idx, idx)
-    obs = _project_observables(observables, spec, d, block)
-    evals, vecs = np.linalg.eigh(h[block])
-    n, n_t, n_k = idx.size, times.size, len(kets)
-    # A time block of m points stacks n_k * m rows (ket-major), and the
-    # floor counts those rows.
-    edges = _time_block_edges(n_t, n_k * n * n, -(-MIN_BLOCK_ROWS // n_k))
-    # A finite H whose phases E t overflow gives NaN states, which the
-    # norm check below reports; the warnings along the way are expected.
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-1j * np.outer(evals, times))
-
-    coeff = _matmul(vecs.conj().T, kets[:, idx].T)  # (n, kets)
-    norms = np.empty((n_k, n_t))
-    series = np.empty((len(obs), n_k, n_t))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(edges[:-1], edges[1:]):
-            rows = n_k * (b - a)
-            amplitudes = (phases[:, None, a:b] * coeff[:, :, None]).reshape(n, rows)
-            states = _matmul(vecs, amplitudes).T  # (rows, n)
-            norms[:, a:b] = np.linalg.norm(states, axis=1).reshape(n_k, b - a)
-            # <psi|O|psi> per row: one GEMM, then a row-wise conjugate dot.
-            conj = states.conj()
-            for values, op in zip(series, obs.values()):
-                product = _matmul(states, op.T)
-                values[:, a:b] = np.einsum("ti,ti->t", conj, product).real.reshape(n_k, b - a)
-    drift = np.max(np.abs(norms - 1.0), axis=1)
-    failed = ~(drift <= NORM_TOL)  # a NaN drift fails too
-    if failed.any():
-        first = drift[np.argmax(failed)]
-        raise DiagnosticsError(f"unitary norm drift {first:.3e} exceeds {NORM_TOL}")
-    final_states = np.zeros((n_k, d), dtype=complex)
-    final_states[:, idx] = states.reshape(n_k, b - a, n)[:, -1]
-    return [
-        Trajectory(
-            times=times,
-            observables=dict(zip(obs, series[:, i])),
-            final_state=final_states[i],
-            diagnostics={"norm_drift": float(drift[i]), "hilbert_dim": d, "reduced_dim": n},
-        )
-        for i in range(n_k)
-    ]
-
-
 def evolve_unitary(
     h: np.ndarray,
     psi0: np.ndarray,
@@ -352,8 +271,63 @@ def evolve_unitary(
     spec: HilbertSpec | None = None,
     observables: dict[str, np.ndarray] | None = None,
 ) -> Trajectory:
-    """Closed-system evolution of one initial ket (see the batch form)."""
-    return evolve_unitary_batch(h, [psi0], times, spec=spec, observables=observables)[0]
+    """Closed-system evolution of one initial ket under H, by
+    eigendecomposition (no step error).
+
+    A search finds the coordinate subspace reachable from the ket's
+    support (see the module docstring), and only the block of H on it is
+    diagonalised; the final state is zero-padded back to full size. The
+    phases exp(-i E t) are computed once; the states, norms and
+    observable series then come in one pass over the time blocks of
+    `_time_block_edges`, each block's products small enough to run on
+    the calling thread. No state series is returned.
+    """
+    h = _check_hermitian(h)
+    times = _validate_times(times)
+    d = h.shape[0]
+    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
+    if psi0.shape[0] != d:
+        raise ValueError("state dimension does not match hamiltonian")
+    norm0 = np.linalg.norm(psi0)
+    if not abs(norm0 - 1.0) <= NORM_TOL:  # `not <=`: a NaN norm fails too
+        raise ValueError(f"initial state norm {norm0} deviates from 1")
+
+    idx = _reachable(psi0 != 0, [h])
+    block = np.ix_(idx, idx)
+    obs = _project_observables(observables, spec, d, block)
+    evals, vecs = np.linalg.eigh(h[block])
+    n, n_t = idx.size, times.size
+    edges = _time_block_edges(n_t, n * n, MIN_BLOCK_ROWS)
+    # A finite H whose phases E t overflow gives NaN states, which the
+    # norm check below reports; the warnings along the way are expected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * np.outer(evals, times))
+
+    # An (n, 1) product: a 1-D vector takes another BLAS kernel, which
+    # rounds differently.
+    coeff = _matmul(vecs.conj().T, psi0[idx, None])
+    norms = np.empty(n_t)
+    series = np.empty((len(obs), n_t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(edges[:-1], edges[1:]):
+            states = _matmul(vecs, phases[:, a:b] * coeff).T  # (b - a, n)
+            norms[a:b] = np.linalg.norm(states, axis=1)
+            # <psi|O|psi> per row: one GEMM, then a row-wise conjugate dot.
+            conj = states.conj()
+            for values, op in zip(series, obs.values()):
+                product = _matmul(states, op.T)
+                values[a:b] = np.einsum("ti,ti->t", conj, product).real
+    drift = float(np.max(np.abs(norms - 1.0)))
+    if not drift <= NORM_TOL:  # a NaN drift fails too
+        raise DiagnosticsError(f"unitary norm drift {drift:.3e} exceeds {NORM_TOL}")
+    final_state = np.zeros(d, dtype=complex)
+    final_state[idx] = states[-1]
+    return Trajectory(
+        times=times,
+        observables=dict(zip(obs, series)),
+        final_state=final_state,
+        diagnostics={"norm_drift": drift, "hilbert_dim": d, "reduced_dim": n},
+    )
 
 
 def liouvillian(h: np.ndarray, collapse: list[tuple[np.ndarray, float]]) -> np.ndarray:
@@ -944,12 +918,3 @@ def gate_fidelities(choi: np.ndarray, target_unitary: np.ndarray):
     channel gives floats and a (phi1, phi2) tuple."""
     f_pro, phases = strip_local_phases(choi, target_unitary)
     return average_gate_fidelity(choi, target_unitary), _average_from_process(f_pro), phases
-
-
-def state_fidelity(state: np.ndarray, target: np.ndarray) -> float:
-    """Fidelity of a ket/density matrix against a target ket."""
-    target = np.asarray(target, dtype=complex).reshape(-1)
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return float(np.abs(np.vdot(target, state)) ** 2)
-    return float(np.real(np.vdot(target, _matmul(state, target))))

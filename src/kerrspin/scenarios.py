@@ -763,12 +763,14 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
 def _dissipationless_fidelity(h: np.ndarray, t: float) -> float:
     """Phase-stripped average iSWAP fidelity of the closed-system gate
-    exp(-i h t), the mode (if any) starting empty: the 4 kets |0, j> are
-    evolved together, and E(|j><k|) = Tr_mode |psi_j><psi_k| comes from
-    their final states (the mode first, the spins last)."""
+    exp(-i h t), the mode (if any) starting empty: each of the 4 kets
+    |0, j> is evolved on its own reached block, and E(|j><k|) =
+    Tr_mode |psi_j><psi_k| comes from their final states (the mode first,
+    the spins last)."""
     d = h.shape[0]
-    trajs = dyn.evolve_unitary_batch(h, np.eye(4, d, dtype=complex), [0.0, t])
-    psi = np.stack([traj.final_state for traj in trajs]).reshape(4, d // 4, 4)
+    kets = np.eye(4, d, dtype=complex)
+    finals = [dyn.evolve_unitary(h, ket, [0.0, t]).final_state for ket in kets]
+    psi = np.stack(finals).reshape(4, d // 4, 4)
     images = np.einsum("jma,kmb->jkab", psi, psi.conj()).reshape(16, 4, 4)
     return dyn.gate_fidelities(dyn.choi_from_outputs(images), dyn.iswap_unitary())[1]
 

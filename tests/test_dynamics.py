@@ -38,13 +38,11 @@ from kerrspin.dynamics import (
     evolve_lindblad,
     evolve_lindblad_batch,
     evolve_unitary,
-    evolve_unitary_batch,
     gate_fidelities,
     iswap_unitary,
     liouvillian,
     process_fidelity,
     spectral_scale,
-    state_fidelity,
     strip_local_phases,
 )
 from kerrspin.fock import (
@@ -172,9 +170,11 @@ def near_uniform_grid(t_end: float, points: int) -> np.ndarray:
 
 
 def evolve_with_states(evolve, first, inputs, times, observables=None, **kwargs):
-    """Run the batch solver `evolve(first, inputs, times, ...)` with
-    observables that read every entry of the reached block added, and
-    rebuild each input's state series from them.
+    """Run the solver `evolve` on `inputs` with observables that read
+    every entry of the reached block added, and rebuild each input's
+    state series from them. A Lindblad batch solver takes the inputs in
+    one call, `evolve(model, inputs, times, ...)`; the unitary solver
+    takes one ket per call, `evolve(h, ket, times, ...)`.
 
     O[j, i] = 1 reads Re rho[i, j] and O[j, i] = 1j reads -Im rho[i, j];
     for a unitary run rho is psi psi'. The block comes from
@@ -196,7 +196,11 @@ def evolve_with_states(evolve, first, inputs, times, observables=None, **kwargs)
             op = np.zeros((d, d), dtype=complex)
             op[j, i] = value
             entries[f"{part}[{i},{j}]"] = op
-    trajs = evolve(first, inputs, times, observables={**(observables or {}), **entries}, **kwargs)
+    observables = {**(observables or {}), **entries}
+    if isinstance(first, LindbladModel):
+        trajs = evolve(first, inputs, times, observables=observables, **kwargs)
+    else:
+        trajs = [evolve(first, psi, times, observables=observables, **kwargs) for psi in inputs]
     states = np.zeros((len(trajs), times.size, d, d), dtype=complex)
     for traj, rho in zip(trajs, states):
         for i, j in pairs:
@@ -837,7 +841,7 @@ class TestReachableUnitary:
     reaches; it must reproduce the whole-space evolution."""
 
     def assert_matches_full_space(self, spec, h, psi0, times, reduced_dim):
-        (traj,), (got,) = evolve_with_states(evolve_unitary_batch, h, [psi0], times, spec=spec)
+        (traj,), (got,) = evolve_with_states(evolve_unitary, h, [psi0], times, spec=spec)
         want = unitary_reference(h, psi0, times)
         d = spec.dim
         assert got.shape == (times.size, d, d)
@@ -1118,7 +1122,7 @@ class TestEntryObservables:
 
     def test_unitary_series_ends_on_final_state(self):
         spec, h, psi0, times = rabi_case(15)
-        (traj,), (got,) = evolve_with_states(evolve_unitary_batch, h, [psi0], times, spec=spec)
+        (traj,), (got,) = evolve_with_states(evolve_unitary, h, [psi0], times, spec=spec)
         final = traj.final_state
         # Formed by einsum, whose complex products round as the solver's
         # do (np.outer's multiply differs by up to 1.1e-16 at cutoff 20),
@@ -1689,30 +1693,6 @@ class TestTrigPoly:
         assert dynamics._trig_poly(coeff, phi, value_only=True).tobytes() == want_value.tobytes()
 
 
-class TestStateFidelity:
-    def test_pure_states(self):
-        spec = HilbertSpec.spins_only(1)
-        zero = basis_ket((0,), spec)
-        one = basis_ket((1,), spec)
-        assert state_fidelity(zero, zero) == pytest.approx(1.0)
-        assert state_fidelity(one, zero) == pytest.approx(0.0, abs=1e-15)
-
-    def test_mixed_state(self):
-        spec = HilbertSpec.spins_only(1)
-        zero = basis_ket((0,), spec)
-        assert state_fidelity(np.eye(2) / 2.0, zero) == pytest.approx(0.5)
-
-    def test_embedded_operator_expectation(self):
-        # Sanity check that the metric is basis aware: a Bell-like state
-        # against one of its components scores 1/2.
-        spec = HilbertSpec.spins_only(2)
-        bell = (basis_ket((0, 1), spec) + basis_ket((1, 0), spec)) / np.sqrt(2.0)
-        target = basis_ket((0, 1), spec)
-        assert state_fidelity(bell, target) == pytest.approx(0.5)
-        sx = embed(qubit_ops()["sx"], 0, spec)
-        assert sx.shape == (4, 4)
-
-
 class TestNonFiniteDiagnostics:
     """Every physicality check fails on NaN: each is written `not x <= tol`."""
 
@@ -1761,6 +1741,12 @@ class TestNonFiniteDiagnostics:
         with np.errstate(all="warn"):
             with pytest.raises(DiagnosticsError, match="norm drift nan"):
                 evolve_unitary(1e308 * qubit_ops()["sx"], basis_ket((0,), spec), [0.0, 10.0])
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_rate_rejected(self, rate):
+        spec = HilbertSpec.spins_only(1)
+        with pytest.raises(ValueError, match=r"collapse rate \S+ is not finite and >= 0"):
+            LindbladModel(qubit_ops()["sx"], [(qubit_ops()["sm"], rate)], spec)
 
 
 def rotated_qubit_state(lam: float) -> np.ndarray:
@@ -1890,31 +1876,10 @@ def former_evolve_unitary(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, ob
     return series, final
 
 
-def former_unitary_kets(h: np.ndarray, kets: np.ndarray, times: np.ndarray, observables: dict):
-    """The former batch loop over one time block: the union block's eigh,
-    then each ket's observable series, norms and zero-padded final state
-    from products of its own."""
-    idx = dynamics._reachable(np.any(kets != 0, axis=0), [h])
-    block = np.ix_(idx, idx)
-    evals, vecs = np.linalg.eigh(h[block])
-    phases = np.exp(-1j * np.outer(evals, times))
-    out = []
-    for psi0 in kets:
-        coeff = vecs.conj().T @ psi0[idx]
-        states = (vecs @ (phases * coeff[:, None])).T
-        series = {
-            name: np.einsum("ti,ti->t", states.conj(), states @ op[block].T).real
-            for name, op in observables.items()
-        }
-        final = np.zeros(h.shape[0], dtype=complex)
-        final[idx] = states[-1]
-        out.append((series, np.linalg.norm(states, axis=1), final))
-    return out
-
-
 class TestUnitaryBatch:
-    """evolve_unitary_batch evolves several kets on the block reached from
-    the union of their supports, with one search and one eigh."""
+    """evolve_unitary takes its grid in batches of time points, the near-equal
+    time blocks of `_time_block_edges`, and must give what the former
+    one-pass evolution gave, bit for bit."""
 
     @staticmethod
     def bitwise_cases():
@@ -1934,14 +1899,12 @@ class TestUnitaryBatch:
     def test_one_ket_bitwise_equals_former_path(self):
         for spec, h, psi0, times in self.bitwise_cases():
             observables = default_population_observables(spec)
-            (traj,) = evolve_unitary_batch(h, [psi0], times, spec=spec)
+            traj = evolve_unitary(h, psi0, times, spec=spec)
             series, final = former_evolve_unitary(h, psi0, times, observables)
             assert list(traj.observables) == list(series)
             for name, values in series.items():
                 assert traj.observables[name].tobytes() == values.tobytes()
             assert traj.final_state.tobytes() == final.tobytes()
-            single = evolve_unitary(h, psi0, times, spec=spec)
-            assert single.final_state.tobytes() == final.tobytes()
 
     @pytest.mark.parametrize("n", [2, 15, 182, 400])
     @pytest.mark.parametrize("n_t", [2, 63, 64, 65, 129, 581, 1201, 2401])
@@ -1955,102 +1918,6 @@ class TestUnitaryBatch:
         # Within the product budget unless the floor sets the length.
         if sizes.max() * n * n > dynamics.BLOCK_MULADDS:
             assert len(sizes) == max(1, n_t // dynamics.MIN_BLOCK_ROWS)
-
-    @pytest.mark.parametrize("cutoff", [None, 6])
-    def test_tomography_kets_match_one_ket_runs(self, monkeypatch, cutoff):
-        model, _rho0s, times = tomography_case(cutoff)
-        h, d = model.hamiltonian, model.spec.dim
-        kets, observables = process_basis_kets(d), pauli_observables(d)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-        trajs, states = evolve_with_states(
-            evolve_unitary_batch, h, kets, times, observables=observables
-        )
-        # |0gg>, |0ge>, |0eg>, |0ee> and, with a mode, |1gg>, |1ge>, |1eg>, |2gg>.
-        union = 4 if cutoff is None else 8
-        assert calls == [(union, union)]
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        assert len(trajs) == 16
-        for psi, traj, got in zip(kets, trajs, states):
-            (one,), (want,) = evolve_with_states(
-                evolve_unitary_batch, h, [psi], times, observables=observables
-            )
-            assert traj.diagnostics["reduced_dim"] == union
-            assert np.max(np.abs(got - want)) <= 1e-12
-            assert np.max(np.abs(traj.final_state - one.final_state)) <= 1e-12
-            for name, values in one.observables.items():
-                assert np.max(np.abs(traj.observables[name] - values)) <= 1e-12
-
-    @pytest.mark.parametrize("cutoff", [None, 6])
-    def test_kets_in_one_pass_match_one_ket_passes(self, cutoff):
-        # The 16 tomography kets at [0, t*] against one pass per ket on
-        # the same block.
-        model, _rho0s, times = tomography_case(cutoff)
-        h, d = model.hamiltonian, model.spec.dim
-        kets, observables = process_basis_kets(d), pauli_observables(d)
-        grid = times[[0, 200]]
-        trajs = evolve_unitary_batch(h, kets, grid, observables=observables)
-        want = former_unitary_kets(h, kets, grid, observables)
-        assert len(trajs) == len(want) == 16
-        for traj, (series, norms, final) in zip(trajs, want):
-            assert list(traj.observables) == list(series)
-            for name, values in series.items():
-                assert traj.observables[name].tobytes() == values.tobytes()
-            assert traj.diagnostics["norm_drift"] == float(np.max(np.abs(norms - 1.0)))
-            # Bit for bit but for the sign of a zero amplitude: OpenBLAS
-            # takes another kernel for a product of under 4 columns (one
-            # ket at 2 times), which can return -0.0 where 32 give +0.0.
-            assert np.array_equal(traj.final_state, final)
-            assert (traj.final_state + 0.0).tobytes() == (final + 0.0).tobytes()
-
-    @pytest.mark.parametrize("cutoff", [None, 6])
-    def test_kets_share_each_blocks_products(self, monkeypatch, cutoff):
-        model, _rho0s, times = tomography_case(cutoff)
-        h, d = model.hamiltonian, model.spec.dim
-        kets, observables = process_basis_kets(d), pauli_observables(d)
-        spy = _NumpySpy()
-        monkeypatch.setattr(dynamics, "np", spy)
-        trajs, states = evolve_with_states(
-            evolve_unitary_batch, h, kets, times, observables=observables
-        )
-        monkeypatch.setattr(dynamics, "np", np)
-        n = trajs[0].diagnostics["reduced_dim"]
-        # Time blocks of m points stack 16 m rows, 16 m n^2 <= BLOCK_MULADDS.
-        points = dynamics.BLOCK_MULADDS // (16 * n * n)
-        blocks = -(-times.size // points)
-        # The coefficients, then per block the states and one product per
-        # observable: the Paulis and the 2 n^2 entry observables.
-        assert len(spy.calls) == 1 + blocks * (1 + len(observables) + 2 * n * n)
-        for a_shape, b_shape, _, _ in spy.calls[1:]:
-            assert a_shape[0] * a_shape[1] * b_shape[1] <= dynamics.BLOCK_MULADDS
-        for psi0, traj, got in zip(kets, trajs, states):
-            (one,), (want,) = evolve_with_states(
-                evolve_unitary_batch, h, [psi0], times, observables=observables
-            )
-            assert np.max(np.abs(got - want)) <= 1e-12
-            assert np.max(np.abs(traj.final_state - one.final_state)) <= 1e-12
-            for name, values in one.observables.items():
-                assert np.max(np.abs(traj.observables[name] - values)) <= 1e-12
-
-    def test_dissipationless_fidelity_is_one_batch(self, monkeypatch):
-        model, _rho0s, times = tomography_case(6)
-        calls = []
-        batch = dynamics.evolve_unitary_batch
-        monkeypatch.setattr(
-            dynamics, "evolve_unitary_batch", lambda *a, **k: calls.append(1) or batch(*a, **k)
-        )
-        monkeypatch.setattr(dynamics, "evolve_unitary", None)
-        assert _dissipationless_fidelity(model.hamiltonian, times[200]) > 0.999
-        assert calls == [1]
-
-    def test_kets_validated_one_by_one(self):
-        h = qubit_ops()["sx"]
-        good = np.array([1.0, 0.0])
-        with pytest.raises(ValueError, match="state dimension does not match"):
-            evolve_unitary_batch(h, [good, np.ones(3) / np.sqrt(3.0)], [0.0, 1.0])
-        with pytest.raises(ValueError, match="initial state norm 2.0 deviates from 1"):
-            evolve_unitary_batch(h, [good, 2.0 * good], [0.0, 1.0])
 
 
 def ordered_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
