@@ -70,10 +70,11 @@ most, and models that conserve only a parity halve; observables are
 projected onto the block.
 
 An open-system batch solves its states one at a time, each on its own
-block and sectors, so it holds one state's series at a time: the (T,
-populated entries) rows it steps, and the (T, n, n) series they scatter
-into for the diagnostics. The observable series come from the rows by
-one real product. No run returns a state series.
+block and sectors, so it holds one state's series at a time. Each
+populated sector is stepped in its own (T, sector) buffer and scattered
+into the (T, n, n) series, which the diagnostics read and from which
+each observable's series tr(O rho(t)) comes by one contraction. No run
+returns a state series.
 
 A two-qubit gate channel E_t (a mode, if any, starting empty) comes as
 its Choi series from the 16 matrix units (`evolve_channel`): by
@@ -468,27 +469,22 @@ def _series_diagnostics(rho_t: np.ndarray, record_min_eigenvalue: bool) -> tuple
 
 def _populated_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
     """The sectors of the generator that meet the boolean mask `seed`, as
-    sorted index arrays, largest first (equal sizes in index order).
+    sorted index arrays, largest first (equal sizes by smallest index).
 
     A sector is a connected component of gen's nonzero pattern read as an
     undirected graph, so gen is block diagonal over its sectors: the span
     of each is invariant under gen and every polynomial in it, and a
-    state that starts at 0 on a sector stays exactly 0 there. Each index
-    is labelled by the smallest index of its sector: labels spread along
-    the pattern's edges, with pointer jumping, until they stop changing.
+    state that starts at 0 on a sector stays exactly 0 there. Each comes
+    from the reach search (`_reachable`) on the symmetric pattern, started
+    at the smallest seed index that no sector found so far holds.
     """
     linked = (gen != 0) | (gen != 0).T
-    label = np.arange(len(gen))
-    while True:
-        spread = np.minimum(label, np.min(np.where(linked, label, label.size), axis=1))
-        spread = spread[spread]
-        if np.array_equal(spread, label):
-            break
-        label = spread
-    populated = np.zeros(label.size, dtype=bool)
-    populated[label[seed]] = True
-    sectors = [np.flatnonzero(label == first) for first in np.flatnonzero(populated)]
-    return sorted(sectors, key=len, reverse=True)
+    left = seed.copy()
+    sectors = []
+    while left.any():
+        sectors.append(_reachable(np.arange(left.size) == np.argmax(left), [linked]))
+        left[sectors[-1]] = False
+    return sorted(sectors, key=lambda sector: (-sector.size, sector[0]))
 
 
 def _sector_setup(model: LindbladModel, times, populated: np.ndarray, step, step_scale):
@@ -505,7 +501,10 @@ def _sector_setup(model: LindbladModel, times, populated: np.ndarray, step, step
     rates = [(op, rate) for op, rate in model.collapse if rate != 0.0]
     idx = _reachable(np.any(populated, axis=1), [model.hamiltonian], [op for op, _ in rates])
     block = np.ix_(idx, idx)
-    gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
+    # A finite rate too large for the generator overflows to inf and NaN
+    # here; the trace diagnostic after the stepping reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = liouvillian(model.hamiltonian[block], [(op[block], rate) for op, rate in rates])
     sectors = _populated_sectors(gen, populated[block].reshape(-1))
     diagnostics = {
         "spectral_scale": scale,
@@ -598,24 +597,19 @@ def evolve_lindblad_batch(
         n, n_t = idx.size, times.size
         block = np.ix_(idx, idx)
         obs = _project_observables(observables, model.spec, d, block)
-        order = np.concatenate(sectors)
-        # rows[j] holds the row-major state vector at times[j], its entries
-        # in `order`, sector after sector; the sectors the state does not
-        # populate stay 0 and are not stored. Each sector's columns are
-        # stepped on their own (`_fill_sector`).
-        rows = np.empty((n_t, order.size), dtype=complex)
-        rows[0] = rho0[block].reshape(-1)[order]
+        # Each populated sector is stepped in its own (T, sector) buffer
+        # (`_fill_sector`) and scattered into the series; the sectors the
+        # state does not populate stay 0.
+        start = rho0[block].reshape(-1)
+        series = np.zeros((n_t, n * n), dtype=complex)
         # A generator too large for its squarings overflows to inf and NaN
         # here; the trace diagnostic below reports the non-finite states.
         with np.errstate(over="ignore", invalid="ignore"):
-            lo = 0
             for sector in sectors:
-                hi = lo + sector.size
-                k = _fill_sector(gen[np.ix_(sector, sector)], rows[:, lo:hi], 1, dt, h_req)
-                lo = hi
-
-        series = np.zeros((n_t, n * n), dtype=complex)
-        series[:, order] = rows
+                flat = np.empty((n_t, sector.size), dtype=complex)
+                flat[0] = start[sector]
+                k = _fill_sector(gen[np.ix_(sector, sector)], flat, 1, dt, h_req)
+                series[:, sector] = flat
         series = series.reshape(n_t, n, n)
         trace_dev, herm_dev, min_eig = _series_diagnostics(series, record_min_eigenvalue)
         if n < d:
@@ -623,17 +617,10 @@ def evolve_lindblad_batch(
             min_eig = np.minimum(min_eig, 0.0)
         _check_physical(trace_dev, herm_dev, min_eig)
 
-        # Re tr(O rho) = sum_ij Re rho[i, j] Re O[j, i] - Im rho[i, j] Im O[j, i]:
-        # every observable's series from one real product of the stored
-        # entries, real and imaginary parts interleaved, against the stacked
-        # parts of O^T (the unpopulated sectors' entries are 0).
-        names = list(obs)
-        columns = np.stack([obs[name].T.reshape(-1) for name in names], axis=1)[order]
-        parts = np.stack([columns.real, -columns.imag], axis=1).reshape(2 * order.size, len(names))
-        values = np.ascontiguousarray(_matmul(rows.view(float), parts).T)
+        values = {name: np.einsum("tij,ji->t", series, op).real for name, op in obs.items()}
         final = np.zeros((d, d), dtype=complex)
         final[block] = series[-1]
-        del rows, series  # before the next state's arrays are made
+        del flat, series  # before the next state's arrays are made
         diagnostics.update(
             substep=dt / k,
             max_substeps_per_interval=k,
@@ -642,7 +629,7 @@ def evolve_lindblad_batch(
         )
         if record_min_eigenvalue:
             diagnostics["min_eigenvalue"] = float(min_eig)
-        out.append(Trajectory(times, dict(zip(names, values)), final, diagnostics))
+        out.append(Trajectory(times, values, final, diagnostics))
     return out
 
 
@@ -848,8 +835,8 @@ def strip_local_phases(
     {-1, 0, 1} per axis; its five independent Fourier coefficients are
     linear in the Choi matrix J, read off with one fixed kernel. The
     maximum is located by a 48-point scan over phi1, each point at its
-    exact maximum over phi2, plus Newton refinement; then F is evaluated
-    directly there. Batched over the leading axes of
+    exact maximum over phi2, plus Newton refinement, and reported as the
+    polynomial's value there. Batched over the leading axes of
     `choi` (..., 16, 16), returning the maxima (...) and phases (..., 2);
     a single Choi matrix gives (float, (phi1, phi2)). Deterministic.
     """
@@ -901,12 +888,9 @@ def strip_local_phases(
         active[idx] = step & (np.max(np.abs(delta), axis=-1) >= 1e-13)
 
     refined = _trig_poly(coeff, phi, value_only=True)
-    best = np.where((refined >= best_val)[:, None], phi, best)
-    # Direct evaluation at the located maximum (the polynomial is exact,
-    # but report the physically evaluated value).
-    s = np.exp(1j * _matmul(best, (_LEVELS - 0.5).T))
-    w = (s.conj()[:, :, None] * vec.reshape(_GATE_DIM, _GATE_DIM)).reshape(-1, 1, _GATE_DIM**2)
-    final = np.real(w.conj() @ flat @ w.swapaxes(-1, -2))[:, 0, 0]
+    keep = refined >= best_val
+    best = np.where(keep[:, None], phi, best)
+    final = np.where(keep, refined, best_val)
     if not batch:
         return float(final[0]), (float(best[0, 0]), float(best[0, 1]))
     return final.reshape(batch), best.reshape(batch + (2,))

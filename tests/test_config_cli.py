@@ -419,27 +419,44 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "coupling-sweep", "--set", "sweep.distance_min_m=1e-20"]) == 0
 
-    @pytest.mark.parametrize("amplitude", ["1e25", "1e40", "1e153"])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            *(pytest.param(f"drive.amplitude_hz={a}", id=a) for a in ("1e25", "1e40", "1e153")),
+            pytest.param("dissipation.gamma_q=1e308", id="gamma_q-1e308"),
+            pytest.param("dissipation.kappa_m=1e308", id="kappa_m-1e308"),
+        ],
+    )
     @pytest.mark.parametrize("scenario", ["state-transfer", "iswap-fidelity"])
-    def test_overflowing_integration_warnings_as_errors(self, scenario, amplitude, tmp_path):
+    def test_overflowing_integration_warnings_as_errors(self, scenario, setting, tmp_path):
         # The console script as CI runs it, with RuntimeWarning an error.
-        # Each drive breaks the integration. At 1e40 the squarings of both
-        # scenarios' sector propagators overflow, so the states turn NaN;
-        # at 1e25, and at 1e153 in state-transfer, the smaller sector
-        # products stay finite and the trace deviation is a huge number.
+        # Each drive (from the device chain) breaks the integration. At 1e40
+        # the squarings of both scenarios' sector propagators overflow, so
+        # the states turn NaN; at 1e25, and at 1e153 in state-transfer, the
+        # smaller sector products stay finite and the trace deviation is a
+        # huge number. A finite rate of 1e308 overflows iswap-fidelity's
+        # generator itself, so its states turn NaN; state-transfer's stay
+        # finite, and at kappa 1e308 miss trace 1 by 5e-3, while at gamma
+        # 1e308 the spins relax at once and the report's checks fail.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        device = ["--from-device"] if setting.startswith("drive.") else []
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "kerrspin.cli", "run", scenario,
-             "--from-device", "--set", f"drive.amplitude_hz={amplitude}", "--out", str(tmp_path)],
+             *device, "--set", setting, "--out", str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 1
-        deviation = r"integration diagnostics failed: trace deviation (nan|\d\.\d{3}e\+\d+) exceeds"
-        assert re.search(deviation, proc.stderr)
-        if amplitude == "1e40":
-            assert "integration diagnostics failed: trace deviation nan" in proc.stderr
         assert "Traceback" not in proc.stderr
+        if scenario == "state-transfer" and setting.startswith("dissipation.gamma_q"):
+            assert "[FAIL] spin2-peak-full: observed=0" in proc.stdout
+            return
+        deviation = r"integration diagnostics failed: trace deviation (nan|\d\.\d{3}e[+-]\d+) exceeds"
+        assert re.search(deviation, proc.stderr)
+        if setting.endswith("1e40") or (scenario == "iswap-fidelity" and not device):
+            assert "integration diagnostics failed: trace deviation nan" in proc.stderr
+        if scenario == "state-transfer" and setting.startswith("dissipation.kappa_m"):
+            assert "integration diagnostics failed: trace deviation 5.000e-03" in proc.stderr
 
     @pytest.mark.parametrize("amplitude", ["1e50", "1e100", "1e150", "1e153"])
     def test_uncharged_battery_exit_one(self, amplitude, tmp_path, monkeypatch, capsys):

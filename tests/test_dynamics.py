@@ -1474,6 +1474,16 @@ class TestBoundedMemory:
         assert peak <= 6 * 2**20
 
 
+def direct_overlap(choi: np.ndarray, u: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Re <w|J|w> at each phase pair of `phases` (T, 2) for the Choi series
+    `choi` (T, 16, 16), with w = S'|U>> and S the local z-phases after the
+    channel: the physical value, evaluated directly."""
+    vec = dynamics._ideal_choi_vector(u)
+    s = np.exp(1j * phases @ (dynamics._LEVELS - 0.5).T)
+    w = (s.conj()[:, :, None] * vec.reshape(4, 4)).reshape(-1, 1, 16)
+    return np.real(w.conj() @ choi @ w.swapaxes(-1, -2))[:, 0, 0]
+
+
 class TestBatchedGateMetrics:
     """The time-batched gate metrics against the per-time-point oracle."""
 
@@ -1558,6 +1568,15 @@ class TestBatchedGateMetrics:
         want = (average_gate_fidelity(choi[200], u), (4.0 * f_pro + 1.0) / 5.0, want_phases)
         assert gate_fidelities(choi[200], u) == want
         assert type(gate_fidelities(choi[200], u)[1]) is float
+
+    @pytest.mark.parametrize("cutoff", [None, 6], ids=["written", "full"])
+    def test_maximum_equals_direct_overlap(self, cutoff):
+        # The maximum is the Fourier polynomial's own value; at the phases
+        # it returns, the direct evaluation must agree to roundoff.
+        model, _, times = tomography_case(cutoff)
+        choi, _ = evolve_channel(model, times)
+        best, phases = strip_local_phases(choi, iswap_unitary())
+        assert np.max(np.abs(best - direct_overlap(choi, iswap_unitary(), phases))) <= 1e-15
 
     def test_unbatched_inputs_keep_scalar_types(self, channel_output_series):
         u = iswap_unitary()
@@ -2037,6 +2056,25 @@ def assert_close(got, want, rel: float = 1e-12):
     assert np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
 
 
+def labelled_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
+    """The former sector finder: each index is labelled by the smallest
+    index of its sector, the labels spreading along the symmetric pattern's
+    edges with pointer jumping until they stop changing; the sectors that
+    meet `seed`, largest first, equal sizes by smallest index."""
+    linked = (gen != 0) | (gen != 0).T
+    label = np.arange(len(gen))
+    while True:
+        spread = np.minimum(label, np.min(np.where(linked, label, label.size), axis=1))
+        spread = spread[spread]
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    populated = np.zeros(label.size, dtype=bool)
+    populated[label[seed]] = True
+    sectors = [np.flatnonzero(label == first) for first in np.flatnonzero(populated)]
+    return sorted(sectors, key=len, reverse=True)
+
+
 class TestLiouvilleSectors:
     """The solver propagates each sector of an input's block generator (a
     connected component of its nonzero pattern) that the input populates;
@@ -2114,6 +2152,53 @@ class TestLiouvilleSectors:
         seed[4] = True
         assert [s.tolist() for s in dynamics._populated_sectors(gen, seed)] == [[3, 4]]
 
+    @pytest.mark.parametrize("cutoff", [6, 11])
+    @pytest.mark.parametrize("scenario", ["state-transfer", "iswap-fidelity"])
+    def test_scenario_sectors_match_labelled_oracle(self, scenario, cutoff):
+        # The solver's own block generator and seed: state-transfer's input,
+        # and the iswap-fidelity channel's 16 matrix units.
+        if scenario == "state-transfer":
+            spec, model, times = transfer_case(cutoff)
+            populated = dm(basis_ket((0, 1, 0), spec)) != 0
+        else:
+            model, _, times = tomography_case(cutoff)
+            populated = np.zeros((model.spec.dim,) * 2, dtype=bool)
+            populated[:4, :4] = True
+        _, _, _, idx, gen, sectors, _ = dynamics._sector_setup(
+            model, times, populated, None, DEFAULT_STEP_SCALE
+        )
+        seed = populated[np.ix_(idx, idx)].reshape(-1)
+        assert [s.tolist() for s in sectors] == [s.tolist() for s in labelled_sectors(gen, seed)]
+        # Every sector of the generator, equal sizes among them.
+        every = np.ones(gen.shape[0], dtype=bool)
+        want = labelled_sectors(gen, every)
+        assert len({s.size for s in want}) < len(want)
+        got = dynamics._populated_sectors(gen, every)
+        assert [s.tolist() for s in got] == [s.tolist() for s in want]
+
+    def test_random_pattern_sectors_match_labelled_oracle(self):
+        # Sectors of equal size scattered over the indices by a random
+        # permutation, each a random chain plus random extra links.
+        rng = np.random.default_rng(11)
+        sizes = [5, 3, 3, 3, 2, 2, 1, 1, 1]
+        n = sum(sizes)
+        perm = rng.permutation(n)
+        gen = np.zeros((n, n), dtype=complex)
+        # Seeded at its largest index only, a sector is met in another order
+        # than that of its smallest index.
+        largest = np.zeros(n, dtype=bool)
+        for members in np.split(perm, np.cumsum(sizes)[:-1]):
+            for a, b in zip(members[:-1], members[1:]):
+                gen[a, b] = gen[b, a] = rng.normal()
+            a, b = rng.choice(members, size=2)
+            gen[a, b] = gen[b, a] = 1.0
+            largest[members.max()] = True
+        for seed in (np.ones(n, dtype=bool), rng.random(n) < 0.4, largest):
+            want = labelled_sectors(gen, seed)
+            got = dynamics._populated_sectors(gen, seed)
+            assert [s.tolist() for s in got] == [s.tolist() for s in want]
+        assert [s.size for s in dynamics._populated_sectors(gen, np.ones(n, dtype=bool))] == sizes
+
     def test_sector_sizes_reach_the_report(self, tmp_path):
         report = run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path).as_dict()
         integrator = report["info"]["integrator"]
@@ -2163,8 +2248,6 @@ class TestProductBudget:
     FIXED_16 = {
         "_kron(u, eye) @ (eye.reshape(-1) / np.sqrt(_GATE_DIM))",
         "vec.conj() @ np.asarray(choi, dtype=complex)",
-        "w.conj() @ flat",
-        "w.conj() @ flat @ w.swapaxes(-1, -2)",
     }
 
     def test_products_go_through_the_helper(self):
@@ -2189,7 +2272,7 @@ class TestProductBudget:
         spy = _NumpySpy()
         monkeypatch.setattr(dynamics, "np", spy)
         run_scenario(scenario, resolve(scenario), tmp_path)
-        # The spy sees the run: iswap-fidelity makes 1683 calls, the others 24 to 196.
+        # The spy sees the run: iswap-fidelity makes 1683 calls, the others 24 to 191.
         assert len(spy.calls) > (1000 if scenario == "iswap-fidelity" else 20)
         over = []
         for a_shape, b_shape, a_kind, b_kind in spy.calls:
