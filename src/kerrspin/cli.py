@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every check in the run's report passed, 1 when any
 check failed or the configured drive is unstable, 2 for usage and
-configuration errors (unknown scenario, unknown key, bad value).
+configuration errors (unknown scenario, unknown key, bad value, an
+unreadable config file, an output root that cannot hold the run).
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except DiagnosticsError as err:
         print(f"error: integration diagnostics failed: {err}", file=sys.stderr)
         return 1
+    except OSError as err:  # the root is a regular file, say
+        print(f"error: cannot write artifacts under {root}: {err}", file=sys.stderr)
+        return 2
 
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

@@ -210,7 +210,13 @@ def load_config_file(path: Path | str) -> dict[str, object]:
         raw = json.loads(path.read_text(encoding="ascii"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
+    except OSError as err:  # a directory, say
+        raise ConfigError(f"cannot read config file {path}: {err.strerror or err}")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not ASCII: {err}")
+    except (ValueError, RecursionError) as err:
+        # ValueError: malformed JSON, or an integer past Python's digit
+        # limit; RecursionError: nesting deeper than the parser's stack.
         raise ConfigError(f"config file {path} is not valid JSON: {err}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -222,10 +228,11 @@ def load_config_file(path: Path | str) -> dict[str, object]:
 
 
 def parse_set_value(text: str) -> object:
-    """Parse a --set VALUE: JSON first, bare string as fallback."""
+    """Parse a --set VALUE: JSON first, bare string as fallback (also for
+    an integer past Python's digit limit or nesting past the parser's stack)."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return text
 
 

@@ -50,7 +50,10 @@ on that sector alone; the others stay exactly 0. This is exact, not an
 approximation. An excitation-conserving model splits by the difference
 of the excitation numbers of the ket and the bra: the iswap-fidelity
 full model's 64 Liouville indices fall into sectors of 26, 15, 15, 4
-and 4, so its squarings cost a tenth of the whole generator's.
+and 4, so its squarings cost a tenth of the whole generator's. Both
+open-system solvers step through `_step_sectors`: given seed rows over
+the block's Liouville indices, it steps in each populated sector the
+rows that are nonzero there, in one (T x rows, sector) buffer.
 
 Both kinds of run work on a coordinate subspace only: the basis states
 reachable from the initial support (one ket's or density matrix's, or
@@ -70,20 +73,20 @@ most, and models that conserve only a parity halve; observables are
 projected onto the block.
 
 An open-system batch solves its states one at a time, each on its own
-block and sectors, so it holds one state's series at a time. Each
-populated sector is stepped in its own (T, sector) buffer and scattered
-into the (T, n, n) series, which the diagnostics read and from which
-each observable's series tr(O rho(t)) comes by one contraction. No run
-returns a state series.
+block and sectors, so it holds one state's series at a time. The state's
+block vector is the one seed row; each populated sector's series is
+scattered into the (T, n, n) series, which the diagnostics read and from
+which each observable's series tr(O rho(t)) comes by one contraction. No
+run returns a state series.
 
 A two-qubit gate channel E_t (a mode, if any, starting empty) comes as
 its Choi series from the 16 matrix units (`evolve_channel`): by
 linearity the unit |0><0| (x) |j><k| evolves into an operator whose
 partial trace over the mode is E_t(|j><k|), and J[a*4 + j, b*4 + k] =
 E_t(|j><k|)[a, b] / 4 (Choi-Jamiolkowski; Nielsen and Chuang, sec. 8.2).
-Each unit is one entry of the state vector, so it lies in one sector,
-stepped for its own units only: 6, 4, 4, 1 and 1 units in the full
-model's sectors.
+The units are the 16 seed rows. Each is one entry of the state vector,
+so it lies in one sector, stepped for its own units only: 6, 4, 4, 1
+and 1 units in the full model's sectors.
 
 Positivity (eigenvalues at or above POSITIVITY_FLOOR) is tested on the
 hermitian part of each state's series, and of a channel's Choi
@@ -516,21 +519,30 @@ def _sector_setup(model: LindbladModel, times, populated: np.ndarray, step, step
     return times, dt, h_req, idx, gen, sectors, diagnostics
 
 
-def _fill_sector(gen: np.ndarray, flat: np.ndarray, width: int, dt: float, h_req: float) -> int:
-    """Step one sector across a uniform grid by doubling, in place, and
-    return the substeps per interval. `flat` holds `width` rows per time
-    point, time after time, each a vector's entries in the sector; the
-    first time point's rows are set."""
-    prop, k = _interval_propagator(gen, dt, h_req)
-    n_t = flat.shape[0] // width
-    m = 1
-    while m < n_t:
-        count = min(m, n_t - m)
-        _matmul(flat[: count * width], prop.T, out=flat[m * width : (m + count) * width])
-        m *= 2
-        if m < n_t:
-            prop = _matmul(prop, prop)
-    return k
+def _step_sectors(gen: np.ndarray, seeds: np.ndarray, sectors: list, n_t: int, dt: float, h_req):
+    """Step the rows of `seeds` (vectors over gen's indices) across a
+    uniform grid of n_t points, one sector of `sectors` at a time.
+
+    Per sector it yields the sector, the rows nonzero on it, their series
+    and the substeps per interval. The series is one (n_t * rows, sector)
+    buffer, a time point's rows together, filled by doubling (see the
+    module docstring); a row that is 0 on a sector stays 0 there.
+    """
+    for sector in sectors:
+        start = seeds[:, sector]
+        rows = np.flatnonzero(np.any(start != 0, axis=1))
+        prop, k = _interval_propagator(gen[np.ix_(sector, sector)], dt, h_req)
+        width = rows.size
+        flat = np.empty((n_t * width, sector.size), dtype=complex)
+        flat[:width] = start[rows]
+        m = 1
+        while m < n_t:
+            count = min(m, n_t - m)
+            _matmul(flat[: count * width], prop.T, out=flat[m * width : (m + count) * width])
+            m *= 2
+            if m < n_t:
+                prop = _matmul(prop, prop)
+        yield sector, rows, flat, k
 
 
 def _check_physical(trace_dev: float, herm_dev: float = 0.0, min_eig: float = 0.0, what: str = "state"):
@@ -543,6 +555,20 @@ def _check_physical(trace_dev: float, herm_dev: float = 0.0, min_eig: float = 0.
         raise DiagnosticsError(f"hermiticity deviation {herm_dev:.3e} exceeds 1e-10")
     if not min_eig >= POSITIVITY_FLOOR:
         raise DiagnosticsError(f"{what} eigenvalue {min_eig:.3e} below floor {POSITIVITY_FLOOR}")
+
+
+def _finish(diagnostics: dict, dt: float, k: int, trace_dev, herm_dev, min_eig, record: bool, what):
+    """End a solve: `_check_physical` on its checks, then record the
+    substep and the checks, the lowest eigenvalue only if `record`."""
+    _check_physical(trace_dev, herm_dev, min_eig, what)
+    diagnostics.update(
+        substep=dt / k,
+        max_substeps_per_interval=k,
+        trace_deviation=trace_dev,
+        hermiticity_deviation=herm_dev,
+    )
+    if record:
+        diagnostics["min_eigenvalue"] = float(min_eig)
 
 
 def evolve_lindblad_batch(
@@ -597,38 +623,26 @@ def evolve_lindblad_batch(
         n, n_t = idx.size, times.size
         block = np.ix_(idx, idx)
         obs = _project_observables(observables, model.spec, d, block)
-        # Each populated sector is stepped in its own (T, sector) buffer
-        # (`_fill_sector`) and scattered into the series; the sectors the
-        # state does not populate stay 0.
-        start = rho0[block].reshape(-1)
+        # Each populated sector's series is scattered into the state's;
+        # the sectors the state does not populate stay 0.
+        seed = rho0[block].reshape(1, -1)
         series = np.zeros((n_t, n * n), dtype=complex)
         # A generator too large for its squarings overflows to inf and NaN
         # here; the trace diagnostic below reports the non-finite states.
         with np.errstate(over="ignore", invalid="ignore"):
-            for sector in sectors:
-                flat = np.empty((n_t, sector.size), dtype=complex)
-                flat[0] = start[sector]
-                k = _fill_sector(gen[np.ix_(sector, sector)], flat, 1, dt, h_req)
+            for sector, _, flat, k in _step_sectors(gen, seed, sectors, n_t, dt, h_req):
                 series[:, sector] = flat
         series = series.reshape(n_t, n, n)
         trace_dev, herm_dev, min_eig = _series_diagnostics(series, record_min_eigenvalue)
         if n < d:
             # The full-space state's zero block contributes eigenvalue 0.
             min_eig = np.minimum(min_eig, 0.0)
-        _check_physical(trace_dev, herm_dev, min_eig)
+        _finish(diagnostics, dt, k, trace_dev, herm_dev, min_eig, record_min_eigenvalue, "state")
 
         values = {name: np.einsum("tij,ji->t", series, op).real for name, op in obs.items()}
         final = np.zeros((d, d), dtype=complex)
         final[block] = series[-1]
         del flat, series  # before the next state's arrays are made
-        diagnostics.update(
-            substep=dt / k,
-            max_substeps_per_interval=k,
-            trace_deviation=trace_dev,
-            hermiticity_deviation=herm_dev,
-        )
-        if record_min_eigenvalue:
-            diagnostics["min_eigenvalue"] = float(min_eig)
         out.append(Trajectory(times, values, final, diagnostics))
     return out
 
@@ -728,38 +742,28 @@ def evolve_channel(
     n, n_t = idx.size, times.size
     mode, spin = np.divmod(idx, _GATE_DIM)
     # The seed puts the full indices 0..3 first in the block, so unit
-    # j*4 + k is the block's entry j*n + k.
-    units = (np.arange(_GATE_DIM)[:, None] * n + np.arange(_GATE_DIM)).reshape(-1)
+    # j*4 + k is the block's entry (j, k).
+    seeds = np.zeros((_GATE_DIM**2, n * n), dtype=complex)
+    for unit in range(_GATE_DIM**2):
+        seeds[unit].reshape(n, n)[divmod(unit, _GATE_DIM)] = 1.0
     images = np.empty((n_t, 16, _GATE_DIM, _GATE_DIM), dtype=complex)
     # A generator too large for its squarings overflows to inf and NaN
     # here; the trace deviation below reports the non-finite images.
     with np.errstate(over="ignore", invalid="ignore"):
-        for sector in sectors:
-            mine = np.flatnonzero(np.isin(units, sector))
-            flat = np.zeros((n_t * mine.size, sector.size), dtype=complex)
-            flat[np.arange(mine.size), np.searchsorted(sector, units[mine])] = 1.0
-            k = _fill_sector(gen[np.ix_(sector, sector)], flat, mine.size, dt, h_req)
+        for sector, units, flat, k in _step_sectors(gen, seeds, sectors, n_t, dt, h_req):
             ket, bra = np.divmod(sector, n)
             same = np.flatnonzero(mode[ket] == mode[bra])
             trace = np.zeros((sector.size, _GATE_DIM**2), dtype=complex)
             trace[same, spin[ket[same]] * _GATE_DIM + spin[bra[same]]] = 1.0
-            images[:, mine] = _matmul(flat, trace).reshape(n_t, mine.size, _GATE_DIM, _GATE_DIM)
+            images[:, units] = _matmul(flat, trace).reshape(n_t, units.size, _GATE_DIM, _GATE_DIM)
         traces = np.einsum("tuaa->tu", images)
         trace_dev = float(np.max(np.abs(traces - np.eye(_GATE_DIM).reshape(-1))))
     # Before J is formed: choi_from_outputs' own test is looser.
     _check_physical(trace_dev)
     choi = choi_from_outputs(images)
-    del images
+    del images, seeds
     _, herm_dev, min_eig = _series_diagnostics(choi, record_min_eigenvalue)
-    _check_physical(trace_dev, herm_dev, min_eig, "Choi")
-    diagnostics.update(
-        substep=dt / k,
-        max_substeps_per_interval=k,
-        trace_deviation=trace_dev,
-        hermiticity_deviation=herm_dev,
-    )
-    if record_min_eigenvalue:
-        diagnostics["min_eigenvalue"] = min_eig
+    _finish(diagnostics, dt, k, trace_dev, herm_dev, min_eig, record_min_eigenvalue, "Choi")
     return choi, diagnostics
 
 

@@ -806,7 +806,10 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         """The channel's run record, its strip phases and its single-input
         transfer fidelity at t_star, <g e|E(|e g><e g|)|g e> = 4 J[6, 6]
         (J[a*4 + j, b*4 + k] = E(|j><k|)[a, b] / 4; up to the gate's local
-        phase); the record holds the lowest Choi eigenvalue if `record`."""
+        phase); the record holds the lowest Choi eigenvalue if `record`. A
+        rerun, of which only the record's columns and drift are read, passes
+        record=False: its positivity is certified without computing that
+        eigenvalue."""
         choi, diagnostics = dyn.evolve_channel(
             model, times, record_min_eigenvalue=record, **_step_args(cfg, halved)
         )
@@ -814,11 +817,6 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         cols = {f"favg_raw_{suffix}": raw, f"favg_stripped_{suffix}": stripped}
         run = _Run(cols, diagnostics["trace_deviation"], _integrator_info(diagnostics))
         return run, phases, 4.0 * float(choi[gate_idx, 6, 6].real)
-
-    def channel(model: dyn.LindbladModel, suffix: str, halved: bool) -> _Run:
-        """A rerun: only its columns and drift are read, so its positivity
-        is certified without computing the eigenvalue."""
-        return tomography(model, suffix, halved, record=False)[0]
 
     written = _written_model(fs, gamma)
     full = _full_model(fs, cutoff, kappa, gamma)
@@ -830,9 +828,16 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     # Gate runs: halved substep for both channels, mode cutoff bump for
     # the full channel (the written channel has no cutoff; reused).
-    fine = _merge({"effective": channel(written, "eff", True), "full": channel(full, "full", True)})
+    fine = _merge(
+        {
+            "effective": tomography(written, "eff", True, record=False)[0],
+            "full": tomography(full, "full", True, record=False)[0],
+        }
+    )
     bumped_full = _full_model(fs, cutoff + CUTOFF_BUMP, kappa, gamma)
-    bumped = _merge({"effective": eff, "full": channel(bumped_full, "full", False)})
+    bumped = _merge(
+        {"effective": eff, "full": tomography(bumped_full, "full", False, record=False)[0]}
+    )
 
     report = ScenarioReport(scenario="iswap-fidelity")
     report.outputs["fidelity"] = write_trajectory_csv(out_dir / "fidelity.csv", times, main.cols)
@@ -851,7 +856,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     # builder takes no kappa: the run at doubled mode decay is the same
     # model, and the channel must come out unchanged (TRIVIAL: it reads 0
     # by construction).
-    stripped_eff_k2 = channel(written, "eff", False).cols["favg_stripped_eff"]
+    stripped_eff_k2 = tomography(written, "eff", False, record=False)[0].cols["favg_stripped_eff"]
     report.add(
         check_le(
             "kappa-doubling-effective",
@@ -864,9 +869,11 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     # Sensitivity information (not pass/fail): spin decay x10 on the
     # written channel, mode decay x2 and the dissipationless reference on
     # the full channel.
-    gamma_x10 = channel(_written_model(fs, 10.0 * gamma), "eff", False)
+    gamma_x10 = tomography(_written_model(fs, 10.0 * gamma), "eff", False, record=False)[0]
     peak_g10 = float(np.max(gamma_x10.cols["favg_stripped_eff"]))
-    kappa_x2 = channel(_full_model(fs, cutoff, 2.0 * kappa, gamma), "full", False)
+    kappa_x2 = tomography(
+        _full_model(fs, cutoff, 2.0 * kappa, gamma), "full", False, record=False
+    )[0]
     peak_full_k2 = float(np.max(kappa_x2.cols["favg_stripped_full"]))
     full_dissipationless = _dissipationless_fidelity(full.hamiltonian, t_star)
 

@@ -173,6 +173,9 @@ class TestConfigFiles:
         assert parse_set_value("[1, 2]") == [1, 2]
         assert parse_set_value('"anchored"') == "anchored"
         assert parse_set_value("anchored") == "anchored"
+        # Past Python's int digit limit, or nested past the parser's stack.
+        for text in ("9" * 5000, "[" * 100000):
+            assert parse_set_value(text) == text
 
 
 class TestSchema:
@@ -218,6 +221,53 @@ class TestCli:
         path.write_text(json.dumps({"nope.key": 1}))
         assert main(["validate", str(path)]) == 2
         assert "nope.key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("case", ["directory", "non-ascii", "deep-nesting", "long-integer"])
+    def test_unreadable_config_exit_two(self, case, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "non-ascii":
+            path.write_bytes('{"run.out_dir": "pap\u00e9r"}'.encode())
+        elif case == "deep-nesting":
+            path.write_text("[" * 100000)
+        else:
+            path.write_text('{"run.cutoff": ' + "9" * 5000 + "}")
+        argv = ["run", "rabi", "--config", str(path)] if command == "run" else [command, str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    @pytest.mark.parametrize(
+        "value", ["9" * 5000, "[" * 100000], ids=["long-integer", "deep-nesting"]
+    )
+    def test_unparsable_set_value_exit_two(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "rabi", "--set", f"run.cutoff={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.cutoff must be an integer") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("how", ["flag", "set", "env"])
+    def test_output_root_that_is_a_file_exit_two(self, how, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("KERRSPIN_OUT", raising=False)
+        root = tmp_path / "root"
+        root.write_text("")
+        argv = ["run", "coupling-sweep"]
+        if how == "flag":
+            argv += ["--out", str(root)]
+        elif how == "set":
+            argv += ["--set", f"run.out_dir={root}"]
+        else:
+            monkeypatch.setenv("KERRSPIN_OUT", str(root))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write artifacts under {root}: ")
+        assert err.count("\n") == 1
+        assert root.read_text() == ""
 
     def test_run_default_root_and_artifacts(self, tmp_path, monkeypatch, capsys):
         # No --out and no env var: artifacts land under ./runs/<scenario>.

@@ -159,6 +159,21 @@ def spied_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+def spied_sectors(monkeypatch) -> list:
+    """(sector, rows, series shape) of every sector that
+    dynamics._step_sectors steps from now."""
+    stepped = []
+    original = dynamics._step_sectors
+
+    def spy(*args):
+        for sector, rows, flat, k in original(*args):
+            stepped.append((sector, rows, flat.shape))
+            yield sector, rows, flat, k
+
+    monkeypatch.setattr(dynamics, "_step_sectors", spy)
+    return stepped
+
+
 def near_uniform_grid(t_end: float, points: int) -> np.ndarray:
     """np.linspace(0, t_end, points) with every other point moved by 1e-12
     relative, so its steps differ in the last bits but stay uniform to 1e-9."""
@@ -555,6 +570,24 @@ class TestReachableSubspace:
         spec, model, times = transfer_case(cutoff)
         # |0, e, g> reaches |1, g, g>, |0, g, e> and, by decay, |0, g, g>.
         self.assert_matches_full_space(model, [dm(basis_ket((0, 1, 0), spec))], times, [4])
+
+    @pytest.mark.parametrize("superposed", [False, True], ids=["transfer", "superposed"])
+    def test_state_steps_each_populated_sector_once(self, monkeypatch, superposed):
+        spec, model, times = transfer_case(6)
+        ket = basis_ket((0, 1, 0), spec)
+        if superposed:
+            # Coherences with |0, g, g> populate the sectors of excitation
+            # difference +1 and -1 besides that of 0.
+            ket = (ket + basis_ket((0, 0, 0), spec)) / np.sqrt(2.0)
+        stepped = spied_sectors(monkeypatch)
+        traj = evolve_lindblad(model, dm(ket), times)
+        sizes = traj.diagnostics["liouville_sectors"]
+        assert len(sizes) == (3 if superposed else 1)
+        assert [(sector.size, rows.tolist(), shape) for sector, rows, shape in stepped] == [
+            (size, [0], (281, size)) for size in sizes
+        ]
+        sectors = np.concatenate([sector for sector, _, _ in stepped])
+        assert np.unique(sectors).size == sectors.size
 
     def test_iswap_full_channel(self):
         spec, model, times = transfer_case(6)
@@ -1044,12 +1077,14 @@ class TestChannel:
 
     def test_units_step_only_their_own_sector(self, monkeypatch):
         model, _rho0s, times = tomography_case(6)
-        calls = spied_calls(monkeypatch, dynamics, "_fill_sector")
+        stepped = spied_sectors(monkeypatch)
         evolve_channel(model, times)
         # 6, 4, 4, 1 and 1 of the 16 units in sectors of 26, 15, 15, 4 and 4.
-        got = [(gen.shape[0], flat.shape, width) for gen, flat, width, _dt, _h in calls]
+        got = [(sector.size, shape, rows.size) for sector, rows, shape in stepped]
         sizes, units = [26, 15, 15, 4, 4], [6, 4, 4, 1, 1]
         assert got == [(s, (281 * u, s), u) for s, u in zip(sizes, units)]
+        # Each unit is stepped in one sector only.
+        assert sorted(np.concatenate([rows for _, rows, _ in stepped])) == list(range(16))
 
     @pytest.mark.parametrize("cutoff", [None, 6], ids=["written", "full-6"])
     def test_certified_run_bitwise_equal(self, cutoff):
