@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
+    echo,
     load_config_file,
     parse_set_value,
     resolve,
@@ -88,7 +89,7 @@ def _cmd_validate(path: str) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
-        print(f"error: unknown scenario {args.scenario!r} (known: {known})", file=sys.stderr)
+        print(f"error: unknown scenario {echo(args.scenario)} (known: {known})", file=sys.stderr)
         return 2
 
     try:
@@ -97,7 +98,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for item in args.sets:
             key, sep, raw = item.partition("=")
             if not sep:
-                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+                raise ConfigError(f"--set expects KEY=VALUE, got {echo(item)}")
             set_pairs.append((key.strip(), parse_set_value(raw)))
         flag_values = {
             "run.out_dir": args.out,

@@ -23,24 +23,34 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad types, or out-of-range values."""
 
 
+def echo(value: object) -> str:
+    """An input's repr for an error message: in full up to 80 characters,
+    else its first 60 characters and its length, so that one bad value
+    cannot make a message of unbounded size."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    return f"{text[:60]}... ({len(text)} characters)"
+
+
 def _non_negative(key: str, value: float) -> None:
     if value < 0:
-        raise ConfigError(f"{key} must be >= 0, got {value}")
+        raise ConfigError(f"{key} must be >= 0, got {echo(value)}")
 
 
 def _positive(key: str, value: float) -> None:
     if value <= 0:
-        raise ConfigError(f"{key} must be > 0, got {value}")
+        raise ConfigError(f"{key} must be > 0, got {echo(value)}")
 
 
 def _unit_interval_open(key: str, value: float) -> None:
     if not 0 < value <= 1:
-        raise ConfigError(f"{key} must be in (0, 1], got {value}")
+        raise ConfigError(f"{key} must be in (0, 1], got {echo(value)}")
 
 
 def _positive_int(key: str, value: int) -> None:
     if value < 2:
-        raise ConfigError(f"{key} must be an integer >= 2, got {value}")
+        raise ConfigError(f"{key} must be an integer >= 2, got {echo(value)}")
 
 
 MAX_SWEEP_POINTS = 1_000_000  # the sweep's grids, columns and CSVs grow with it
@@ -48,25 +58,25 @@ MAX_SWEEP_POINTS = 1_000_000  # the sweep's grids, columns and CSVs grow with it
 
 def _sweep_points(key: str, value: int) -> None:
     if not 2 <= value <= MAX_SWEEP_POINTS:
-        raise ConfigError(f"{key} must be an integer from 2 to {MAX_SWEEP_POINTS}, got {value}")
+        raise ConfigError(f"{key} must be an integer from 2 to {MAX_SWEEP_POINTS}, got {echo(value)}")
 
 
 def _choice(options: tuple[str, ...]):
     def check(key: str, value: str) -> None:
         if value not in options:
-            raise ConfigError(f"{key} must be one of {options}, got {value!r}")
+            raise ConfigError(f"{key} must be one of {options}, got {echo(value)}")
 
     return check
 
 
 def _int_list(key: str, value: list) -> None:
     if not value or any((not isinstance(v, int)) or v < 1 for v in value):
-        raise ConfigError(f"{key} must be a non-empty list of integers >= 1, got {value}")
+        raise ConfigError(f"{key} must be a non-empty list of integers >= 1, got {echo(value)}")
 
 
 def _float_list_positive(key: str, value: list) -> None:
     if not value or any(v <= 0 for v in value):
-        raise ConfigError(f"{key} must be a non-empty list of positive numbers, got {value}")
+        raise ConfigError(f"{key} must be a non-empty list of positive numbers, got {echo(value)}")
 
 
 @dataclass(frozen=True)
@@ -137,13 +147,13 @@ def _finite_float(key: str, raw: object) -> float:
     """A JSON number as a float; NaN, +-Infinity and overflowing integers
     (json.loads accepts all three) are rejected."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {raw!r}")
+        raise ConfigError(f"{key} must be a number, got {echo(raw)}")
     try:
         value = float(raw)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+        raise ConfigError(f"{key} must be a finite number, got {echo(raw)}")
     return value
 
 
@@ -157,24 +167,24 @@ def _coerce(field: FieldSpec, raw: object) -> object:
     if kind in ("bool",):
         if isinstance(raw, bool):
             return raw
-        raise ConfigError(f"{field.key} must be a boolean, got {raw!r}")
+        raise ConfigError(f"{field.key} must be a boolean, got {echo(raw)}")
     if kind in ("int", "optional_int"):
         if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError(f"{field.key} must be an integer, got {raw!r}")
+            raise ConfigError(f"{field.key} must be an integer, got {echo(raw)}")
         return int(raw)
     if kind in ("float", "optional_float"):
         return _finite_float(field.key, raw)
     if kind in ("str", "optional_str"):
         if not isinstance(raw, str):
-            raise ConfigError(f"{field.key} must be a string, got {raw!r}")
+            raise ConfigError(f"{field.key} must be a string, got {echo(raw)}")
         return raw
     if kind == "int_list":
         if not isinstance(raw, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in raw):
-            raise ConfigError(f"{field.key} must be a list of integers, got {raw!r}")
+            raise ConfigError(f"{field.key} must be a list of integers, got {echo(raw)}")
         return [int(v) for v in raw]
     if kind == "float_list":
         if not isinstance(raw, list):
-            raise ConfigError(f"{field.key} must be a list of numbers, got {raw!r}")
+            raise ConfigError(f"{field.key} must be a list of numbers, got {echo(raw)}")
         return [_finite_float(field.key, v) for v in raw]
     raise ConfigError(f"internal: unknown kind {kind}")
 
@@ -185,7 +195,7 @@ def defaults() -> dict[str, object]:
 
 def _apply(values: dict[str, object], key: str, raw: object, origin: str) -> None:
     if key not in SCHEMA:
-        raise ConfigError(f"unknown configuration key {key!r} (from {origin})")
+        raise ConfigError(f"unknown configuration key {echo(key)} (from {origin})")
     field = SCHEMA[key]
     value = _coerce(field, raw)
     if value is not None and field.validator is not None:

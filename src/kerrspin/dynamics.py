@@ -88,12 +88,16 @@ The units are the 16 seed rows. Each is one entry of the state vector,
 so it lies in one sector, stepped for its own units only: 6, 4, 4, 1
 and 1 units in the full model's sectors.
 
-Positivity (eigenvalues at or above POSITIVITY_FLOOR) is tested on the
-hermitian part of each state's series, and of a channel's Choi
-series: J is a trace-1 state, and its positivity is complete positivity,
-which no set of inputs can test. A run that does not report its lowest
-eigenvalue (`min_eigenvalue`) certifies it by a Cholesky factorisation
-instead (`_certified_above_floor`), with the same pass or fail.
+Both open-system solvers end in one physicality gate (`_finish`) on a
+(T, n, n) series: a state's on its block, or a channel's Choi series.
+It tests the trace deviation that the caller measured (a state's from
+its series, a channel's from its images), then the series' hermiticity,
+then its positivity (eigenvalues at or above POSITIVITY_FLOOR) on the
+hermitian part. J is a trace-1 state, and its positivity is complete
+positivity, which no set of inputs can test. A run that does not report
+its lowest eigenvalue (`min_eigenvalue`) certifies it by a Cholesky
+factorisation instead (`_certified_above_floor`), with the same pass or
+fail.
 
 The gate metrics score Choi matrices against the ideal excitation-swap
 gate, raw and maximized over the two local z-phases, over leading batch
@@ -447,29 +451,6 @@ def _certified_above_floor(sym: np.ndarray) -> bool:
     return True
 
 
-def _series_diagnostics(rho_t: np.ndarray, record_min_eigenvalue: bool) -> tuple[float, float, float]:
-    """Trace deviation, hermiticity deviation and lowest eigenvalue of a
-    (T, n, n) series, a state's on its block or a channel's Choi series;
-    its temporaries end with the call.
-
-    Each test is written as `not <=` so that a non-finite state (an
-    overflowing propagator) fails it; a series that fails its trace or
-    hermiticity test skips positivity, since eigvalsh cannot take such a
-    state. The lowest eigenvalue is inf where positivity is skipped, or
-    where it goes unreported and the Cholesky certificate holds.
-    """
-    adjoint = rho_t.conj().swapaxes(-1, -2)
-    trace_dev = float(np.max(np.abs(np.einsum("tjj->t", rho_t) - 1.0)))
-    herm_dev = float(np.max(np.abs(rho_t - adjoint)))
-    if not (trace_dev <= TRACE_TOL and herm_dev <= 1e-10):
-        return trace_dev, herm_dev, np.inf
-    sym = 0.5 * (rho_t + adjoint)
-    del adjoint
-    if record_min_eigenvalue or not _certified_above_floor(sym):
-        return trace_dev, herm_dev, float(np.min(np.linalg.eigvalsh(sym)))
-    return trace_dev, herm_dev, np.inf
-
-
 def _populated_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
     """The sectors of the generator that meet the boolean mask `seed`, as
     sorted index arrays, largest first (equal sizes by smallest index).
@@ -545,22 +526,31 @@ def _step_sectors(gen: np.ndarray, seeds: np.ndarray, sectors: list, n_t: int, d
         yield sector, rows, flat, k
 
 
-def _check_physical(trace_dev: float, herm_dev: float = 0.0, min_eig: float = 0.0, what: str = "state"):
-    """Raise DiagnosticsError on the first of the trace, hermiticity and
-    positivity tests that fails; each is written `not <=` (or `not >=`) so
-    that a NaN fails it."""
+def _finish(diagnostics: dict, series: np.ndarray, trace_dev: float, dt: float, k: int, record, what):
+    """End a solve: the physicality gate on its (T, n, n) `series` (a
+    state's on its block, or a channel's Choi series) and the trace
+    deviation the caller measured, then the record of the substep and the
+    checks, the lowest eigenvalue only if `record`.
+
+    The first test that fails raises, in the order trace, hermiticity,
+    positivity; each is written `not <=` (or `not >=`) so that a NaN fails
+    it. The trace is tested before the series is read, so a non-finite
+    series (an overflowing propagator) goes no further. Positivity is
+    tested on the hermitian part, by eigvalsh if `record`, else by the
+    Cholesky certificate with eigvalsh where that fails.
+    """
     if not trace_dev <= TRACE_TOL:
         raise DiagnosticsError(f"trace deviation {trace_dev:.3e} exceeds {TRACE_TOL}")
+    adjoint = series.conj().swapaxes(-1, -2)
+    herm_dev = float(np.max(np.abs(series - adjoint)))
     if not herm_dev <= 1e-10:
         raise DiagnosticsError(f"hermiticity deviation {herm_dev:.3e} exceeds 1e-10")
-    if not min_eig >= POSITIVITY_FLOOR:
-        raise DiagnosticsError(f"{what} eigenvalue {min_eig:.3e} below floor {POSITIVITY_FLOOR}")
-
-
-def _finish(diagnostics: dict, dt: float, k: int, trace_dev, herm_dev, min_eig, record: bool, what):
-    """End a solve: `_check_physical` on its checks, then record the
-    substep and the checks, the lowest eigenvalue only if `record`."""
-    _check_physical(trace_dev, herm_dev, min_eig, what)
+    sym = 0.5 * (series + adjoint)
+    del adjoint
+    if record or not _certified_above_floor(sym):
+        min_eig = float(np.min(np.linalg.eigvalsh(sym)))
+        if not min_eig >= POSITIVITY_FLOOR:
+            raise DiagnosticsError(f"{what} eigenvalue {min_eig:.3e} below floor {POSITIVITY_FLOOR}")
     diagnostics.update(
         substep=dt / k,
         max_substeps_per_interval=k,
@@ -568,7 +558,7 @@ def _finish(diagnostics: dict, dt: float, k: int, trace_dev, herm_dev, min_eig, 
         hermiticity_deviation=herm_dev,
     )
     if record:
-        diagnostics["min_eigenvalue"] = float(min_eig)
+        diagnostics["min_eigenvalue"] = min_eig
 
 
 def evolve_lindblad_batch(
@@ -633,11 +623,11 @@ def evolve_lindblad_batch(
             for sector, _, flat, k in _step_sectors(gen, seed, sectors, n_t, dt, h_req):
                 series[:, sector] = flat
         series = series.reshape(n_t, n, n)
-        trace_dev, herm_dev, min_eig = _series_diagnostics(series, record_min_eigenvalue)
-        if n < d:
+        trace_dev = float(np.max(np.abs(np.einsum("tjj->t", series) - 1.0)))
+        _finish(diagnostics, series, trace_dev, dt, k, record_min_eigenvalue, "state")
+        if record_min_eigenvalue and n < d:
             # The full-space state's zero block contributes eigenvalue 0.
-            min_eig = np.minimum(min_eig, 0.0)
-        _finish(diagnostics, dt, k, trace_dev, herm_dev, min_eig, record_min_eigenvalue, "state")
+            diagnostics["min_eigenvalue"] = min(0.0, diagnostics["min_eigenvalue"])
 
         values = {name: np.einsum("tij,ji->t", series, op).real for name, op in obs.items()}
         final = np.zeros((d, d), dtype=complex)
@@ -683,6 +673,14 @@ def iswap_unitary() -> np.ndarray:
     return u
 
 
+def _reshuffle(outputs: np.ndarray) -> np.ndarray:
+    """J[a*4 + j, b*4 + k] = E(|j><k|)[a, b] / 4 from the (..., 16, 4, 4)
+    images, unchecked."""
+    batch = outputs.shape[:-3]
+    choi = np.einsum("...jkab->...ajbk", outputs.reshape(batch + (_GATE_DIM,) * 4))
+    return choi.reshape(batch + (_GATE_DIM**2, _GATE_DIM**2)) / _GATE_DIM
+
+
 def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
     """Choi matrices from the images E(|j><k|) of the 16 matrix units.
 
@@ -697,9 +695,7 @@ def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
     if outputs.shape[-3:] != (16, _GATE_DIM, _GATE_DIM):
         raise ValueError("expected 16 outputs of shape (4, 4)")
     batch = outputs.shape[:-3]
-    choi = np.einsum("...jkab->...ajbk", outputs.reshape(batch + (_GATE_DIM,) * 4))
-    choi = choi.reshape(batch + (_GATE_DIM**2, _GATE_DIM**2)) / _GATE_DIM
-
+    choi = _reshuffle(outputs)
     reduced = np.einsum("...aiaj->...ij", choi.reshape(batch + (_GATE_DIM,) * 4))
     defect = np.max(np.abs(_GATE_DIM * reduced - np.eye(_GATE_DIM)), axis=(-2, -1))
     worst = int(np.argmax(defect))  # a NaN defect is the worst
@@ -728,8 +724,10 @@ def evolve_channel(
     one product per sector with the 0/1 matrix that adds each entry whose
     ket and bra share a mode level to its spin entry. The tests, with the
     step, grid and certificate rules of evolve_lindblad_batch: the trace
-    deviation max |tr E_t(|j><k|) - delta_jk|, J's hermiticity and J's
-    lowest eigenvalue (`min_eigenvalue`).
+    deviation max |tr E_t(|j><k|) - delta_jk|, taken on the images, J's
+    hermiticity and J's lowest eigenvalue (`min_eigenvalue`). J comes from
+    the images by the bare reshuffle: choi_from_outputs' own test, of
+    4 tr_out J - I, would measure the trace deviation a second time.
     """
     d = model.spec.dim
     if model.spec.dims[-2:] != (2, 2):
@@ -758,12 +756,9 @@ def evolve_channel(
             images[:, units] = _matmul(flat, trace).reshape(n_t, units.size, _GATE_DIM, _GATE_DIM)
         traces = np.einsum("tuaa->tu", images)
         trace_dev = float(np.max(np.abs(traces - np.eye(_GATE_DIM).reshape(-1))))
-    # Before J is formed: choi_from_outputs' own test is looser.
-    _check_physical(trace_dev)
-    choi = choi_from_outputs(images)
+    choi = _reshuffle(images)
     del images, seeds
-    _, herm_dev, min_eig = _series_diagnostics(choi, record_min_eigenvalue)
-    _finish(diagnostics, dt, k, trace_dev, herm_dev, min_eig, record_min_eigenvalue, "Choi")
+    _finish(diagnostics, choi, trace_dev, dt, k, record_min_eigenvalue, "Choi")
     return choi, diagnostics
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import device
 from . import dynamics as dyn
 from . import hamiltonians as ham
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, echo
 from .fock import HilbertSpec, annihilation, basis_ket, dm, embed, qubit_ops
 from .reporting import (
     CheckResult,
@@ -162,7 +162,8 @@ def _resolve_frame(
 ) -> FrameSpec:
     """The frame derived from the device with run.from_device, else from the
     frame.* keys, each unset one from its scenario default (a multiple of
-    the coupling G)."""
+    the coupling G). A caller passes exactly one of `delta_s_factor` and
+    `delta_minus_factor`."""
     if cfg["run.from_device"]:
         return _device_frame(cfg)
     coupling = cfg.angular_or_none("frame.coupling_hz")
@@ -181,7 +182,7 @@ def _resolve_frame(
     elif delta_minus_factor is not None:
         delta_s = delta_q + delta_minus_factor * coupling
     else:
-        delta_s = (delta_s_factor if delta_s_factor is not None else 1.0) * coupling
+        delta_s = delta_s_factor * coupling
     return FrameSpec(
         coupling=coupling,
         delta_q=delta_q,
@@ -539,7 +540,7 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     # Each level names a CSV; the speedup and power checks compare the
     # lowest level with the highest.
     if len(set(levels)) < max(len(levels), 2):
-        raise ConfigError(f"battery.fock_levels needs 2 or more distinct entries, got {levels}")
+        raise ConfigError(f"battery.fock_levels needs 2 or more distinct entries, got {echo(levels)}")
     coupling = fs.coupling
     window = 2.0 * _time_scale(coupling, fs.keys)  # pi / G
     base_points = 1600
@@ -929,10 +930,10 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 
     # Labels name CSVs and columns; the shrink exponent divides by log(r_big / r_mid).
     if len({tag(ratio) for ratio in ratios}) < max(len(ratios), 2):
-        raise ConfigError(f"dispersive.ratios needs 2 or more distinct entries, got {ratios}")
+        raise ConfigError(f"dispersive.ratios needs 2 or more distinct entries, got {echo(ratios)}")
     if any(fs.delta_q + ratio * fs.coupling == fs.delta_q for ratio in ratios):
         keys = dict.fromkeys([fs.keys["coupling"], fs.keys["delta_q"], "dispersive.ratios"])
-        raise ConfigError(f"{', '.join(keys)} {ratios}: a gap ratio * G rounds to 0 at delta_q")
+        raise ConfigError(f"{', '.join(keys)} {echo(ratios)}: a gap ratio * G rounds to 0 at delta_q")
 
     def grid(ratio: float, coupling: float, factor: int) -> np.ndarray:
         t_star = _time_scale(coupling, {**fs.keys, "gap": "dispersive.ratios"}, ratio * coupling)

@@ -20,6 +20,7 @@ from kerrspin.cli import main
 from kerrspin.config import (
     ConfigError,
     defaults,
+    echo,
     load_config_file,
     parse_set_value,
     resolve,
@@ -249,6 +250,38 @@ class TestCli:
         assert main(["run", "rabi", "--set", f"run.cutoff={value}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: run.cutoff must be an integer") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["set-value", "unknown-key", "file-value"])
+    def test_long_input_echo_capped(self, case, tmp_path):
+        # The console script, whose stack is as shallow as a user's: a
+        # 960-deep list then parses and reaches the integer check. The
+        # message echoes a long input's first 60 characters and its
+        # length, not the whole input.
+        key, args = "run.cutoff", ["--out", str(tmp_path)]
+        if case == "set-value":
+            args += ["--set", f"{key}=" + "[" * 100000]
+        elif case == "unknown-key":
+            key = "k" * 100000
+            args += ["--set", f"{key}=1"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text('{"run.cutoff": ' + "[" * 960 + "]" * 960 + "}")
+            args += ["--config", str(path)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kerrspin.cli", "run", "rabi", *args],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert len(proc.stderr) <= 300
+        assert key[:50].encode() in proc.stderr
+
+    def test_echo_caps_reprs_past_80_characters(self):
+        assert echo("x" * 78) == repr("x" * 78)
+        assert echo([1.5, 2]) == str([1.5, 2])
+        assert echo("x" * 79) == "'" + "x" * 59 + "... (81 characters)"
 
     @pytest.mark.parametrize("how", ["flag", "set", "env"])
     def test_output_root_that_is_a_file_exit_two(self, how, tmp_path, monkeypatch, capsys):

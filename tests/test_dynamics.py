@@ -1128,13 +1128,21 @@ class TestChannel:
 
     def test_overflowing_channel_fails_trace_check(self):
         # The squared-up propagator overflows and the images turn NaN; the
-        # trace check names them before J is formed.
+        # trace check, on the images, names them before J is read.
         spec = HilbertSpec.spins_only(2)
         q = qubit_ops()
         decay = [(embed(q["sm"], 1, spec), 1.0)]
         model = LindbladModel(1e100 * embed(q["sx"], 0, spec), decay, spec)
         with pytest.raises(DiagnosticsError, match=r"^trace deviation nan exceeds 1e-08$"):
             evolve_channel(model, np.linspace(0.0, 1.0, 3))
+
+    def test_iswap_fidelity_reshuffles_its_channels_unchecked(self, tmp_path, monkeypatch):
+        # The channels' trace deviation is tested once, on their images;
+        # choi_from_outputs and its test serve the two dissipationless
+        # references only.
+        calls = spied_calls(monkeypatch, dynamics, "choi_from_outputs")
+        run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path)
+        assert len(calls) == 2
 
     def test_needs_two_spins_last(self):
         for spec in (HilbertSpec.spins_only(1), mode_only_spec(4)):
@@ -1443,6 +1451,57 @@ class TestBatchedDiagnostics:
         # eigvalsh sees the ground state itself at t = 0, cholesky it
         # shifted by -floor/2.
         assert np.max(np.abs(series[0][0] - ground)) <= abs(POSITIVITY_FLOOR)
+
+
+def perturbed_sectors(monkeypatch, shifts: dict[int, float]) -> None:
+    """dynamics._step_sectors from now, with shifts[i] added to every row
+    of a stepped series at the block's Liouville index i."""
+    original = dynamics._step_sectors
+
+    def spy(*args):
+        for sector, rows, flat, k in original(*args):
+            for index, shift in shifts.items():
+                flat[:, sector == index] += shift
+            yield sector, rows, flat, k
+
+    monkeypatch.setattr(dynamics, "_step_sectors", spy)
+
+
+class TestPhysicalityGate:
+    """Both open-system solvers end in one gate: the trace test, then the
+    hermiticity test, then positivity, the first that fails raising."""
+
+    @staticmethod
+    def solve(solver: str, record: bool):
+        # Both spins driven: from |gg>, and from the channel's units, the
+        # block is the two spins and one sector holds all 16 of its
+        # Liouville indices.
+        spec = HilbertSpec.spins_only(2)
+        sx = qubit_ops()["sx"]
+        model = LindbladModel(embed(sx, 0, spec) + embed(sx, 1, spec), [], spec)
+        times = np.linspace(0.0, 1.0, 3)
+        if solver == "channel":
+            return evolve_channel(model, times, record_min_eigenvalue=record)
+        ground = dm(basis_ket((0, 0), spec))
+        return evolve_lindblad(model, ground, times, record_min_eigenvalue=record)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("solver", ["state", "channel"])
+    @pytest.mark.parametrize(
+        "shifts, message",
+        [
+            ({1: 1e-6}, r"^hermiticity deviation \d\.\d{3}e-0[67] exceeds 1e-10$"),
+            ({0: 1e-6, 1: 1e-6}, r"^trace deviation 1\.000e-06 exceeds 1e-08$"),
+        ],
+        ids=["hermiticity", "trace-and-hermiticity"],
+    )
+    def test_trace_then_hermiticity(self, monkeypatch, shifts, message, solver, record):
+        self.solve(solver, record)
+        # Block index 1 is the off-diagonal entry (0, 1) of the state, or of
+        # every unit's image; index 0 is the diagonal entry (0, 0).
+        perturbed_sectors(monkeypatch, shifts)
+        with pytest.raises(DiagnosticsError, match=message):
+            self.solve(solver, record)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
