@@ -46,8 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override one configuration key (repeatable); VALUE parses as JSON",
     )
-    run_p.add_argument("--cutoff", type=int, help="bosonic mode truncation dimension")
-    run_p.add_argument("--step", type=float, help="dissipative substep in seconds")
+    # Text: _cmd_run converts it (_number), so that the schema refuses a bad
+    # value in the same one line as a bad --set value, with no usage block.
+    run_p.add_argument("--cutoff", help="bosonic mode truncation dimension")
+    run_p.add_argument("--step", help="dissipative substep in seconds")
     run_p.add_argument(
         "--from-device",
         action="store_true",
@@ -86,6 +88,16 @@ def _cmd_validate(path: str) -> int:
     return 0
 
 
+def _number(text: str | None, parse: type) -> object:
+    """A flag's text as parse(text) (int or float, accepting what argparse's
+    type= did); None, for a flag not given, and a text that does not parse
+    are passed on unchanged, for the schema to skip or refuse."""
+    try:
+        return parse(text)
+    except (TypeError, ValueError):
+        return text
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
@@ -102,8 +114,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             set_pairs.append((key.strip(), parse_set_value(raw)))
         flag_values = {
             "run.out_dir": args.out,
-            "run.cutoff": args.cutoff,
-            "run.step": args.step,
+            "run.cutoff": _number(args.cutoff, int),
+            "run.step": _number(args.step, float),
             "run.from_device": True if args.from_device else None,
             "frame.angular": True if args.angular else None,
         }

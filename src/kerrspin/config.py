@@ -5,6 +5,28 @@ highest: built-in defaults, config file, --set overrides, dedicated CLI
 flags. Unknown keys are rejected by full path. A value of None means
 "scenario chooses its own default".
 
+The schema is one table, `_FIELDS`: a key, a kind, a default, a help
+text and an optional range rule per field. A default of None is what
+makes a field optional: only such a field accepts null, and the schema
+document lists its kind as "optional_<kind>". Every value, whether from a
+file, a --set pair or a dedicated flag, takes one path. `_coerce` checks
+its type against the kind's (test, noun) entry in `_TYPES`, and a float
+must also be finite. `_apply` then tests the field's (test, text) rule
+and refuses a value that fails as "<key> must be <text>, got <value>".
+The rules:
+
+    >= 0                     dissipation.*, device.distance_m,
+                             device.bias_t, drive.amplitude_hz
+    > 0                      run.step, frame.coupling_hz, the sweep.*
+                             edges and fixed values, device.radius_m,
+                             device.omega_q_hz
+    in (0, 1]                run.step_scale
+    an integer >= 2          run.cutoff
+    2 to MAX_SWEEP_POINTS    sweep.radius_points, sweep.distance_points
+    non-empty, each >= 1     battery.fock_levels
+    non-empty, each > 0      dispersive.ratios
+    one of a tuple           device.calibration, convention.sign
+
 Frequency-like inputs carry an explicit unit in the key name: *_hz keys
 are ordinary frequencies multiplied by 2*pi on use unless frame.angular
 is true, in which case they are taken as angular rates directly. Decay
@@ -33,112 +55,83 @@ def echo(value: object) -> str:
     return f"{text[:60]}... ({len(text)} characters)"
 
 
-def _non_negative(key: str, value: float) -> None:
-    if value < 0:
-        raise ConfigError(f"{key} must be >= 0, got {echo(value)}")
-
-
-def _positive(key: str, value: float) -> None:
-    if value <= 0:
-        raise ConfigError(f"{key} must be > 0, got {echo(value)}")
-
-
-def _unit_interval_open(key: str, value: float) -> None:
-    if not 0 < value <= 1:
-        raise ConfigError(f"{key} must be in (0, 1], got {echo(value)}")
-
-
-def _positive_int(key: str, value: int) -> None:
-    if value < 2:
-        raise ConfigError(f"{key} must be an integer >= 2, got {echo(value)}")
-
-
 MAX_SWEEP_POINTS = 1_000_000  # the sweep's grids, columns and CSVs grow with it
 
-
-def _sweep_points(key: str, value: int) -> None:
-    if not 2 <= value <= MAX_SWEEP_POINTS:
-        raise ConfigError(f"{key} must be an integer from 2 to {MAX_SWEEP_POINTS}, got {echo(value)}")
-
-
-def _choice(options: tuple[str, ...]):
-    def check(key: str, value: str) -> None:
-        if value not in options:
-            raise ConfigError(f"{key} must be one of {options}, got {echo(value)}")
-
-    return check
+# Range rules: (test, text). A value that fails its field's test is refused
+# as "<key> must be <text>, got <value>".
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_UNIT_INTERVAL_OPEN = (lambda v: 0 < v <= 1, "in (0, 1]")
+_CUTOFF = (lambda v: v >= 2, "an integer >= 2")
+_SWEEP_POINTS = (lambda v: 2 <= v <= MAX_SWEEP_POINTS, f"an integer from 2 to {MAX_SWEEP_POINTS}")
+_LEVELS = (lambda v: v and min(v) >= 1, "a non-empty list of integers >= 1")
+_RATIOS = (lambda v: v and min(v) > 0, "a non-empty list of positive numbers")
 
 
-def _int_list(key: str, value: list) -> None:
-    if not value or any((not isinstance(v, int)) or v < 1 for v in value):
-        raise ConfigError(f"{key} must be a non-empty list of integers >= 1, got {echo(value)}")
-
-
-def _float_list_positive(key: str, value: list) -> None:
-    if not value or any(v <= 0 for v in value):
-        raise ConfigError(f"{key} must be a non-empty list of positive numbers, got {echo(value)}")
+def _one_of(*options: str) -> tuple:
+    return (lambda v: v in options, f"one of {options}")
 
 
 @dataclass(frozen=True)
 class FieldSpec:
     key: str
-    kind: str  # "int", "float", "bool", "str", "int_list", "float_list", "optional_int", "optional_float", "optional_str"
-    default: object
+    kind: str  # "int", "float", "bool", "str", "int_list" or "float_list"
+    default: object  # None makes the field optional
     help: str
-    validator: object = None
+    rule: tuple | None = None  # (test, text): the range rule, if any
 
 
 _FIELDS = [
-    FieldSpec("run.cutoff", "optional_int", None,
-              "Bosonic mode truncation dimension; None lets each scenario pick", _positive_int),
-    FieldSpec("run.step", "optional_float", None,
-              "Dissipative substep in seconds; must respect the stability ceiling", _positive),
+    FieldSpec("run.cutoff", "int", None,
+              "Bosonic mode truncation dimension; None lets each scenario pick", _CUTOFF),
+    FieldSpec("run.step", "float", None,
+              "Dissipative substep in seconds; must respect the stability ceiling", _POSITIVE),
     FieldSpec("run.step_scale", "float", 0.1,
-              "Fraction of the stability ceiling used when run.step is unset", _unit_interval_open),
-    FieldSpec("run.out_dir", "optional_str", None,
+              "Fraction of the stability ceiling used when run.step is unset", _UNIT_INTERVAL_OPEN),
+    FieldSpec("run.out_dir", "str", None,
               "Output directory root; overrides the KERRSPIN_OUT environment variable"),
     FieldSpec("run.from_device", "bool", False,
               "Derive the interaction frame from device geometry, bias, and drive"),
     FieldSpec("frame.angular", "bool", False,
               "Treat *_hz inputs as angular rates (rad/s) instead of ordinary Hz"),
-    FieldSpec("frame.coupling_hz", "optional_float", None,
-              "Frame-enhanced spin-mode coupling G (Hz); None uses the scenario default", _positive),
-    FieldSpec("frame.delta_q_hz", "optional_float", None,
+    FieldSpec("frame.coupling_hz", "float", None,
+              "Frame-enhanced spin-mode coupling G (Hz); None uses the scenario default", _POSITIVE),
+    FieldSpec("frame.delta_q_hz", "float", None,
               "Spin detuning in the drive frame (Hz); None uses the scenario default"),
-    FieldSpec("frame.delta_s_hz", "optional_float", None,
+    FieldSpec("frame.delta_s_hz", "float", None,
               "Diagonalized mode detuning (Hz); None uses the scenario default"),
-    FieldSpec("frame.delta_minus_hz", "optional_float", None,
+    FieldSpec("frame.delta_minus_hz", "float", None,
               "Mode-spin gap delta_s - delta_q (Hz); None uses the scenario default"),
     FieldSpec("dissipation.kappa_m", "float", 1.0e6,
-              "Mode energy decay rate in 1/s (plain rate, not multiplied by 2*pi)", _non_negative),
+              "Mode energy decay rate in 1/s (plain rate, not multiplied by 2*pi)", _NON_NEGATIVE),
     FieldSpec("dissipation.gamma_q", "float", 1.0e3,
-              "Spin relaxation rate in 1/s (plain rate, not multiplied by 2*pi)", _non_negative),
+              "Spin relaxation rate in 1/s (plain rate, not multiplied by 2*pi)", _NON_NEGATIVE),
     FieldSpec("battery.fock_levels", "int_list", [1, 5],
-              "Initial mode Fock levels used to charge the single-spin battery", _int_list),
+              "Initial mode Fock levels used to charge the single-spin battery", _LEVELS),
     FieldSpec("dispersive.ratios", "float_list", [5.0, 10.0, 20.0],
-              "Gap-to-coupling ratios |delta_minus|/G scanned by dispersive-check", _float_list_positive),
-    FieldSpec("sweep.radius_min_m", "float", 2.0e-9, "Sphere radius scan lower edge (m)", _positive),
-    FieldSpec("sweep.radius_max_m", "float", 2.0e-7, "Sphere radius scan upper edge (m)", _positive),
+              "Gap-to-coupling ratios |delta_minus|/G scanned by dispersive-check", _RATIOS),
+    FieldSpec("sweep.radius_min_m", "float", 2.0e-9, "Sphere radius scan lower edge (m)", _POSITIVE),
+    FieldSpec("sweep.radius_max_m", "float", 2.0e-7, "Sphere radius scan upper edge (m)", _POSITIVE),
     FieldSpec("sweep.radius_points", "int", 81,
-              f"Points in the radius scan (2 to {MAX_SWEEP_POINTS})", _sweep_points),
-    FieldSpec("sweep.distance_min_m", "float", 1.0e-8, "Spin-surface gap scan lower edge (m)", _positive),
-    FieldSpec("sweep.distance_max_m", "float", 2.0e-6, "Spin-surface gap scan upper edge (m)", _positive),
+              f"Points in the radius scan (2 to {MAX_SWEEP_POINTS})", _SWEEP_POINTS),
+    FieldSpec("sweep.distance_min_m", "float", 1.0e-8, "Spin-surface gap scan lower edge (m)", _POSITIVE),
+    FieldSpec("sweep.distance_max_m", "float", 2.0e-6, "Spin-surface gap scan upper edge (m)", _POSITIVE),
     FieldSpec("sweep.distance_points", "int", 81,
-              f"Points in the gap scan (2 to {MAX_SWEEP_POINTS})", _sweep_points),
-    FieldSpec("sweep.distance_m", "float", 6.0e-9, "Fixed gap for the radius scan (m)", _positive),
-    FieldSpec("sweep.radius_m", "float", 3.0e-8, "Fixed radius for the gap scan (m)", _positive),
-    FieldSpec("device.radius_m", "float", 3.0e-8, "Sphere radius (m)", _positive),
-    FieldSpec("device.distance_m", "float", 6.0e-9, "Spin-to-surface gap (m)", _non_negative),
-    FieldSpec("device.bias_t", "float", 0.17842, "Static bias field (T)", _non_negative),
-    FieldSpec("device.omega_q_hz", "float", 5.03e9, "Bare spin splitting (Hz)", _positive),
+              f"Points in the gap scan (2 to {MAX_SWEEP_POINTS})", _SWEEP_POINTS),
+    FieldSpec("sweep.distance_m", "float", 6.0e-9, "Fixed gap for the radius scan (m)", _POSITIVE),
+    FieldSpec("sweep.radius_m", "float", 3.0e-8, "Fixed radius for the gap scan (m)", _POSITIVE),
+    FieldSpec("device.radius_m", "float", 3.0e-8, "Sphere radius (m)", _POSITIVE),
+    FieldSpec("device.distance_m", "float", 6.0e-9, "Spin-to-surface gap (m)", _NON_NEGATIVE),
+    FieldSpec("device.bias_t", "float", 0.17842, "Static bias field (T)", _NON_NEGATIVE),
+    FieldSpec("device.omega_q_hz", "float", 5.03e9, "Bare spin splitting (Hz)", _POSITIVE),
     FieldSpec("device.calibration", "str", "anchored",
-              "Device calibration mode", _choice(("anchored", "formula"))),
+              "Device calibration mode", _one_of("anchored", "formula")),
     FieldSpec("drive.detuning_hz", "float", 2.0e8,
               "Drive red-detuning from the bare mode, (omega_m - omega_d)/2pi (Hz)"),
-    FieldSpec("drive.amplitude_hz", "float", 7.2e10, "Drive amplitude (Hz)", _non_negative),
+    FieldSpec("drive.amplitude_hz", "float", 7.2e10, "Drive amplitude (Hz)", _NON_NEGATIVE),
     FieldSpec("convention.sign", "str", "paper",
               "Sign convention for the amplitude-shift term in the drive-frame detuning",
-              _choice(("paper", "rederived"))),
+              _one_of("paper", "rederived")),
 ]
 
 SCHEMA: dict[str, FieldSpec] = {f.key: f for f in _FIELDS}
@@ -157,36 +150,34 @@ def _finite_float(key: str, raw: object) -> float:
     return value
 
 
+def _is_int(raw: object) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+# Type checks: kind -> (test, noun). A float is typed by _finite_float.
+_TYPES = {
+    "bool": (lambda raw: isinstance(raw, bool), "a boolean"),
+    "int": (_is_int, "an integer"),
+    "str": (lambda raw: isinstance(raw, str), "a string"),
+    "int_list": (lambda raw: isinstance(raw, list) and all(map(_is_int, raw)), "a list of integers"),
+    "float_list": (lambda raw: isinstance(raw, list), "a list of numbers"),
+}
+
+
 def _coerce(field: FieldSpec, raw: object) -> object:
     """Normalize a parsed value to the field's kind, or raise ConfigError."""
-    kind = field.kind
     if raw is None:
-        if kind.startswith("optional_"):
+        if field.default is None:
             return None
         raise ConfigError(f"{field.key} may not be null")
-    if kind in ("bool",):
-        if isinstance(raw, bool):
-            return raw
-        raise ConfigError(f"{field.key} must be a boolean, got {echo(raw)}")
-    if kind in ("int", "optional_int"):
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError(f"{field.key} must be an integer, got {echo(raw)}")
-        return int(raw)
-    if kind in ("float", "optional_float"):
+    if field.kind == "float":
         return _finite_float(field.key, raw)
-    if kind in ("str", "optional_str"):
-        if not isinstance(raw, str):
-            raise ConfigError(f"{field.key} must be a string, got {echo(raw)}")
-        return raw
-    if kind == "int_list":
-        if not isinstance(raw, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in raw):
-            raise ConfigError(f"{field.key} must be a list of integers, got {echo(raw)}")
-        return [int(v) for v in raw]
-    if kind == "float_list":
-        if not isinstance(raw, list):
-            raise ConfigError(f"{field.key} must be a list of numbers, got {echo(raw)}")
+    test, noun = _TYPES[field.kind]
+    if not test(raw):
+        raise ConfigError(f"{field.key} must be {noun}, got {echo(raw)}")
+    if field.kind == "float_list":
         return [_finite_float(field.key, v) for v in raw]
-    raise ConfigError(f"internal: unknown kind {kind}")
+    return list(raw) if field.kind == "int_list" else raw
 
 
 def defaults() -> dict[str, object]:
@@ -198,8 +189,10 @@ def _apply(values: dict[str, object], key: str, raw: object, origin: str) -> Non
         raise ConfigError(f"unknown configuration key {echo(key)} (from {origin})")
     field = SCHEMA[key]
     value = _coerce(field, raw)
-    if value is not None and field.validator is not None:
-        field.validator(key, value)
+    if value is not None and field.rule is not None:
+        test, text = field.rule
+        if not test(value):
+            raise ConfigError(f"{key} must be {text}, got {echo(value)}")
     values[key] = value
 
 
@@ -295,7 +288,7 @@ def schema_document() -> dict:
     fields = {}
     for f in _FIELDS:
         fields[f.key] = {
-            "kind": f.kind,
+            "kind": f.kind if f.default is not None else f"optional_{f.kind}",
             "default": f.default,
             "help": f.help,
         }

@@ -183,6 +183,7 @@ def _resolve_frame(
         delta_s = delta_q + delta_minus_factor * coupling
     else:
         delta_s = delta_s_factor * coupling
+    gap = "frame.delta_minus_hz" if ds_cfg is None else "frame.delta_s_hz"
     return FrameSpec(
         coupling=coupling,
         delta_q=delta_q,
@@ -193,7 +194,9 @@ def _resolve_frame(
             "coupling": "frame.coupling_hz",
             # An unset delta_q is a multiple of the coupling.
             "delta_q": "frame.coupling_hz" if dq_cfg is None else "frame.delta_q_hz",
-            "gap": "frame.delta_minus_hz" if ds_cfg is None else "frame.delta_s_hz",
+            # The gap is delta_s - delta_q, so a configured delta_q is behind it
+            # too: delta_q + gap can round to delta_q.
+            "gap": gap if dq_cfg is None else f"frame.delta_q_hz or {gap}",
         },
     )
 
