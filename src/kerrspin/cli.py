@@ -148,7 +148,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: integration diagnostics failed: {err}", file=sys.stderr)
         return 1
     except OSError as err:  # the root is a regular file, say
-        print(f"error: cannot write artifacts under {root}: {err}", file=sys.stderr)
+        # The error's own text repeats the path; its strerror does not.
+        print(
+            f"error: cannot write artifacts under {echo(str(root))}: {err.strerror or err}",
+            file=sys.stderr,
+        )
         return 2
 
     for check in report.checks:

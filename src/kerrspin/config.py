@@ -209,20 +209,21 @@ def load_config_file(path: Path | str) -> dict[str, object]:
     """Read a JSON config file: flat dotted keys, nested sections, or a
     params.json payload ({"scenario": ..., "values": {...}})."""
     path = Path(path)
+    shown = echo(str(path))
     try:
         raw = json.loads(path.read_text(encoding="ascii"))
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except OSError as err:  # a directory, say
-        raise ConfigError(f"cannot read config file {path}: {err.strerror or err}")
+        raise ConfigError(f"config file not found: {shown}")
+    except OSError as err:  # a directory, or a name too long, say
+        raise ConfigError(f"cannot read config file {shown}: {err.strerror or err}")
     except UnicodeDecodeError as err:
-        raise ConfigError(f"config file {path} is not ASCII: {err}")
+        raise ConfigError(f"config file {shown} is not ASCII: {err}")
     except (ValueError, RecursionError) as err:
         # ValueError: malformed JSON, or an integer past Python's digit
         # limit; RecursionError: nesting deeper than the parser's stack.
-        raise ConfigError(f"config file {path} is not valid JSON: {err}")
+        raise ConfigError(f"config file {shown} is not valid JSON: {err}")
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
+        raise ConfigError(f"config file {shown} must contain a JSON object")
     if set(raw) <= {"scenario", "values"} and isinstance(raw.get("values"), dict):
         raw = raw["values"]
     flat: dict[str, object] = {}

@@ -1,12 +1,17 @@
 """Scenario runners: six reproducible experiments built on the core models.
 
-Each runner takes a resolved RunConfig plus an output directory, writes
-its CSV artifacts, and returns a ScenarioReport whose checks carry
-provenance tags (PAPER / DERIVED / TRIVIAL, see reporting module).
+`run_scenario` opens a ScenarioReport under the registry's scenario id
+and hands it to the runner with the resolved RunConfig and the output
+directory. The runner writes its CSV artifacts and adds its checks, each
+with a provenance tag (PAPER / DERIVED / TRIVIAL, see reporting module).
+A dynamical runner ends in one call to `_close`, which appends the
+integration gates after the runner's own checks and records the frame
+(`info["frame"]`), the main run's integrator record (`info["integrator"]`)
+and the runner's own info.
 
-Integration-quality gates of every dynamical scenario, all formed in one
-place, `_gate_checks`, from three `_Run` records (main, refined and
-cutoff-bumped run: reported columns, conservation drift, integrator info):
+The gates are all formed in one place, `_gate_checks`, from three `_Run`
+records (main, refined and cutoff-bumped run: reported columns,
+conservation drift, integrator info):
 - "gate:step-refinement": rerun at doubled resolution (halved dissipative
   substep on the same grid, or a 2N+1-point sample grid against the main
   N+1 for closed-system runs, compared at the main grid's points);
@@ -277,6 +282,14 @@ def _gate_checks(main: _Run, fine: _Run, bumped: _Run, conservation: str) -> lis
     ]
 
 
+def _close(report: ScenarioReport, fs: FrameSpec, main: _Run, fine: _Run, bumped: _Run,
+           conservation: str, **info) -> None:
+    """End a dynamical scenario's report: the three gates after the runner's
+    own checks, then the frame, the main run's integrator record and `info`."""
+    report.checks.extend(_gate_checks(main, fine, bumped, conservation))
+    report.info.update(frame=fs.summary(), integrator=main.info, **info)
+
+
 _INTEGRATOR_KEYS = (
     "spectral_scale",
     "substep",
@@ -334,13 +347,12 @@ def _step_args(cfg: RunConfig, halved: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_coupling_sweep(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
+def run_coupling_sweep(cfg: RunConfig, out_dir: Path, report: ScenarioReport) -> None:
     """Geometry scan of the spin-mode coupling and the mode
     self-interaction rate, in both calibrations, plus the frame-enhanced
     coupling at squeezing 0 and 10."""
     if cfg["run.from_device"]:
         raise ConfigError("run.from_device does not apply to coupling-sweep")
-    report = ScenarioReport(scenario="coupling-sweep")
 
     for lo, hi in (("sweep.radius_min_m", "sweep.radius_max_m"),
                    ("sweep.distance_min_m", "sweep.distance_max_m")):
@@ -364,10 +376,12 @@ def run_coupling_sweep(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         "kerr_formula_hz": _finite(r_keys, k, radii, "formula") / TWO_PI,
     }
     g_formula_gap = _finite(d_keys, g, r_fixed, gaps, "formula") / TWO_PI
+    # A mode with no two-boson term (kerr2 = 0) is not squeezed: r = 0.
+    unsqueezed = ham.LinearizedParams(1.0, 0.0, 0j, 0.0)
     gap_cols = {
         "coupling_anchored_hz": _finite(d_keys, g, r_fixed, gaps, "anchored") / TWO_PI,
         "coupling_formula_hz": g_formula_gap,
-        "enhanced_r0_hz": 0.5 * g_formula_gap,
+        "enhanced_r0_hz": ham.squeeze_frame(unsqueezed, g_formula_gap).coupling,
         "enhanced_r10_hz": 0.5 * g_formula_gap * math.exp(10.0),
     }
     # Gaps below float64's resolution next to the radius leave d + R = R,
@@ -440,15 +454,12 @@ def run_coupling_sweep(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     )
 
     report.info.update(
-        {
-            "calibration_gap_ratio": g(50e-9, 6e-9, "formula") / g(50e-9, 6e-9),
-            "anchored_coupling_30nm_hz": g30,
-            "kerr_bulk_hz": k_bulk,
-            "enhanced_coupling_1um_r10_hz": enhanced_far,
-            "radius_at_peak_m": float(radii[imax]),
-        }
+        calibration_gap_ratio=g(50e-9, 6e-9, "formula") / g(50e-9, 6e-9),
+        anchored_coupling_30nm_hz=g30,
+        kerr_bulk_hz=k_bulk,
+        enhanced_coupling_1um_r10_hz=enhanced_far,
+        radius_at_peak_m=float(radii[imax]),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +467,7 @@ def run_coupling_sweep(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
+def run_rabi(cfg: RunConfig, out_dir: Path, report: ScenarioReport) -> None:
     """Single-spin exchange with the counter-rotating sector retained.
 
     One quantum in the mode, spin in the ground state, resonant frame
@@ -494,7 +505,6 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     bumped = core(cutoff + CUTOFF_BUMP, times)
     cols = main.cols
 
-    report = ScenarioReport(scenario="rabi")
     report.outputs["trajectory"] = write_trajectory_csv(out_dir / "trajectory.csv", times, cols)
 
     spin = cols["pop_spin"]
@@ -512,21 +522,16 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     leak_bound = 8.0 * (coupling / (fs.delta_s + fs.delta_q)) ** 2
     manifold_min = float(cols["manifold"].min())
     report.add(check_ge("manifold-retention", manifold_min, 0.975, "DERIVED"))
-    report.checks.extend(_gate_checks(main, fine, bumped, "norm-preservation"))
 
     advisory = ham.rwa_advisory(coupling, fs.delta_s, fs.delta_q)
-    report.info.update(
-        {
-            "frame": fs.summary(),
-            "exchange_half_period_s": t_star,
-            "observed_peak_time_s": t_peak,
-            "manifold_leakage_bound": leak_bound,
-            "manifold_retention_oracle": 1.0 - leak_bound,
-            "integrator": main.info,
-            "advisories": [a for a in (advisory,) if a],
-        }
+    _close(
+        report, fs, main, fine, bumped, "norm-preservation",
+        exchange_half_period_s=t_star,
+        observed_peak_time_s=t_peak,
+        manifold_leakage_bound=leak_bound,
+        manifold_retention_oracle=1.0 - leak_bound,
+        advisories=[a for a in (advisory,) if a],
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +539,7 @@ def run_rabi(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
+def run_battery(cfg: RunConfig, out_dir: Path, report: ScenarioReport) -> None:
     """Single-spin charger: an m-quantum mode state loads the spin through
     the resonant exchange coupling; the charge peak arrives at
     pi/(2 sqrt(m) G), a sqrt(m) speedup, with peak power growing with m."""
@@ -584,7 +589,6 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     bumped = core(CUTOFF_BUMP, times)
     cols = main.cols
 
-    report = ScenarioReport(scenario="battery")
     peaks: dict[int, tuple[float, float]] = {}
     power_max: dict[int, float] = {}
     early_power: dict[int, float] = {}
@@ -613,21 +617,16 @@ def run_battery(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     )
     early = _ratio(early_power[m_lo], power_max[m_lo])
     report.add(check_le("early-power-vanishes", early, 0.01, "TRIVIAL"))
-    report.checks.extend(_gate_checks(main, fine, bumped, "norm-preservation"))
 
-    report.info.update(
-        {
-            "frame": fs.summary(),
-            "peak_times_s": {str(m): peaks[m][0] for m in levels},
-            "peak_charges": {str(m): peaks[m][1] for m in levels},
-            "peak_powers_rad_per_s2": {str(m): power_max[m] for m in levels},
-            "analytic_peak_times_s": {
-                str(m): math.pi / (2.0 * math.sqrt(m) * coupling) for m in levels
-            },
-            "integrator": main.info,
-        }
+    _close(
+        report, fs, main, fine, bumped, "norm-preservation",
+        peak_times_s={str(m): peaks[m][0] for m in levels},
+        peak_charges={str(m): peaks[m][1] for m in levels},
+        peak_powers_rad_per_s2={str(m): power_max[m] for m in levels},
+        analytic_peak_times_s={
+            str(m): math.pi / (2.0 * math.sqrt(m) * coupling) for m in levels
+        },
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +663,7 @@ def _closed_evolution(model: dyn.LindbladModel, label: tuple, times: np.ndarray)
     return dyn.evolve_unitary(model.hamiltonian, psi0, times, spec=model.spec)
 
 
-def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
+def run_state_transfer(cfg: RunConfig, out_dir: Path, report: ScenarioReport) -> None:
     """Excitation transfer between two spins through the far-detuned mode,
     full three-body master equation against the written two-spin one.
 
@@ -711,7 +710,6 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     bumped = _merge({"full": transfer(bumped_model3, False), "effective": eff})
     cols = main.cols
 
-    report = ScenarioReport(scenario="state-transfer")
     report.outputs["transfer"] = write_trajectory_csv(out_dir / "transfer.csv", times, cols)
 
     peak_full_t, peak_full = _refine_peak(times, cols["pop_spin2_full"])
@@ -739,25 +737,20 @@ def run_state_transfer(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     report.add(
         check_le("dissipationless-model-agreement", abs(peak_u - peak_u2), 0.02, "DERIVED")
     )
-    report.checks.extend(_gate_checks(main, fine, bumped, "trace-preservation"))
 
     advisory = ham.dispersive_advisory(fs.coupling, fs.delta_minus)
-    report.info.update(
-        {
-            "frame": fs.summary(),
-            "effective_coupling_hz": g_eff / TWO_PI,
-            "transfer_time_s": t_star,
-            "observed_peak_time_s": peak_full_t,
-            "dissipationless_peak_full": peak_u,
-            "dissipationless_peak_effective": peak_u2,
-            "dissipation_peak_drop_full": peak_u - peak_full,
-            "dissipationless_mode_max": float(traj_u.observables["pop_mode"].max()),
-            "mode_occupancy_bound": mode_bound,
-            "integrator": main.info,
-            "advisories": [a for a in (advisory,) if a],
-        }
+    _close(
+        report, fs, main, fine, bumped, "trace-preservation",
+        effective_coupling_hz=g_eff / TWO_PI,
+        transfer_time_s=t_star,
+        observed_peak_time_s=peak_full_t,
+        dissipationless_peak_full=peak_u,
+        dissipationless_peak_effective=peak_u2,
+        dissipation_peak_drop_full=peak_u - peak_full,
+        dissipationless_mode_max=float(traj_u.observables["pop_mode"].max()),
+        mode_occupancy_bound=mode_bound,
+        advisories=[a for a in (advisory,) if a],
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +772,7 @@ def _dissipationless_fidelity(h: np.ndarray, t: float) -> float:
     return dyn.gate_fidelities(dyn.choi_from_outputs(images), dyn.iswap_unitary())[1]
 
 
-def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
+def run_iswap_fidelity(cfg: RunConfig, out_dir: Path, report: ScenarioReport) -> None:
     """Process tomography of the bus-mediated two-spin gate against the
     ideal excitation swap, with deterministic local-phase stripping.
 
@@ -843,7 +836,6 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
         {"effective": eff, "full": tomography(bumped_full, "full", False, record=False)[0]}
     )
 
-    report = ScenarioReport(scenario="iswap-fidelity")
     report.outputs["fidelity"] = write_trajectory_csv(out_dir / "fidelity.csv", times, main.cols)
 
     dissipationless = _dissipationless_fidelity(written.hamiltonian, t_star)
@@ -881,32 +873,26 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     peak_full_k2 = float(np.max(kappa_x2.cols["favg_stripped_full"]))
     full_dissipationless = _dissipationless_fidelity(full.hamiltonian, t_star)
 
-    report.checks.extend(_gate_checks(main, fine, bumped, "trace-preservation"))
-
     advisory = ham.dispersive_advisory(fs.coupling, fs.delta_minus)
     omega_eff = fs.delta_q**2 / fs.delta_minus
-    report.info.update(
-        {
-            "frame": fs.summary(),
-            "effective_coupling_hz": g_eff / TWO_PI,
-            "gate_time_s": t_star,
-            "peak_time_s": float(times[peak_idx]),
-            "stripped_peak_effective": peak_eff,
-            "raw_at_gate_time_effective": float(eff.cols["favg_raw_eff"][gate_idx]),
-            "strip_phases_at_peak": phases_eff[peak_idx].tolist(),
-            "effective_spin_phase_per_gate": omega_eff * t_star,
-            "gamma_x10_peak_effective": peak_g10,
-            "gamma_x10_drop_effective": peak_eff - peak_g10,
-            "transfer_fidelity_effective": transfer_fid_eff,
-            "transfer_fidelity_full": transfer_fid_full,
-            "stripped_peak_full": peak_full,
-            "kappa_x2_peak_shift_full": abs(peak_full - peak_full_k2),
-            "dissipationless_full": full_dissipationless,
-            "integrator": main.info,
-            "advisories": [a for a in (advisory,) if a],
-        }
+    _close(
+        report, fs, main, fine, bumped, "trace-preservation",
+        effective_coupling_hz=g_eff / TWO_PI,
+        gate_time_s=t_star,
+        peak_time_s=float(times[peak_idx]),
+        stripped_peak_effective=peak_eff,
+        raw_at_gate_time_effective=float(eff.cols["favg_raw_eff"][gate_idx]),
+        strip_phases_at_peak=phases_eff[peak_idx].tolist(),
+        effective_spin_phase_per_gate=omega_eff * t_star,
+        gamma_x10_peak_effective=peak_g10,
+        gamma_x10_drop_effective=peak_eff - peak_g10,
+        transfer_fidelity_effective=transfer_fid_eff,
+        transfer_fidelity_full=transfer_fid_full,
+        stripped_peak_full=peak_full,
+        kappa_x2_peak_shift_full=abs(peak_full - peak_full_k2),
+        dissipationless_full=full_dissipationless,
+        advisories=[a for a in (advisory,) if a],
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +900,7 @@ def run_iswap_fidelity(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
+def run_dispersive_check(cfg: RunConfig, out_dir: Path, report: ScenarioReport) -> None:
     """Validity scan of the mode-eliminated two-spin model: maximum
     population deviation from the full model versus the gap-to-coupling
     ratio. The deviation shrinks roughly quadratically with the ratio and
@@ -976,7 +962,6 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     bumped = core(cutoff + CUTOFF_BUMP, 1)
     cols = main.cols
 
-    report = ScenarioReport(scenario="dispersive-check")
     devs = {}
     for ratio in ratios:
         t = tag(ratio)
@@ -1004,19 +989,14 @@ def run_dispersive_check(cfg: RunConfig, out_dir: Path) -> ScenarioReport:
     small = pair(100.0 * r_mid, fs.coupling / 100.0, cutoff, 1)
     small_dev = float(small.cols[f"deviation_r{tag(100.0 * r_mid)}"].max())
     report.add(check_le("small-coupling-limit", small_dev, 1e-4, "TRIVIAL"))
-    report.checks.extend(_gate_checks(main, fine, bumped, "norm-preservation"))
 
     exponent = math.log(devs[r_mid] / devs[r_big]) / math.log(r_big / r_mid)
-    report.info.update(
-        {
-            "frame": fs.summary(),
-            "deviations": {("%g" % r): devs[r] for r in ratios},
-            "shrink_exponent": exponent,
-            "small_coupling_deviation": small_dev,
-            "integrator": main.info,
-        }
+    _close(
+        report, fs, main, fine, bumped, "norm-preservation",
+        deviations={("%g" % r): devs[r] for r in ratios},
+        shrink_exponent=exponent,
+        small_coupling_deviation=small_dev,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +1009,7 @@ class ScenarioInfo:
     id: str
     summary: str
     reference: str
-    runner: Callable[[RunConfig, Path], ScenarioReport]
+    runner: Callable[[RunConfig, Path, ScenarioReport], None]
 
 
 SCENARIOS: dict[str, ScenarioInfo] = {
@@ -1087,7 +1067,8 @@ def run_scenario(scenario_id: str, cfg: RunConfig, out_dir: Path | str) -> Scena
         raise KeyError(scenario_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = SCENARIOS[scenario_id].runner(cfg, out_dir)
+    report = ScenarioReport(scenario=scenario_id)
+    SCENARIOS[scenario_id].runner(cfg, out_dir, report)
     report.outputs["params"] = write_params(out_dir / "params.json", scenario_id, cfg.values)
     report.outputs["report"] = write_report(out_dir / "report.json", report)
     return report

@@ -251,14 +251,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: run.cutoff must be an integer") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", ["set-value", "unknown-key", "file-value"])
+    @pytest.mark.parametrize(
+        "case", ["set-value", "unknown-key", "file-value", "config-path", "out-path"]
+    )
     def test_long_input_echo_capped(self, case, tmp_path):
         # The console script, whose stack is as shallow as a user's: a
         # 960-deep list then parses and reaches the integer check. The
         # message echoes a long input's first 60 characters and its
-        # length, not the whole input.
+        # length, not the whole input; a 100000-character path is refused
+        # as too long a name.
         key, args = "run.cutoff", ["--out", str(tmp_path)]
-        if case == "set-value":
+        if case in ("config-path", "out-path"):
+            key = str(tmp_path / ("p" * 100000))
+            args = ["--config" if case == "config-path" else "--out", key]
+        elif case == "set-value":
             args += ["--set", f"{key}=" + "[" * 100000]
         elif case == "unknown-key":
             key = "k" * 100000
@@ -298,7 +304,7 @@ class TestCli:
             monkeypatch.setenv("KERRSPIN_OUT", str(root))
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write artifacts under {root}: ")
+        assert err.startswith(f"error: cannot write artifacts under {echo(str(root))}: ")
         assert err.count("\n") == 1
         assert root.read_text() == ""
 

@@ -8,11 +8,13 @@ behavior so refactors cannot silently move physics results.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from kerrspin import hamiltonians as ham
 from kerrspin.config import ConfigError, resolve
 from kerrspin.scenarios import (
     CONSERVATION_GATE_TOL,
@@ -117,6 +119,19 @@ class TestCouplingSweepValues:
     def test_calibration_gap_recorded(self, scenario_runs):
         gap = scenario_runs["coupling-sweep"].report.info["calibration_gap_ratio"]
         assert 3.0e3 < gap < 4.5e3
+
+    def test_identity_r0_goes_through_squeeze_frame(self, tmp_path, monkeypatch):
+        # A frame that forgets the half of G = (g/2) exp(r) must fail the
+        # r = 0 identity, which compares squeeze_frame's coupling with
+        # half the formula column.
+        def unhalved(lin, g):
+            return ham.SqueezedFrame(0.0, lin.delta_m, g)
+
+        monkeypatch.setattr(ham, "squeeze_frame", unhalved)
+        report = run_scenario("coupling-sweep", resolve("coupling-sweep"), tmp_path)
+        check = next(c for c in report.checks if c.name == "enhancement-identity-r0")
+        assert not check.passed
+        assert check.observed == pytest.approx(0.5, rel=1e-12)
 
 
 class TestRabiValues:
@@ -349,6 +364,152 @@ class TestConfigGuards:
         cfg = resolve("coupling-sweep", set_pairs=[("run.from_device", True)])
         with pytest.raises(ConfigError):
             run_scenario("coupling-sweep", cfg, tmp_path / "sweep")
+
+
+GATES = {
+    conservation: [
+        ("gate:step-refinement", "TRIVIAL"),
+        ("gate:cutoff-bump", "TRIVIAL"),
+        (f"gate:{conservation}", "TRIVIAL"),
+    ]
+    for conservation in ("norm-preservation", "trace-preservation")
+}
+
+# Per scenario: the (check, provenance) list in written order and the
+# sorted top-level info keys of its default report.json.
+REPORT_LAYOUT = {
+    "coupling-sweep": (
+        [
+            ("anchor-coupling-30nm", "PAPER"),
+            ("anchor-coupling-50nm", "PAPER"),
+            ("anchor-kerr-50nm", "PAPER"),
+            ("kerr-cube-law", "TRIVIAL"),
+            ("kerr-bulk-extrapolation", "PAPER"),
+            ("enhanced-coupling-1um-r10", "PAPER"),
+            ("enhancement-identity-r0", "TRIVIAL"),
+            ("radius-interior-maximum", "DERIVED"),
+            ("distance-monotonic-decay", "TRIVIAL"),
+        ],
+        [
+            "anchored_coupling_30nm_hz",
+            "calibration_gap_ratio",
+            "enhanced_coupling_1um_r10_hz",
+            "kerr_bulk_hz",
+            "radius_at_peak_m",
+        ],
+    ),
+    "rabi": (
+        [
+            ("exchange-contrast", "DERIVED"),
+            ("first-peak-time", "DERIVED"),
+            ("manifold-retention", "DERIVED"),
+            *GATES["norm-preservation"],
+        ],
+        [
+            "advisories",
+            "exchange_half_period_s",
+            "frame",
+            "integrator",
+            "manifold_leakage_bound",
+            "manifold_retention_oracle",
+            "observed_peak_time_s",
+        ],
+    ),
+    "battery": (
+        [
+            ("full-charge-first-level", "PAPER"),
+            ("charge-time-speedup", "DERIVED"),
+            ("peak-power-ratio", "DERIVED"),
+            ("early-power-vanishes", "TRIVIAL"),
+            *GATES["norm-preservation"],
+        ],
+        [
+            "analytic_peak_times_s",
+            "frame",
+            "integrator",
+            "peak_charges",
+            "peak_powers_rad_per_s2",
+            "peak_times_s",
+        ],
+    ),
+    "state-transfer": (
+        [
+            ("spin2-peak-full", "DERIVED"),
+            ("spin2-peak-effective", "DERIVED"),
+            ("peak-time-full", "DERIVED"),
+            ("mode-occupancy-effective", "TRIVIAL"),
+            ("mode-occupancy-full", "DERIVED"),
+            ("dissipationless-model-agreement", "DERIVED"),
+            *GATES["trace-preservation"],
+        ],
+        [
+            "advisories",
+            "dissipation_peak_drop_full",
+            "dissipationless_mode_max",
+            "dissipationless_peak_effective",
+            "dissipationless_peak_full",
+            "effective_coupling_hz",
+            "frame",
+            "integrator",
+            "mode_occupancy_bound",
+            "observed_peak_time_s",
+            "transfer_time_s",
+        ],
+    ),
+    "iswap-fidelity": (
+        [
+            ("dissipationless-fidelity", "DERIVED"),
+            ("stripped-peak-effective", "DERIVED"),
+            ("stripped-peak-time", "DERIVED"),
+            ("kappa-doubling-effective", "TRIVIAL"),
+            *GATES["trace-preservation"],
+        ],
+        [
+            "advisories",
+            "dissipationless_full",
+            "effective_coupling_hz",
+            "effective_spin_phase_per_gate",
+            "frame",
+            "gamma_x10_drop_effective",
+            "gamma_x10_peak_effective",
+            "gate_time_s",
+            "integrator",
+            "kappa_x2_peak_shift_full",
+            "peak_time_s",
+            "raw_at_gate_time_effective",
+            "strip_phases_at_peak",
+            "stripped_peak_effective",
+            "stripped_peak_full",
+            "transfer_fidelity_effective",
+            "transfer_fidelity_full",
+        ],
+    ),
+    "dispersive-check": (
+        [
+            ("deviation-at-mid-ratio", "DERIVED"),
+            ("deviation-shrink-ratio", "DERIVED"),
+            ("deviation-at-top-ratio", "DERIVED"),
+            ("small-coupling-limit", "TRIVIAL"),
+            *GATES["norm-preservation"],
+        ],
+        ["deviations", "frame", "integrator", "shrink_exponent", "small_coupling_deviation"],
+    ),
+}
+
+
+class TestReportLayout:
+    """The written report.json of each default run: its own checks first
+    and the three gates last, the top-level info keys (the frame and the
+    integrator record in every dynamical scenario, advisories in exactly
+    rabi, state-transfer and iswap-fidelity) and the registry's id."""
+
+    @pytest.mark.parametrize("scenario_id", ALL_IDS)
+    def test_written_layout(self, scenario_runs, scenario_id):
+        report = json.loads((scenario_runs[scenario_id].out_dir / "report.json").read_text())
+        checks, info_keys = REPORT_LAYOUT[scenario_id]
+        assert report["scenario"] == SCENARIOS[scenario_id].id == scenario_id
+        assert [(c["name"], c["provenance"]) for c in report["checks"]] == checks
+        assert sorted(report["info"]) == info_keys
 
 
 def synthetic_run(drift: float = 0.0, **cols) -> _Run:
