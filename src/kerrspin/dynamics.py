@@ -86,18 +86,23 @@ partial trace over the mode is E_t(|j><k|), and J[a*4 + j, b*4 + k] =
 E_t(|j><k|)[a, b] / 4 (Choi-Jamiolkowski; Nielsen and Chuang, sec. 8.2).
 The units are the 16 seed rows. Each is one entry of the state vector,
 so it lies in one sector, stepped for its own units only: 6, 4, 4, 1
-and 1 units in the full model's sectors.
+and 1 units in the full model's sectors. The mode is traced out by
+gathers, not products: per sector and mode level, the columns whose ket
+and bra share that level are added into their spin entries. J comes
+from the images by one transposed copy.
 
-Both open-system solvers end in one physicality gate (`_finish`) on a
-(T, n, n) series: a state's on its block, or a channel's Choi series.
-It tests the trace deviation that the caller measured (a state's from
-its series, a channel's from its images), then the series' hermiticity,
-then its positivity (eigenvalues at or above POSITIVITY_FLOOR) on the
-hermitian part. J is a trace-1 state, and its positivity is complete
-positivity, which no set of inputs can test. A run that does not report
-its lowest eigenvalue (`min_eigenvalue`) certifies it by a Cholesky
-factorisation instead (`_certified_above_floor`), with the same pass or
-fail.
+Both open-system solvers end in one physicality gate (`_finish`) on the
+diagonal blocks of a (T, n, n) series: a state's on its block, whole,
+or a channel's Choi series on the components of its nonzero pattern
+(`_pattern_blocks`; for iswap-fidelity's channels one block of 6, one
+of 4 and six of 1), off which J is exactly 0. It tests the trace
+deviation that the caller measured (a state's from its series, a
+channel's from its images), then the blocks' hermiticity, then their
+positivity (eigenvalues at or above POSITIVITY_FLOOR) on the hermitian
+part. J is a trace-1 state, and its positivity is complete positivity,
+which no set of inputs can test. A run that does not report its lowest
+eigenvalue (`min_eigenvalue`) certifies it by a Cholesky factorisation
+instead (`_certified_above_floor`), with the same pass or fail.
 
 The gate metrics score Choi matrices against the ideal excitation-swap
 gate, raw and maximized over the two local z-phases, over leading batch
@@ -460,7 +465,9 @@ def _populated_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
     of each is invariant under gen and every polynomial in it, and a
     state that starts at 0 on a sector stays exactly 0 there. Each comes
     from the reach search (`_reachable`) on the symmetric pattern, started
-    at the smallest seed index that no sector found so far holds.
+    at the smallest seed index that no sector found so far holds. The
+    physicality gate splits a Choi series by the same rule
+    (`_pattern_blocks`).
     """
     linked = (gen != 0) | (gen != 0).T
     left = seed.copy()
@@ -526,31 +533,49 @@ def _step_sectors(gen: np.ndarray, seeds: np.ndarray, sectors: list, n_t: int, d
         yield sector, rows, flat, k
 
 
-def _finish(diagnostics: dict, series: np.ndarray, trace_dev: float, dt: float, k: int, record, what):
-    """End a solve: the physicality gate on its (T, n, n) `series` (a
-    state's on its block, or a channel's Choi series) and the trace
-    deviation the caller measured, then the record of the substep and the
-    checks, the lowest eigenvalue only if `record`.
+def _pattern_blocks(series: np.ndarray) -> list[np.ndarray]:
+    """The (T, b, b) diagonal blocks of a (T, n, n) series over the
+    components of its nonzero pattern at any time (`_populated_sectors`,
+    which symmetrises it), largest first: the series is exactly 0 off them.
+    """
+    pattern = np.any(series != 0, axis=0)
+    parts = _populated_sectors(pattern, np.ones(pattern.shape[0], dtype=bool))
+    return [series[:, part[:, None], part] for part in parts]
 
-    The first test that fails raises, in the order trace, hermiticity,
-    positivity; each is written `not <=` (or `not >=`) so that a NaN fails
-    it. The trace is tested before the series is read, so a non-finite
-    series (an overflowing propagator) goes no further. Positivity is
-    tested on the hermitian part, by eigvalsh if `record`, else by the
-    Cholesky certificate with eigvalsh where that fails.
+
+def _finish(diagnostics: dict, blocks: list, trace_dev: float, dt: float, k: int, record, what):
+    """End a solve: the physicality gate on the (T, b, b) diagonal `blocks`
+    of its series (a state's on its block, whole, or a channel's Choi
+    series, on the blocks of its nonzero pattern) and the trace deviation
+    the caller measured, then the record of the substep and the checks,
+    the lowest eigenvalue only if `record`.
+
+    The entries off the blocks must be exactly 0: the series' hermiticity
+    deviation is then the blocks' largest, and its spectrum the blocks'
+    spectra together. The first test that fails raises, in the order
+    trace, hermiticity (of every block), positivity; each is written
+    `not <=` (or `not >=`) so that a NaN fails it. The trace is tested
+    before the series is read, so a non-finite series (an overflowing
+    propagator) goes no further. Positivity is tested on each block's
+    hermitian part, by eigvalsh if `record`, else by the Cholesky
+    certificate with eigvalsh where that fails.
     """
     if not trace_dev <= TRACE_TOL:
         raise DiagnosticsError(f"trace deviation {trace_dev:.3e} exceeds {TRACE_TOL}")
-    adjoint = series.conj().swapaxes(-1, -2)
-    herm_dev = float(np.max(np.abs(series - adjoint)))
+    devs, syms = [], []
+    for block in blocks:
+        adjoint = block.conj().swapaxes(-1, -2)
+        devs.append(np.max(np.abs(block - adjoint)))
+        syms.append(0.5 * (block + adjoint))
+    del adjoint
+    herm_dev = float(np.max(devs))  # np.max, not max: a NaN must win
     if not herm_dev <= 1e-10:
         raise DiagnosticsError(f"hermiticity deviation {herm_dev:.3e} exceeds 1e-10")
-    sym = 0.5 * (series + adjoint)
-    del adjoint
-    if record or not _certified_above_floor(sym):
-        min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-        if not min_eig >= POSITIVITY_FLOOR:
-            raise DiagnosticsError(f"{what} eigenvalue {min_eig:.3e} below floor {POSITIVITY_FLOOR}")
+    diagonalised = [sym for sym in syms if record or not _certified_above_floor(sym)]
+    # Certified blocks lie above the floor; with none left, nothing fails.
+    min_eig = float(np.min([np.min(np.linalg.eigvalsh(sym)) for sym in diagonalised], initial=np.inf))
+    if not min_eig >= POSITIVITY_FLOOR:
+        raise DiagnosticsError(f"{what} eigenvalue {min_eig:.3e} below floor {POSITIVITY_FLOOR}")
     diagnostics.update(
         substep=dt / k,
         max_substeps_per_interval=k,
@@ -624,7 +649,7 @@ def evolve_lindblad_batch(
                 series[:, sector] = flat
         series = series.reshape(n_t, n, n)
         trace_dev = float(np.max(np.abs(np.einsum("tjj->t", series) - 1.0)))
-        _finish(diagnostics, series, trace_dev, dt, k, record_min_eigenvalue, "state")
+        _finish(diagnostics, [series], trace_dev, dt, k, record_min_eigenvalue, "state")
         if record_min_eigenvalue and n < d:
             # The full-space state's zero block contributes eigenvalue 0.
             diagnostics["min_eigenvalue"] = min(0.0, diagnostics["min_eigenvalue"])
@@ -677,8 +702,12 @@ def _reshuffle(outputs: np.ndarray) -> np.ndarray:
     """J[a*4 + j, b*4 + k] = E(|j><k|)[a, b] / 4 from the (..., 16, 4, 4)
     images, unchecked."""
     batch = outputs.shape[:-3]
+    # The einsum is a transposed view; the reshape copies it once, and the
+    # division runs on that contiguous copy, not on the strided view.
     choi = np.einsum("...jkab->...ajbk", outputs.reshape(batch + (_GATE_DIM,) * 4))
-    return choi.reshape(batch + (_GATE_DIM**2, _GATE_DIM**2)) / _GATE_DIM
+    choi = choi.reshape(batch + (_GATE_DIM**2, _GATE_DIM**2))
+    choi /= _GATE_DIM
+    return choi
 
 
 def choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
@@ -720,14 +749,15 @@ def evolve_channel(
     (see the module docstring), and its diagnostics.
 
     The spins are the model's last two subsystems, so the full index of
-    mode level m and spin state a is m*4 + a; the mode is traced out by
-    one product per sector with the 0/1 matrix that adds each entry whose
-    ket and bra share a mode level to its spin entry. The tests, with the
+    mode level m and spin state a is m*4 + a; the mode is traced out per
+    sector by one gather per mode level, which adds each entry whose ket
+    and bra are both at that level to its spin entry. The tests, with the
     step, grid and certificate rules of evolve_lindblad_batch: the trace
     deviation max |tr E_t(|j><k|) - delta_jk|, taken on the images, J's
-    hermiticity and J's lowest eigenvalue (`min_eigenvalue`). J comes from
-    the images by the bare reshuffle: choi_from_outputs' own test, of
-    4 tr_out J - I, would measure the trace deviation a second time.
+    hermiticity and J's lowest eigenvalue (`min_eigenvalue`), both on J's
+    pattern blocks. J comes from the images by the bare reshuffle:
+    choi_from_outputs' own test, of 4 tr_out J - I, would measure the
+    trace deviation a second time.
     """
     d = model.spec.dim
     if model.spec.dims[-2:] != (2, 2):
@@ -751,14 +781,18 @@ def evolve_channel(
         for sector, units, flat, k in _step_sectors(gen, seeds, sectors, n_t, dt, h_req):
             ket, bra = np.divmod(sector, n)
             same = np.flatnonzero(mode[ket] == mode[bra])
-            trace = np.zeros((sector.size, _GATE_DIM**2), dtype=complex)
-            trace[same, spin[ket[same]] * _GATE_DIM + spin[bra[same]]] = 1.0
-            images[:, units] = _matmul(flat, trace).reshape(n_t, units.size, _GATE_DIM, _GATE_DIM)
+            level, entry = mode[ket[same]], spin[ket[same]] * _GATE_DIM + spin[bra[same]]
+            traced = np.zeros((flat.shape[0], _GATE_DIM**2), dtype=complex)
+            # Within a level the entries differ; the levels are added in
+            # the order of the sector's columns, as a product would.
+            for m in np.unique(level):
+                traced[:, entry[level == m]] += flat[:, same[level == m]]
+            images[:, units] = traced.reshape(n_t, units.size, _GATE_DIM, _GATE_DIM)
         traces = np.einsum("tuaa->tu", images)
         trace_dev = float(np.max(np.abs(traces - np.eye(_GATE_DIM).reshape(-1))))
     choi = _reshuffle(images)
     del images, seeds
-    _finish(diagnostics, choi, trace_dev, dt, k, record_min_eigenvalue, "Choi")
+    _finish(diagnostics, _pattern_blocks(choi), trace_dev, dt, k, record_min_eigenvalue, "Choi")
     return choi, diagnostics
 
 

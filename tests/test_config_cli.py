@@ -224,11 +224,17 @@ class TestCli:
         assert "nope.key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("case", ["directory", "non-ascii", "deep-nesting", "long-integer"])
+    @pytest.mark.parametrize(
+        "case", ["directory", "non-ascii", "deep-nesting", "long-integer", "long-path"]
+    )
     def test_unreadable_config_exit_two(self, case, command, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "cfg.json"
-        if case == "directory":
+        if case == "long-path":
+            # A directory whose path's repr is past echo's 80 characters.
+            path = tmp_path / ("p" * 100) / "cfg.json"
+            path.mkdir(parents=True)
+        elif case == "directory":
             path.mkdir()
         elif case == "non-ascii":
             path.write_bytes('{"run.out_dir": "pap\u00e9r"}'.encode())
@@ -240,7 +246,10 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(path) in err
+        # The path as echo shows it: whole up to 80 characters, else capped.
+        assert echo(str(path)) in err
+        if case == "long-path":
+            assert str(path) not in err and "characters)" in err
 
     @pytest.mark.parametrize(
         "value", ["9" * 5000, "[" * 100000], ids=["long-integer", "deep-nesting"]

@@ -16,6 +16,7 @@ Analytic oracles used here, all closed-form:
 from __future__ import annotations
 
 import ast
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -160,14 +161,14 @@ def spied_calls(monkeypatch, owner, name: str) -> list:
 
 
 def spied_sectors(monkeypatch) -> list:
-    """(sector, rows, series shape) of every sector that
-    dynamics._step_sectors steps from now."""
+    """(sector, rows, series) of every sector that dynamics._step_sectors
+    steps from now."""
     stepped = []
     original = dynamics._step_sectors
 
     def spy(*args):
         for sector, rows, flat, k in original(*args):
-            stepped.append((sector, rows, flat.shape))
+            stepped.append((sector, rows, flat))
             yield sector, rows, flat, k
 
     monkeypatch.setattr(dynamics, "_step_sectors", spy)
@@ -583,7 +584,7 @@ class TestReachableSubspace:
         traj = evolve_lindblad(model, dm(ket), times)
         sizes = traj.diagnostics["liouville_sectors"]
         assert len(sizes) == (3 if superposed else 1)
-        assert [(sector.size, rows.tolist(), shape) for sector, rows, shape in stepped] == [
+        assert [(sector.size, rows.tolist(), flat.shape) for sector, rows, flat in stepped] == [
             (size, [0], (281, size)) for size in sizes
         ]
         sectors = np.concatenate([sector for sector, _, _ in stepped])
@@ -1080,7 +1081,7 @@ class TestChannel:
         stepped = spied_sectors(monkeypatch)
         evolve_channel(model, times)
         # 6, 4, 4, 1 and 1 of the 16 units in sectors of 26, 15, 15, 4 and 4.
-        got = [(sector.size, shape, rows.size) for sector, rows, shape in stepped]
+        got = [(sector.size, flat.shape, rows.size) for sector, rows, flat in stepped]
         sizes, units = [26, 15, 15, 4, 4], [6, 4, 4, 1, 1]
         assert got == [(s, (281 * u, s), u) for s, u in zip(sizes, units)]
         # Each unit is stepped in one sector only.
@@ -1092,7 +1093,10 @@ class TestChannel:
         choi, reported = evolve_channel(model, times)
         certified_choi, certified = evolve_channel(model, times, record_min_eigenvalue=False)
         assert choi.tobytes() == certified_choi.tobytes()
-        assert reported.pop("min_eigenvalue") == hermitian_min_eigenvalue(choi)
+        # The gate diagonalises J's pattern blocks, not J whole.
+        assert reported.pop("min_eigenvalue") == pytest.approx(
+            hermitian_min_eigenvalue(choi), abs=1e-15
+        )
         assert certified == reported
 
     def test_default_channels_pass_the_choi_floor(self, tmp_path, monkeypatch):
@@ -1112,7 +1116,8 @@ class TestChannel:
         assert min(lowest) >= POSITIVITY_FLOOR
         # The report names the main channels' lowest Choi eigenvalues.
         integrator = report["info"]["integrator"]
-        assert [integrator[key]["min_eigenvalue"] for key in ("effective", "full")] == lowest[:2]
+        reported = [integrator[key]["min_eigenvalue"] for key in ("effective", "full")]
+        assert reported == pytest.approx(lowest[:2], abs=1e-15)
 
     @pytest.mark.parametrize("record", [True, False])
     def test_third_order_substep_fails_the_choi_floor(self, monkeypatch, record):
@@ -1149,6 +1154,135 @@ class TestChannel:
             model = LindbladModel(np.zeros((spec.dim,) * 2, dtype=complex), [], spec)
             with pytest.raises(ValueError, match="two spins"):
                 evolve_channel(model, np.linspace(0.0, 1.0, 3))
+
+
+def former_reshuffle(outputs: np.ndarray) -> np.ndarray:
+    """The former `_reshuffle`: a strided einsum view, divided into a new array."""
+    batch = outputs.shape[:-3]
+    choi = np.einsum("...jkab->...ajbk", outputs.reshape(batch + (4,) * 4))
+    return choi.reshape(batch + (16, 16)) / 4
+
+
+class TestChannelTraceAndReshuffle:
+    """evolve_channel traces the mode out by one gather per sector and mode
+    level, and reshuffles the images by one transposed copy; the former 0/1
+    product per sector and the former einsum are their bitwise oracles."""
+
+    @pytest.mark.parametrize("cutoff", [None, 6, 11], ids=["written", "full-6", "full-11"])
+    def test_bitwise_equal_former_product_and_einsum(self, cutoff, monkeypatch):
+        model, rho0s, times = tomography_case(cutoff)
+        stepped = spied_sectors(monkeypatch)
+        reshuffled = spied_calls(monkeypatch, dynamics, "_reshuffle")
+        choi, _ = evolve_channel(model, times)
+        idx = reached_indices(model, rho0s)
+        mode, spin = np.divmod(idx, 4)
+        want = np.empty((281, 16, 4, 4), dtype=complex)
+        for sector, units, flat in stepped:
+            ket, bra = np.divmod(sector, idx.size)
+            same = np.flatnonzero(mode[ket] == mode[bra])
+            trace = np.zeros((sector.size, 16), dtype=complex)
+            trace[same, spin[ket[same]] * 4 + spin[bra[same]]] = 1.0
+            want[:, units] = dynamics._matmul(flat, trace).reshape(281, units.size, 4, 4)
+        [(images,)] = reshuffled
+        assert images.tobytes() == want.tobytes()
+        assert choi.tobytes() == former_reshuffle(want).tobytes()
+        # No batch axis, one and two.
+        for outputs in (want[140], want, want[:280].reshape(2, 140, 16, 4, 4)):
+            assert dynamics._reshuffle(outputs).tobytes() == former_reshuffle(outputs).tobytes()
+
+
+# iswap-fidelity's Choi pattern: one block of 6, one of 4 and six of 1.
+PLANTED_BLOCKS = [[0, 5, 6, 9, 10, 15], [1, 2, 7, 11], [3], [4], [8], [12], [13], [14]]
+
+
+def planted_series(n_t: int = 5) -> np.ndarray:
+    """(n_t, 16, 16) trace-1 series with a random positive definite block,
+    slightly skew, on each of PLANTED_BLOCKS, exactly 0 off them."""
+    rng = np.random.default_rng(29)
+    series = np.zeros((n_t, 16, 16), dtype=complex)
+    for part in PLANTED_BLOCKS:
+        shape = (n_t, len(part), len(part))
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        skew = 1e-12 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        series[:, np.array(part)[:, None], part] = g @ g.conj().swapaxes(-1, -2) + skew
+    return series / np.einsum("tjj->t", series).real[:, None, None]
+
+
+def gate_outcome(blocks: list, record: bool):
+    """The physicality gate's diagnostics on these blocks, or its error text."""
+    diagnostics = {}
+    try:
+        dynamics._finish(diagnostics, blocks, 0.0, 1.0, 1, record, "Choi")
+    except DiagnosticsError as err:
+        return str(err)
+    return diagnostics
+
+
+class TestPatternBlockGate:
+    """The gate takes a channel's J on the components of its nonzero pattern
+    (`_pattern_blocks`), off which J is exactly 0: it must give the dense
+    gate's hermiticity deviation bit for bit, its lowest eigenvalue to
+    1e-15, and its error text."""
+
+    def test_blocks_are_the_planted_ones(self):
+        series = planted_series()
+        blocks = dynamics._pattern_blocks(series)
+        assert len(blocks) == len(PLANTED_BLOCKS)
+        for block, part in zip(blocks, PLANTED_BLOCKS):
+            assert block.tobytes() == series[:, np.array(part)[:, None], part].tobytes()
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_matches_dense_gate(self, record):
+        series = planted_series()
+        dense = gate_outcome([series], record)
+        blocked = gate_outcome(dynamics._pattern_blocks(series), record)
+        assert 0.0 < dense["hermiticity_deviation"] <= 1e-10
+        if record:
+            assert blocked.pop("min_eigenvalue") == pytest.approx(
+                dense.pop("min_eigenvalue"), abs=1e-15
+            )
+        assert blocked == dense
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("negative-eigenvalue", r"^Choi eigenvalue -2\.000e-07 below floor"),
+            ("skew", r"^hermiticity deviation 1\.000e-06 exceeds 1e-10$"),
+        ],
+    )
+    def test_same_failure_as_dense_gate(self, defect, message, record):
+        series = planted_series()
+        if defect == "skew":
+            series[3, 5, 9] += 1e-6
+        else:
+            # Shift the 4-block at one time point to lowest eigenvalue -2e-7.
+            part = np.array(PLANTED_BLOCKS[1])
+            block = series[2][np.ix_(part, part)]
+            lowest = np.min(np.linalg.eigvalsh(0.5 * (block + block.conj().T)))
+            series[2, part, part] -= lowest + 2e-7
+        dense = gate_outcome([series], record)
+        assert isinstance(dense, str) and re.match(message, dense)
+        assert gate_outcome(dynamics._pattern_blocks(series), record) == dense
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("link", ["hermitian", "one-sided"])
+    def test_one_entry_joins_two_blocks(self, link, record):
+        # At one time point only, an entry between the 4-block and the
+        # singleton [3]: hermitian and large enough to make the joined
+        # block indefinite, or one-sided (J[1, 3] alone) and so skew.
+        series = planted_series()
+        if link == "hermitian":
+            coupling = 2.0 * np.sqrt(series[4, 1, 1].real * series[4, 3, 3].real)
+            series[4, 1, 3] = series[4, 3, 1] = coupling
+        else:
+            series[4, 1, 3] = 1e-6
+        blocks = dynamics._pattern_blocks(series)
+        assert [block.shape[1:] for block in blocks] == [(6, 6), (5, 5)] + [(1, 1)] * 5
+        dense = gate_outcome([series], record)
+        expected = "below floor" if link == "hermitian" else "hermiticity deviation 1.000e-06"
+        assert isinstance(dense, str) and expected in dense
+        assert gate_outcome(blocks, record) == dense
 
 
 class TestEntryObservables:
@@ -1964,12 +2098,14 @@ class TestPositivityCertificate:
         run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path)
         n_t, channels = 281, 8
         # Only the 2 main channels (written and full) report min_eigenvalue,
-        # so only their (T, 16, 16) Choi series are diagonalised; the reruns
-        # are certified. Each of the 8 channels also takes its spectral
-        # scale from the full H. No physical input is checked.
-        assert [shape for shape in shapes if shape[0] == n_t] == [(n_t, 16, 16)] * 2
+        # so only their Choi series are diagonalised, on the blocks of J's
+        # pattern: one of 6, one of 4 and six of 1. The reruns are
+        # certified. Each of the 8 channels also takes its spectral scale
+        # from the full H. No physical input is checked.
+        blocks = [(n_t, 6, 6), (n_t, 4, 4)] + [(n_t, 1, 1)] * 6
+        assert [shape for shape in shapes if shape[0] == n_t] == blocks * 2
         matrices = sum(int(np.prod(shape[:-2])) for shape in shapes)
-        assert matrices == 2 * n_t + channels
+        assert matrices == 2 * len(blocks) * n_t + channels
 
 
 def former_evolve_unitary(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, observables: dict):
@@ -2366,7 +2502,7 @@ class TestProductBudget:
         spy = _NumpySpy()
         monkeypatch.setattr(dynamics, "np", spy)
         run_scenario(scenario, resolve(scenario), tmp_path)
-        # The spy sees the run: iswap-fidelity makes 1683 calls, the others 24 to 191.
+        # The spy sees the run: iswap-fidelity makes 1463 calls, the others 24 to 191.
         assert len(spy.calls) > (1000 if scenario == "iswap-fidelity" else 20)
         over = []
         for a_shape, b_shape, a_kind, b_kind in spy.calls:
