@@ -50,7 +50,10 @@ on that sector alone; the others stay exactly 0. This is exact, not an
 approximation. An excitation-conserving model splits by the difference
 of the excitation numbers of the ket and the bra: the iswap-fidelity
 full model's 64 Liouville indices fall into sectors of 26, 15, 15, 4
-and 4, so its squarings cost a tenth of the whole generator's. Both
+and 4, so its squarings cost a tenth of the whole generator's. All
+sectors are labelled in one pass (`_populated_sectors`): each index
+takes the smallest label among itself and its neighbours on the
+symmetric pattern, then its label's label, until no label changes. Both
 open-system solvers step through `_step_sectors`: given seed rows over
 the block's Liouville indices, it steps in each populated sector the
 rows that are nonzero there, in one (T x rows, sector) buffer.
@@ -88,8 +91,9 @@ The units are the 16 seed rows. Each is one entry of the state vector,
 so it lies in one sector, stepped for its own units only: 6, 4, 4, 1
 and 1 units in the full model's sectors. The mode is traced out by
 gathers, not products: per sector and mode level, the columns whose ket
-and bra share that level are added into their spin entries. J comes
-from the images by one transposed copy.
+and bra share that level are added straight into J, unit (j, k)'s spin
+entry (a, b) at J[a*4 + j, b*4 + k], and J is divided by 4 in place
+once every sector is in. No image of a unit is formed.
 
 Both open-system solvers end in one physicality gate (`_finish`) on the
 diagonal blocks of a (T, n, n) series: a state's on its block, whole,
@@ -97,7 +101,8 @@ or a channel's Choi series on the components of its nonzero pattern
 (`_pattern_blocks`; for iswap-fidelity's channels one block of 6, one
 of 4 and six of 1), off which J is exactly 0. It tests the trace
 deviation that the caller measured (a state's from its series, a
-channel's from its images), then the blocks' hermiticity, then their
+channel's from 4 J, whose sums over a of 4 J[a*4 + j, a*4 + k] are the
+traces of the images), then the blocks' hermiticity, then their
 positivity (eigenvalues at or above POSITIVITY_FLOOR) on the hermitian
 part. J is a trace-1 state, and its positivity is complete positivity,
 which no set of inputs can test. A run that does not report its lowest
@@ -463,18 +468,25 @@ def _populated_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
     A sector is a connected component of gen's nonzero pattern read as an
     undirected graph, so gen is block diagonal over its sectors: the span
     of each is invariant under gen and every polynomial in it, and a
-    state that starts at 0 on a sector stays exactly 0 there. Each comes
-    from the reach search (`_reachable`) on the symmetric pattern, started
-    at the smallest seed index that no sector found so far holds. The
-    physicality gate splits a Choi series by the same rule
-    (`_pattern_blocks`).
+    state that starts at 0 on a sector stays exactly 0 there. All sectors
+    are labelled in one pass: each index starts as its own label, and per
+    round takes the smallest label among itself and its neighbours on the
+    symmetric pattern, then the label of that label (pointer jumping),
+    until no label changes. Labels only fall and stay inside a sector, so
+    each ends at its sector's smallest index. A round's one n x n
+    temporary is an integer array. The physicality gate splits a Choi
+    series by the same rule (`_pattern_blocks`).
     """
     linked = (gen != 0) | (gen != 0).T
-    left = seed.copy()
-    sectors = []
-    while left.any():
-        sectors.append(_reachable(np.arange(left.size) == np.argmax(left), [linked]))
-        left[sectors[-1]] = False
+    label = np.arange(len(gen))
+    while True:
+        spread = np.minimum(label, np.min(np.where(linked, label, label.size), axis=1))
+        spread = spread[spread]
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    # The sectors in the order the seed meets them, then by size.
+    sectors = [np.flatnonzero(label == root) for root in dict.fromkeys(label[seed].tolist())]
     return sorted(sectors, key=lambda sector: (-sector.size, sector[0]))
 
 
@@ -535,8 +547,9 @@ def _step_sectors(gen: np.ndarray, seeds: np.ndarray, sectors: list, n_t: int, d
 
 def _pattern_blocks(series: np.ndarray) -> list[np.ndarray]:
     """The (T, b, b) diagonal blocks of a (T, n, n) series over the
-    components of its nonzero pattern at any time (`_populated_sectors`,
-    which symmetrises it), largest first: the series is exactly 0 off them.
+    components of its nonzero pattern at any time, labelled in one pass
+    by `_populated_sectors` (which symmetrises it), largest first and
+    equal sizes by smallest index: the series is exactly 0 off them.
     """
     pattern = np.any(series != 0, axis=0)
     parts = _populated_sectors(pattern, np.ones(pattern.shape[0], dtype=bool))
@@ -700,7 +713,8 @@ def iswap_unitary() -> np.ndarray:
 
 def _reshuffle(outputs: np.ndarray) -> np.ndarray:
     """J[a*4 + j, b*4 + k] = E(|j><k|)[a, b] / 4 from the (..., 16, 4, 4)
-    images, unchecked."""
+    images, unchecked; for choi_from_outputs (evolve_channel gathers into
+    J directly)."""
     batch = outputs.shape[:-3]
     # The einsum is a transposed view; the reshape copies it once, and the
     # division runs on that contiguous copy, not on the strided view.
@@ -751,13 +765,16 @@ def evolve_channel(
     The spins are the model's last two subsystems, so the full index of
     mode level m and spin state a is m*4 + a; the mode is traced out per
     sector by one gather per mode level, which adds each entry whose ket
-    and bra are both at that level to its spin entry. The tests, with the
-    step, grid and certificate rules of evolve_lindblad_batch: the trace
-    deviation max |tr E_t(|j><k|) - delta_jk|, taken on the images, J's
-    hermiticity and J's lowest eigenvalue (`min_eigenvalue`), both on J's
-    pattern blocks. J comes from the images by the bare reshuffle:
-    choi_from_outputs' own test, of 4 tr_out J - I, would measure the
-    trace deviation a second time.
+    and bra are both at that level straight into its entry of J. The
+    levels are added in ascending order into a buffer of zeros, and the
+    buffer is divided by 4 once, so every entry is the sum a product with
+    a 0/1 matrix would give. The tests, with the step, grid and
+    certificate rules of evolve_lindblad_batch: the trace deviation
+    max |tr E_t(|j><k|) - delta_jk|, taken on 4 J before the division,
+    J's hermiticity and J's lowest eigenvalue (`min_eigenvalue`), both on
+    J's pattern blocks. J does not go through choi_from_outputs, whose
+    own test, of 4 tr_out J - I, would measure the trace deviation a
+    second time.
     """
     d = model.spec.dim
     if model.spec.dims[-2:] != (2, 2):
@@ -774,24 +791,33 @@ def evolve_channel(
     seeds = np.zeros((_GATE_DIM**2, n * n), dtype=complex)
     for unit in range(_GATE_DIM**2):
         seeds[unit].reshape(n, n)[divmod(unit, _GATE_DIM)] = 1.0
-    images = np.empty((n_t, 16, _GATE_DIM, _GATE_DIM), dtype=complex)
+    # 4 J until the division below; unit (j, k)'s spin entry (a, b) is its
+    # flat entry (a*4 + j)*16 + b*4 + k.
+    choi = np.zeros((n_t, _GATE_DIM**2, _GATE_DIM**2), dtype=complex)
+    entries = choi.reshape(n_t, _GATE_DIM**4)
     # A generator too large for its squarings overflows to inf and NaN
-    # here; the trace deviation below reports the non-finite images.
+    # here; the trace deviation below reports the non-finite channel.
     with np.errstate(over="ignore", invalid="ignore"):
         for sector, units, flat, k in _step_sectors(gen, seeds, sectors, n_t, dt, h_req):
             ket, bra = np.divmod(sector, n)
             same = np.flatnonzero(mode[ket] == mode[bra])
-            level, entry = mode[ket[same]], spin[ket[same]] * _GATE_DIM + spin[bra[same]]
-            traced = np.zeros((flat.shape[0], _GATE_DIM**2), dtype=complex)
-            # Within a level the entries differ; the levels are added in
+            level, a, b = mode[ket[same]], spin[ket[same]], spin[bra[same]]
+            uj, uk = np.divmod(units[:, None], _GATE_DIM)  # unit |j><k|'s j and k
+            target = (a * _GATE_DIM + uj) * _GATE_DIM**2 + b * _GATE_DIM + uk
+            source = np.arange(units.size)[:, None] * sector.size + same
+            row = flat.reshape(n_t, units.size * sector.size)  # a time point's units
+            # Within a level the targets differ; the levels are added in
             # the order of the sector's columns, as a product would.
             for m in np.unique(level):
-                traced[:, entry[level == m]] += flat[:, same[level == m]]
-            images[:, units] = traced.reshape(n_t, units.size, _GATE_DIM, _GATE_DIM)
-        traces = np.einsum("tuaa->tu", images)
-        trace_dev = float(np.max(np.abs(traces - np.eye(_GATE_DIM).reshape(-1))))
-    choi = _reshuffle(images)
-    del images, seeds
+                entries[:, target[:, level == m]] += row[:, source[:, level == m]]
+        traces = np.einsum("tajak->tjk", choi.reshape((n_t,) + (_GATE_DIM,) * 4))
+        trace_dev = float(np.max(np.abs(traces - np.eye(_GATE_DIM))))
+    del seeds
+    # Scaled as reals, several times faster than a complex division and to
+    # the same bits on every finite entry: x * 0.25 is x / 4 exactly, and
+    # 4 J holds no -0 (the gathers added into +0) for the division to keep.
+    parts = choi.view(float)
+    parts *= 1 / _GATE_DIM
     _finish(diagnostics, _pattern_blocks(choi), trace_dev, dt, k, record_min_eigenvalue, "Choi")
     return choi, diagnostics
 

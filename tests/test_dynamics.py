@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrspin import dynamics
 from kerrspin.config import resolve
@@ -1165,15 +1167,15 @@ def former_reshuffle(outputs: np.ndarray) -> np.ndarray:
 
 class TestChannelTraceAndReshuffle:
     """evolve_channel traces the mode out by one gather per sector and mode
-    level, and reshuffles the images by one transposed copy; the former 0/1
-    product per sector and the former einsum are their bitwise oracles."""
+    level, each adding straight into J; the former 0/1 product per sector,
+    the former einsum reshuffle of its images and their trace are its
+    bitwise oracles."""
 
     @pytest.mark.parametrize("cutoff", [None, 6, 11], ids=["written", "full-6", "full-11"])
     def test_bitwise_equal_former_product_and_einsum(self, cutoff, monkeypatch):
         model, rho0s, times = tomography_case(cutoff)
         stepped = spied_sectors(monkeypatch)
-        reshuffled = spied_calls(monkeypatch, dynamics, "_reshuffle")
-        choi, _ = evolve_channel(model, times)
+        choi, diagnostics = evolve_channel(model, times)
         idx = reached_indices(model, rho0s)
         mode, spin = np.divmod(idx, 4)
         want = np.empty((281, 16, 4, 4), dtype=complex)
@@ -1183,10 +1185,11 @@ class TestChannelTraceAndReshuffle:
             trace = np.zeros((sector.size, 16), dtype=complex)
             trace[same, spin[ket[same]] * 4 + spin[bra[same]]] = 1.0
             want[:, units] = dynamics._matmul(flat, trace).reshape(281, units.size, 4, 4)
-        [(images,)] = reshuffled
-        assert images.tobytes() == want.tobytes()
         assert choi.tobytes() == former_reshuffle(want).tobytes()
-        # No batch axis, one and two.
+        traces = np.einsum("tuaa->tu", want)
+        trace_dev = float(np.max(np.abs(traces - np.eye(4).reshape(-1))))
+        assert diagnostics["trace_deviation"] == trace_dev
+        # choi_from_outputs keeps the reshuffle: no batch axis, one and two.
         for outputs in (want[140], want, want[:280].reshape(2, 140, 16, 4, 4)):
             assert dynamics._reshuffle(outputs).tobytes() == former_reshuffle(outputs).tobytes()
 
@@ -2286,11 +2289,25 @@ def assert_close(got, want, rel: float = 1e-12):
     assert np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
 
 
+def reach_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
+    """The former sector finder: one reach search (`dynamics._reachable`)
+    per sector on the symmetric pattern, started at the smallest seed index
+    that no sector found so far holds; the sectors that meet `seed`,
+    largest first, equal sizes by smallest index."""
+    linked = (gen != 0) | (gen != 0).T
+    left = seed.copy()
+    sectors = []
+    while left.any():
+        sectors.append(dynamics._reachable(np.arange(left.size) == np.argmax(left), [linked]))
+        left[sectors[-1]] = False
+    return sorted(sectors, key=lambda sector: (-sector.size, sector[0]))
+
+
 def labelled_sectors(gen: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
-    """The former sector finder: each index is labelled by the smallest
+    """An earlier sector finder: each index is labelled by the smallest
     index of its sector, the labels spreading along the symmetric pattern's
     edges with pointer jumping until they stop changing; the sectors that
-    meet `seed`, largest first, equal sizes by smallest index."""
+    meet `seed`, in label order, then stably sorted largest first."""
     linked = (gen != 0) | (gen != 0).T
     label = np.arange(len(gen))
     while True:
@@ -2428,6 +2445,36 @@ class TestLiouvilleSectors:
             got = dynamics._populated_sectors(gen, seed)
             assert [s.tolist() for s in got] == [s.tolist() for s in want]
         assert [s.size for s in dynamics._populated_sectors(gen, np.ones(n, dtype=bool))] == sizes
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        symmetric=st.booleans(),
+        data=st.data(),
+    )
+    def test_random_patterns_match_reach_oracle(self, n, symmetric, data):
+        # Random links i -> j with complex weights, one way or both; few
+        # enough to leave long chains and equal-size sectors.
+        links = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+                ),
+                max_size=n + 5,
+            )
+        )
+        gen = np.zeros((n, n), dtype=complex)
+        for i, j, value in links:
+            gen[i, j] = value
+            if symmetric:
+                gen[j, i] = np.conj(value)
+        seed = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        for mask in (seed, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
+            got = dynamics._populated_sectors(gen, mask)
+            want = reach_sectors(gen, mask)
+            assert [s.tolist() for s in got] == [s.tolist() for s in want]
 
     def test_sector_sizes_reach_the_report(self, tmp_path):
         report = run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path).as_dict()
