@@ -98,8 +98,11 @@ once every sector is in. No image of a unit is formed.
 Both open-system solvers end in one physicality gate (`_finish`) on the
 diagonal blocks of a (T, n, n) series: a state's on its block, whole,
 or a channel's Choi series on the components of its nonzero pattern
-(`_pattern_blocks`; for iswap-fidelity's channels one block of 6, one
-of 4 and six of 1), off which J is exactly 0. It tests the trace
+that hold a nonzero entry (`_pattern_blocks`; for iswap-fidelity's
+channels one block of 6, one of 4 and one of 1), off which J is exactly
+0. Its five other indices, 4, 8, 12, 13 and 14, are 0 at every time,
+since decay never raises the excitation number, and are not gated: an
+index no block covers adds eigenvalue 0. It tests the trace
 deviation that the caller measured (a state's from its series, a
 channel's from 4 J, whose sums over a of 4 J[a*4 + j, a*4 + k] are the
 traces of the images), then the blocks' hermiticity, then their
@@ -117,11 +120,14 @@ whose five independent Fourier coefficients are linear in the Choi
 matrix; they come from one contraction with a fixed kernel. At fixed
 phi1 the maximum over phi2 is closed-form, so the maximum comes from a
 48-point scan over phi1 alone plus a batched Newton polish
-(deterministic).
+(deterministic) that evaluates the polynomial once per step. What the
+metrics derive from the target alone (|U>>, the kernel's used entries)
+is built once per target (`_target_constants`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -547,25 +553,33 @@ def _step_sectors(gen: np.ndarray, seeds: np.ndarray, sectors: list, n_t: int, d
 
 def _pattern_blocks(series: np.ndarray) -> list[np.ndarray]:
     """The (T, b, b) diagonal blocks of a (T, n, n) series over the
-    components of its nonzero pattern at any time, labelled in one pass
-    by `_populated_sectors` (which symmetrises it), largest first and
-    equal sizes by smallest index: the series is exactly 0 off them.
+    components of its nonzero pattern at any time that hold a nonzero
+    entry, labelled in one pass by `_populated_sectors` (which
+    symmetrises it), largest first and equal sizes by smallest index: the
+    series is exactly 0 off them. An index whose row and column are 0 at
+    every time is in no block (a NaN entry is nonzero); the gate counts
+    its eigenvalue 0 (`_finish`).
     """
     pattern = np.any(series != 0, axis=0)
-    parts = _populated_sectors(pattern, np.ones(pattern.shape[0], dtype=bool))
+    parts = _populated_sectors(pattern, np.any(pattern, axis=0) | np.any(pattern, axis=1))
     return [series[:, part[:, None], part] for part in parts]
 
 
-def _finish(diagnostics: dict, blocks: list, trace_dev: float, dt: float, k: int, record, what):
+def _finish(
+    diagnostics: dict, blocks: list, dim: int, trace_dev: float, dt: float, k: int, record, what
+):
     """End a solve: the physicality gate on the (T, b, b) diagonal `blocks`
-    of its series (a state's on its block, whole, or a channel's Choi
-    series, on the blocks of its nonzero pattern) and the trace deviation
-    the caller measured, then the record of the substep and the checks,
-    the lowest eigenvalue only if `record`.
+    of its (T, dim, dim) series (a state's on its reached block, whole, or
+    a channel's Choi series, on the blocks of its nonzero pattern) and the
+    trace deviation the caller measured, then the record of the substep
+    and the checks, the lowest eigenvalue only if `record`.
 
     The entries off the blocks must be exactly 0: the series' hermiticity
     deviation is then the blocks' largest, and its spectrum the blocks'
-    spectra together. The first test that fails raises, in the order
+    spectra together, plus eigenvalue 0 for every index that no block
+    covers, so with fewer than `dim` indices covered the recorded
+    eigenvalue is at most 0. That 0 passes the floor, so it cannot change
+    the verdict. The first test that fails raises, in the order
     trace, hermiticity (of every block), positivity; each is written
     `not <=` (or `not >=`) so that a NaN fails it. The trace is tested
     before the series is read, so a non-finite series (an overflowing
@@ -596,7 +610,8 @@ def _finish(diagnostics: dict, blocks: list, trace_dev: float, dt: float, k: int
         hermiticity_deviation=herm_dev,
     )
     if record:
-        diagnostics["min_eigenvalue"] = min_eig
+        covered = sum(block.shape[-1] for block in blocks)
+        diagnostics["min_eigenvalue"] = min(0.0, min_eig) if covered < dim else min_eig
 
 
 def evolve_lindblad_batch(
@@ -662,10 +677,8 @@ def evolve_lindblad_batch(
                 series[:, sector] = flat
         series = series.reshape(n_t, n, n)
         trace_dev = float(np.max(np.abs(np.einsum("tjj->t", series) - 1.0)))
-        _finish(diagnostics, [series], trace_dev, dt, k, record_min_eigenvalue, "state")
-        if record_min_eigenvalue and n < d:
-            # The full-space state's zero block contributes eigenvalue 0.
-            diagnostics["min_eigenvalue"] = min(0.0, diagnostics["min_eigenvalue"])
+        # Off its block the full-space state is 0, with eigenvalue 0.
+        _finish(diagnostics, [series], d, trace_dev, dt, k, record_min_eigenvalue, "state")
 
         values = {name: np.einsum("tij,ji->t", series, op).real for name, op in obs.items()}
         final = np.zeros((d, d), dtype=complex)
@@ -809,7 +822,8 @@ def evolve_channel(
             # Within a level the targets differ; the levels are added in
             # the order of the sector's columns, as a product would.
             for m in np.unique(level):
-                entries[:, target[:, level == m]] += row[:, source[:, level == m]]
+                at = level == m
+                entries[:, target[:, at]] += row[:, source[:, at]]
         traces = np.einsum("tajak->tjk", choi.reshape((n_t,) + (_GATE_DIM,) * 4))
         trace_dev = float(np.max(np.abs(traces - np.eye(_GATE_DIM))))
     del seeds
@@ -818,7 +832,8 @@ def evolve_channel(
     # 4 J holds no -0 (the gathers added into +0) for the division to keep.
     parts = choi.view(float)
     parts *= 1 / _GATE_DIM
-    _finish(diagnostics, _pattern_blocks(choi), trace_dev, dt, k, record_min_eigenvalue, "Choi")
+    blocks = _pattern_blocks(choi)
+    _finish(diagnostics, blocks, _GATE_DIM**2, trace_dev, dt, k, record_min_eigenvalue, "Choi")
     return choi, diagnostics
 
 
@@ -834,7 +849,7 @@ def process_fidelity(choi: np.ndarray, target_unitary: np.ndarray) -> float | np
     Batched over the leading axes of `choi` (..., 16, 16); a float for a
     single Choi matrix.
     """
-    vec = _ideal_choi_vector(np.asarray(target_unitary, dtype=complex))
+    vec = _target_constants(target_unitary)[0]
     row = vec.conj() @ np.asarray(choi, dtype=complex)  # (..., 16)
     overlap = np.real(_matmul(row.reshape(-1, _GATE_DIM**2), vec)).reshape(row.shape[:-1])
     return float(overlap) if overlap.ndim == 0 else overlap
@@ -873,13 +888,34 @@ def _fourier_kernel(vec: np.ndarray) -> np.ndarray:
     return kernel.reshape(len(harmonics), _GATE_DIM**2, _GATE_DIM**2)
 
 
-def _trig_poly(coeff: np.ndarray, phi: np.ndarray, value_only: bool = False):
+def _target_constants(target_unitary: np.ndarray):
+    """What the gate metrics derive from the target alone: |U>>, and for
+    the phase strip the flat indices of the entries of J its Fourier
+    kernel reads, their mirror indices (r, c) -> (c, r), and the kernel's
+    (used entries, 5) columns. Built once per target and read-only."""
+    u = np.asarray(target_unitary, dtype=complex)
+    return _constants_of(u.shape, u.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _constants_of(shape: tuple, data: bytes):
+    vec = _ideal_choi_vector(np.frombuffer(data, dtype=complex).reshape(shape))
+    kernel = _fourier_kernel(vec).reshape(-1, _GATE_DIM**4)
+    # 16 of 256 entries for the excitation swap, whose |U>> has 4 nonzero
+    # entries.
+    used = np.flatnonzero(np.any(kernel != 0, axis=0))
+    row, col = np.divmod(used, _GATE_DIM**2)
+    constants = (vec, used, col * _GATE_DIM**2 + row, kernel[:, used].T)
+    for array in constants:
+        array.flags.writeable = False
+    return constants
+
+
+def _trig_poly(coeff: np.ndarray, phi: np.ndarray):
     """Value, gradient and Hessian of F at phi (N, 2) from coefficients
-    (N, 5), or the value alone when `value_only`."""
+    (N, 5)."""
     terms = coeff[..., 1:] * np.exp(1j * _matmul(phi, _HARMONICS.T))
     value = coeff[..., 0].real + 2.0 * terms.real.sum(axis=-1)
-    if value_only:
-        return value
     grad = -2.0 * _matmul(terms.imag, _HARMONICS)
     hess = -2.0 * _matmul(terms.real, _HARMONIC_OUTER).reshape(terms.shape[:-1] + (2, 2))
     return value, grad, hess
@@ -895,23 +931,21 @@ def strip_local_phases(
     linear in the Choi matrix J, read off with one fixed kernel. The
     maximum is located by a 48-point scan over phi1, each point at its
     exact maximum over phi2, plus Newton refinement, and reported as the
-    polynomial's value there. Batched over the leading axes of
+    polynomial's value there. The kernel comes from the target's cache
+    (`_target_constants`), and each Newton step evaluates the polynomial
+    once, at every element's trial point. Batched over the leading axes of
     `choi` (..., 16, 16), returning the maxima (...) and phases (..., 2);
     a single Choi matrix gives (float, (phi1, phi2)). Deterministic.
     """
     choi = np.asarray(choi, dtype=complex)
     batch = choi.shape[:-2]
     flat = choi.reshape(-1, _GATE_DIM**2, _GATE_DIM**2)
-    vec = _ideal_choi_vector(np.asarray(target_unitary, dtype=complex))
-    kernel = _fourier_kernel(vec).reshape(-1, _GATE_DIM**4)
-    # Only the entries of J that the kernel reads: 16 of 256 for the
-    # excitation swap, whose |U>> has 4 nonzero entries. F = Re <w|J|w>
-    # only sees the hermitian part of J, (J[r, c] + conj(J[c, r])) / 2.
-    used = np.flatnonzero(np.any(kernel != 0, axis=0))
-    row, col = np.divmod(used, _GATE_DIM**2)
+    _, used, mirror, kernel = _target_constants(target_unitary)
+    # Only the entries of J that the kernel reads. F = Re <w|J|w> only
+    # sees the hermitian part of J, (J[r, c] + conj(J[c, r])) / 2.
     entries = flat.reshape(-1, _GATE_DIM**4)
-    herm = 0.5 * (entries[:, used] + entries[:, col * _GATE_DIM**2 + row].conj())
-    coeff = _matmul(herm, kernel[:, used].T)
+    herm = 0.5 * (entries[:, used] + entries[:, mirror].conj())
+    coeff = _matmul(herm, kernel)
 
     # At fixed phi1, F = A + 2 Re(B e^{i phi2}) with A = c0 + 2 Re(c1 e^{i phi1})
     # and B = c2 + c3 e^{i phi1} + conj(c4) e^{-i phi1}, so its maximum over
@@ -921,32 +955,35 @@ def strip_local_phases(
     scan = c0.real + 2.0 * (c1 * _SCAN_PHASE).real + 2.0 * np.abs(b)
     pick = np.argmax(scan, axis=1)
     best = np.stack([_SCAN[pick], -np.angle(b[np.arange(len(pick)), pick])], axis=-1)
-    # The start value as the polish evaluates F, so the two compare alike.
-    best_val = _trig_poly(coeff, best, value_only=True)
 
-    # Newton polish; each element stops on a singular Hessian, a
-    # non-finite step, a decrease of F, or a step below 1e-13.
+    # Newton polish, F taken once per step on every element: an element
+    # keeps its point and its evaluation there until a step is accepted,
+    # and stops on a singular Hessian, a non-finite step, a decrease of F,
+    # or a step below 1e-13. The start value is F as the polish evaluates
+    # it, so the two compare alike.
+    at = _trig_poly(coeff, best)
+    best_val = at[0].copy()
     phi = best.copy()
     active = np.ones(len(phi), dtype=bool)
     for _ in range(40):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if not active.any():
             break
-        c = coeff[idx]
-        value, g, h = _trig_poly(c, phi[idx])
+        _, g, h = at
         # delta = -H^-1 g for the symmetric 2 x 2 Hessian, by Cramer's rule.
         h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
         det = h11 * h22 - h12 * h12
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = np.stack([h12 * g[:, 1] - h22 * g[:, 0], h12 * g[:, 0] - h11 * g[:, 1]], -1)
             delta /= det[:, None]
-        step = (det != 0.0) & np.all(np.isfinite(delta), axis=-1)
-        phi_new = phi[idx] + np.where(step[:, None], delta, 0.0)
-        step &= ~(_trig_poly(c, phi_new, value_only=True) < value - 1e-15)
-        phi[idx[step]] = phi_new[step]
-        active[idx] = step & (np.max(np.abs(delta), axis=-1) >= 1e-13)
+        step = active & (det != 0.0) & np.all(np.isfinite(delta), axis=-1)
+        phi_new = phi + np.where(step[:, None], delta, 0.0)
+        trial = _trig_poly(coeff, phi_new)
+        step &= ~(trial[0] < at[0] - 1e-15)
+        for old, new in zip((phi, *at), (phi_new, *trial)):
+            np.copyto(old, new, where=step.reshape(step.shape + (1,) * (old.ndim - 1)))
+        active = step & (np.max(np.abs(delta), axis=-1) >= 1e-13)
 
-    refined = _trig_poly(coeff, phi, value_only=True)
+    refined = at[0]
     keep = refined >= best_val
     best = np.where(keep[:, None], phi, best)
     final = np.where(keep, refined, best_val)

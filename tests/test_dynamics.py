@@ -828,6 +828,99 @@ def reference_strip(choi: np.ndarray, u: np.ndarray) -> tuple[float, tuple[float
     return reference_overlap(choi, vec, *best), best
 
 
+def former_strip(choi: np.ndarray, u: np.ndarray):
+    """The earlier batched strip_local_phases, for (N, 16, 16) Choi
+    matrices: target constants built per call, and a Newton polish on the
+    subset of elements still active, F taken once in full and once more
+    (the value) per step. Also returns which elements stopped at their
+    first step because it lowered F."""
+    flat = np.asarray(choi, dtype=complex).reshape(-1, 16, 16)
+    vec = dynamics._ideal_choi_vector(np.asarray(u, dtype=complex))
+    kernel = dynamics._fourier_kernel(vec).reshape(-1, 256)
+    used = np.flatnonzero(np.any(kernel != 0, axis=0))
+    row, col = np.divmod(used, 16)
+    entries = flat.reshape(-1, 256)
+    herm = 0.5 * (entries[:, used] + entries[:, col * 16 + row].conj())
+    coeff = dynamics._matmul(herm, kernel[:, used].T)
+
+    c0, c1, c2, c3, c4 = (coeff[:, m : m + 1] for m in range(5))
+    scan_phase = dynamics._SCAN_PHASE
+    b = c2 + c3 * scan_phase + c4.conj() * scan_phase.conj()
+    scan = c0.real + 2.0 * (c1 * scan_phase).real + 2.0 * np.abs(b)
+    pick = np.argmax(scan, axis=1)
+    best = np.stack([dynamics._SCAN[pick], -np.angle(b[np.arange(len(pick)), pick])], axis=-1)
+    best_val = dynamics._trig_poly(coeff, best)[0]
+
+    phi = best.copy()
+    active = np.ones(len(phi), dtype=bool)
+    refused_first = None
+    for _ in range(40):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        c = coeff[idx]
+        value, g, h = dynamics._trig_poly(c, phi[idx])
+        h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+        det = h11 * h22 - h12 * h12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.stack([h12 * g[:, 1] - h22 * g[:, 0], h12 * g[:, 0] - h11 * g[:, 1]], -1)
+            delta /= det[:, None]
+        step = (det != 0.0) & np.all(np.isfinite(delta), axis=-1)
+        phi_new = phi[idx] + np.where(step[:, None], delta, 0.0)
+        lowered = step & (dynamics._trig_poly(c, phi_new)[0] < value - 1e-15)
+        if refused_first is None:
+            refused_first = lowered
+        step &= ~lowered
+        phi[idx[step]] = phi_new[step]
+        active[idx] = step & (np.max(np.abs(delta), axis=-1) >= 1e-13)
+
+    refined = dynamics._trig_poly(coeff, phi)[0]
+    keep = refined >= best_val
+    best = np.where(keep[:, None], phi, best)
+    return np.where(keep, refined, best_val), best, refused_first
+
+
+# The nonzero entries of the excitation swap's |U>>, and for each harmonic
+# h_1..h_4 the (a, b) of the entry J[ISWAP_ROWS[a], ISWAP_ROWS[b]] that
+# carries its coefficient (levels n(a) - n(b) = h).
+ISWAP_ROWS = [0, 6, 9, 15]
+HARMONIC_ENTRIES = [(2, 0), (1, 0), (3, 0), (2, 1)]
+
+
+def coefficient_choi(coeff: np.ndarray) -> np.ndarray:
+    """(N, 16, 16) hermitian matrices whose phase-strip coefficients for
+    the excitation swap are the rows of `coeff` (N, 5), c_0 real; exact,
+    since |U>>'s entries are 1/2 and -i/2."""
+    vec = dynamics._ideal_choi_vector(iswap_unitary())[ISWAP_ROWS]
+    choi = np.zeros((len(coeff), 16, 16), dtype=complex)
+    choi[:, 0, 0] = coeff[:, 0].real / abs(vec[0]) ** 2
+    for m, (a, b) in enumerate(HARMONIC_ENTRIES, 1):
+        entry = coeff[:, m] / (vec[a].conj() * vec[b])
+        choi[:, ISWAP_ROWS[a], ISWAP_ROWS[b]] = entry
+        choi[:, ISWAP_ROWS[b], ISWAP_ROWS[a]] = entry.conj()
+    return choi
+
+
+def polish_rows(kinds: list[str], seed: int) -> np.ndarray:
+    """One row of phase-strip coefficients per kind: "random"; "zero", all
+    0, so the Hessian is singular; "saddle", whose scan start is a node
+    next to which B (c2 + c3 e^{i phi1} + conj(c4) e^{-i phi1}) nearly
+    vanishes, so the Hessian there is indefinite and the first Newton step
+    mostly lowers F."""
+    rng = np.random.default_rng(seed)
+    coeff = np.zeros((len(kinds), 5), dtype=complex)
+    for row, kind in zip(coeff, kinds):
+        if kind == "random":
+            row[:] = rng.normal(size=5) + 1j * rng.normal(size=5)
+        elif kind == "saddle":
+            node = dynamics._SCAN_PHASE[rng.integers(48)]
+            row[1] = rng.uniform(20.0, 200.0) * node.conj()
+            row[3] = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            row[2] = -row[3] * node + 1e-3 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        row[0] = rng.normal() if kind != "zero" else 0.0
+    return coeff
+
+
 def hessian_det(choi: np.ndarray, u: np.ndarray, phi: tuple[float, float]) -> float:
     """Central-difference Hessian determinant of the stripped overlap at phi."""
     vec = np.kron(u, np.eye(4, dtype=complex)) @ (np.eye(4).reshape(-1) / 2.0)
@@ -1194,16 +1287,20 @@ class TestChannelTraceAndReshuffle:
             assert dynamics._reshuffle(outputs).tobytes() == former_reshuffle(outputs).tobytes()
 
 
-# iswap-fidelity's Choi pattern: one block of 6, one of 4 and six of 1.
+# The components of a Choi pattern with every index populated: one block
+# of 6, one of 4 and six of 1. In iswap-fidelity's channels the last five
+# (ZERO_INDICES) are 0 at every time, since decay never raises the
+# excitation number, and are not gated.
 PLANTED_BLOCKS = [[0, 5, 6, 9, 10, 15], [1, 2, 7, 11], [3], [4], [8], [12], [13], [14]]
+ZERO_INDICES = [4, 8, 12, 13, 14]
 
 
-def planted_series(n_t: int = 5) -> np.ndarray:
+def planted_series(n_t: int = 5, parts: list = PLANTED_BLOCKS) -> np.ndarray:
     """(n_t, 16, 16) trace-1 series with a random positive definite block,
-    slightly skew, on each of PLANTED_BLOCKS, exactly 0 off them."""
+    slightly skew, on each of `parts`, exactly 0 off them."""
     rng = np.random.default_rng(29)
     series = np.zeros((n_t, 16, 16), dtype=complex)
-    for part in PLANTED_BLOCKS:
+    for part in parts:
         shape = (n_t, len(part), len(part))
         g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         skew = 1e-12 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
@@ -1211,11 +1308,12 @@ def planted_series(n_t: int = 5) -> np.ndarray:
     return series / np.einsum("tjj->t", series).real[:, None, None]
 
 
-def gate_outcome(blocks: list, record: bool):
-    """The physicality gate's diagnostics on these blocks, or its error text."""
+def gate_outcome(blocks: list, dim: int, record: bool):
+    """The physicality gate's diagnostics on these blocks of a (T, dim, dim)
+    series, or its error text."""
     diagnostics = {}
     try:
-        dynamics._finish(diagnostics, blocks, 0.0, 1.0, 1, record, "Choi")
+        dynamics._finish(diagnostics, blocks, dim, 0.0, 1.0, 1, record, "Choi")
     except DiagnosticsError as err:
         return str(err)
     return diagnostics
@@ -1237,8 +1335,8 @@ class TestPatternBlockGate:
     @pytest.mark.parametrize("record", [True, False])
     def test_matches_dense_gate(self, record):
         series = planted_series()
-        dense = gate_outcome([series], record)
-        blocked = gate_outcome(dynamics._pattern_blocks(series), record)
+        dense = gate_outcome([series], 16, record)
+        blocked = gate_outcome(dynamics._pattern_blocks(series), 16, record)
         assert 0.0 < dense["hermiticity_deviation"] <= 1e-10
         if record:
             assert blocked.pop("min_eigenvalue") == pytest.approx(
@@ -1264,9 +1362,9 @@ class TestPatternBlockGate:
             block = series[2][np.ix_(part, part)]
             lowest = np.min(np.linalg.eigvalsh(0.5 * (block + block.conj().T)))
             series[2, part, part] -= lowest + 2e-7
-        dense = gate_outcome([series], record)
+        dense = gate_outcome([series], 16, record)
         assert isinstance(dense, str) and re.match(message, dense)
-        assert gate_outcome(dynamics._pattern_blocks(series), record) == dense
+        assert gate_outcome(dynamics._pattern_blocks(series), 16, record) == dense
 
     @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("link", ["hermitian", "one-sided"])
@@ -1282,10 +1380,54 @@ class TestPatternBlockGate:
             series[4, 1, 3] = 1e-6
         blocks = dynamics._pattern_blocks(series)
         assert [block.shape[1:] for block in blocks] == [(6, 6), (5, 5)] + [(1, 1)] * 5
-        dense = gate_outcome([series], record)
+        dense = gate_outcome([series], 16, record)
         expected = "below floor" if link == "hermitian" else "hermiticity deviation 1.000e-06"
         assert isinstance(dense, str) and expected in dense
-        assert gate_outcome(blocks, record) == dense
+        assert gate_outcome(blocks, 16, record) == dense
+
+    def populated_series(self) -> np.ndarray:
+        """A planted series that is 0 on iswap-fidelity's zero indices."""
+        return planted_series(parts=PLANTED_BLOCKS[:3])
+
+    def test_zero_indices_are_not_gated(self):
+        series = self.populated_series()
+        assert not series[:, ZERO_INDICES].any() and not series[:, :, ZERO_INDICES].any()
+        blocks = dynamics._pattern_blocks(series)
+        assert len(blocks) == 3
+        for block, part in zip(blocks, PLANTED_BLOCKS):
+            assert block.tobytes() == series[:, np.array(part)[:, None], part].tobytes()
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_zero_indices_match_dense_gate(self, record):
+        series = self.populated_series()
+        dense = gate_outcome([series], 16, record)
+        blocked = gate_outcome(dynamics._pattern_blocks(series), 16, record)
+        assert 0.0 < dense["hermiticity_deviation"] <= 1e-10
+        if record:
+            assert blocked.pop("min_eigenvalue") == pytest.approx(
+                dense.pop("min_eigenvalue"), abs=1e-15
+            )
+        assert blocked == dense
+
+    def test_uncovered_indices_record_eigenvalue_zero(self):
+        # Every populated block is positive definite, so the lowest
+        # eigenvalue of the whole series is that of its zero indices.
+        series = self.populated_series()
+        blocks = dynamics._pattern_blocks(series)
+        assert min(np.min(np.linalg.eigvalsh(block)) for block in blocks) > 1e-6
+        assert gate_outcome(blocks, 16, True)["min_eigenvalue"] == 0.0
+        assert gate_outcome(blocks, 11, True)["min_eigenvalue"] > 1e-6
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("entry", [(4, 4), (8, 13)])
+    def test_nan_at_a_zero_index_fails_like_dense_gate(self, entry, record):
+        series = self.populated_series()
+        series[(2,) + entry] = np.nan
+        blocks = dynamics._pattern_blocks(series)
+        assert any(np.isnan(block).any() for block in blocks)
+        dense = gate_outcome([series], 16, record)
+        assert dense == "hermiticity deviation nan exceeds 1e-10"
+        assert gate_outcome(blocks, 16, record) == dense
 
 
 class TestEntryObservables:
@@ -1940,7 +2082,76 @@ class TestTrigPoly:
         assert value.tobytes() == want_value.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
         assert hess.tobytes() == want_hess.tobytes()
-        assert dynamics._trig_poly(coeff, phi, value_only=True).tobytes() == want_value.tobytes()
+
+
+class TestPolishAndTargetCache:
+    """The phase strip's polish, F taken once per step, against the
+    earlier subset-indexed polish, and its target constants, built once
+    per target."""
+
+    def test_coefficient_choi_is_exact(self):
+        coeff = polish_rows(["random"] * 50 + ["saddle"] * 50, seed=3)
+        _, used, mirror, kernel = dynamics._target_constants(iswap_unitary())
+        entries = coefficient_choi(coeff).reshape(-1, 256)
+        got = dynamics._matmul(0.5 * (entries[:, used] + entries[:, mirror].conj()), kernel)
+        assert got.tobytes() == coeff.tobytes()
+
+    def test_saddle_rows_refuse_their_first_step(self):
+        kinds = ["zero", "random"] + ["saddle"] * 20
+        choi = coefficient_choi(polish_rows(kinds, seed=0))
+        refused_first = former_strip(choi, iswap_unitary())[2]
+        assert not refused_first[:2].any() and refused_first[2:].sum() >= 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["random", "zero", "saddle"]), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_polish_matches_former_bitwise(self, kinds, seed):
+        choi = coefficient_choi(polish_rows(kinds, seed))
+        # Entries off the block of |U>>'s rows, which the strip must not read.
+        off = np.ones((16, 16), dtype=bool)
+        off[np.ix_(ISWAP_ROWS, ISWAP_ROWS)] = False
+        choi[:, off] = np.random.default_rng(seed).normal(size=(len(kinds), off.sum()))
+        u = iswap_unitary()
+        values, phases = strip_local_phases(choi, u)
+        want_values, want_phases, _ = former_strip(choi, u)
+        assert values.tobytes() == want_values.tobytes()
+        assert phases.tobytes() == want_phases.tobytes()
+        value, phase = strip_local_phases(choi[0], u)
+        assert (value, phase) == (values[0], tuple(phases[0]))
+
+    def test_alternating_targets_match_fresh_calls(self, channel_output_series):
+        choi = choi_from_outputs(unit_images(channel_output_series["full"]))
+        rng = np.random.default_rng(31)
+        other, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+
+        def scores(u):
+            values, phases = strip_local_phases(choi, u)
+            return values.tobytes(), phases.tobytes(), process_fidelity(choi, u).tobytes()
+
+        fresh = []
+        for u in (iswap_unitary(), other):
+            dynamics._constants_of.cache_clear()
+            fresh.append(scores(u))
+        for u, want in zip([iswap_unitary(), other] * 3, fresh * 3):
+            assert scores(u) == want
+
+    def test_constants_are_built_once_and_read_only(self):
+        u = iswap_unitary()
+        constants = dynamics._target_constants(u)
+        assert all(a is b for a, b in zip(constants, dynamics._target_constants(u.copy())))
+        for array in constants:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+    @pytest.mark.parametrize("target", [np.eye(2), np.eye(3), np.eye(16)])
+    def test_wrong_shaped_target_is_refused(self, target):
+        choi = np.eye(16) / 16
+        for score in (strip_local_phases, process_fidelity):
+            with pytest.raises(ValueError, match="mismatch in its core dimension"):
+                score(choi, target)
+        assert process_fidelity(choi, np.eye(4)) == pytest.approx(0.0625)
 
 
 class TestNonFiniteDiagnostics:
@@ -2098,17 +2309,28 @@ class TestPositivityCertificate:
 
     def test_iswap_fidelity_diagonalises_only_its_reported_batches(self, tmp_path, monkeypatch):
         shapes = recorded_eigvalsh_shapes(monkeypatch)
+        factorised = []
+        cholesky = np.linalg.cholesky
+
+        def recording(a, *args, **kwargs):
+            factorised.append(np.shape(a))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
         run_scenario("iswap-fidelity", resolve("iswap-fidelity"), tmp_path)
         n_t, channels = 281, 8
         # Only the 2 main channels (written and full) report min_eigenvalue,
-        # so only their Choi series are diagonalised, on the blocks of J's
-        # pattern: one of 6, one of 4 and six of 1. The reruns are
-        # certified. Each of the 8 channels also takes its spectral scale
-        # from the full H. No physical input is checked.
-        blocks = [(n_t, 6, 6), (n_t, 4, 4)] + [(n_t, 1, 1)] * 6
+        # so only their Choi series are diagonalised, on the populated blocks
+        # of J's pattern: one of 6, one of 4 and one of 1 (its other five
+        # indices are 0). The reruns are certified. Each of the 8 channels
+        # also takes its spectral scale from the full H. No physical input
+        # is checked.
+        blocks = [(n_t, 6, 6), (n_t, 4, 4), (n_t, 1, 1)]
         assert [shape for shape in shapes if shape[0] == n_t] == blocks * 2
         matrices = sum(int(np.prod(shape[:-2])) for shape in shapes)
         assert matrices == 2 * len(blocks) * n_t + channels
+        # The 6 reruns certify the same three blocks each.
+        assert [shape for shape in factorised if shape[0] == n_t] == blocks * (channels - 2)
 
 
 def former_evolve_unitary(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, observables: dict):
@@ -2549,7 +2771,7 @@ class TestProductBudget:
         spy = _NumpySpy()
         monkeypatch.setattr(dynamics, "np", spy)
         run_scenario(scenario, resolve(scenario), tmp_path)
-        # The spy sees the run: iswap-fidelity makes 1463 calls, the others 24 to 191.
+        # The spy sees the run: iswap-fidelity makes 1437 calls, the others 24 to 191.
         assert len(spy.calls) > (1000 if scenario == "iswap-fidelity" else 20)
         over = []
         for a_shape, b_shape, a_kind, b_kind in spy.calls:
